@@ -19,7 +19,7 @@ from .errors import BetaflowError, EmptyTrajectoryError
 from .exact import EXACT_MODEL
 from .flow import Trajectory, integrate
 from .integrability import hamiltonian
-from .manifold import DomainClass, DomainLabel, det3, invert3
+from .manifold import invert3
 from .scan import SUITE_NAMES, Region, run_suite, scan_degeneracy
 from .stirling import STIRLING_MODEL
 
@@ -146,12 +146,7 @@ def _cmd_info(args) -> int:
     metric = model.metric(point)
     inverse = invert3(metric)
     eta = model.eta(point)
-    if args.model == "stirling":
-        det = model.det_closed(point)
-        domain_class = model.classify_domain(point)
-    else:
-        det = det3(metric)
-        domain_class = DomainClass(DomainLabel.REGULAR, float(point.min()))
+    domain_class = model.classify_domain(point)
     report = {
         "model": args.model,
         "point": [float(x) for x in point],
@@ -159,7 +154,7 @@ def _cmd_info(args) -> int:
         "eta": [float(x) for x in eta],
         "metric": [float(x) for x in metric.as_array().ravel()],
         "metric_inverse": [float(x) for x in inverse.as_array().ravel()],
-        "detG": float(det),
+        "detG": float(model.det_closed(point)),
         "eigenvalues": [float(x) for x in np.linalg.eigvalsh(metric.as_array())],
         "hamiltonian": float(hamiltonian(eta)),
         "domain_class": {

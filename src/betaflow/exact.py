@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import Metric3, as_point
+from .manifold import DomainClass, DomainLabel, Metric3, as_point, det3
 from .specfun import digamma, log_gamma, trigamma
 
 
@@ -58,6 +58,16 @@ class ExactModel:
             d3=trigamma(p[2]) + o,
             o12=o, o13=o, o23=o,
         )
+
+    def det_closed(self, theta) -> float:
+        return det3(self.metric(theta))
+
+    def classify_domain(self, theta) -> DomainClass:
+        """The metric is positive definite on the whole domain, so a point is
+        Regular at distance min(theta) or OutsideDomain at depth -min(theta)."""
+        low = float(min(as_point(theta, "theta")))
+        label = DomainLabel.REGULAR if low > 0.0 else DomainLabel.OUTSIDE
+        return DomainClass(label, abs(low))
 
     def dual_potential(self, theta) -> float:
         """Legendre transform <theta, eta> - Phi evaluated at eta(theta)."""

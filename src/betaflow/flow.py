@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateEtaError,
     DomainError,
+    NegativeRatioError,
     NoConvergenceError,
     SingularMatrixError,
     StepFailureError,
@@ -69,9 +71,11 @@ class Trajectory:
 
 
 def rhs(model, theta) -> np.ndarray:
-    """Flow velocity -G^{-1} eta at a point."""
-    theta = model.check_domain(theta)
-    inv = invert3(model.metric(theta), tol=DET_GUARD)
+    """Flow velocity -G^{-1} eta at a point.  Singular only where det G is
+    exactly 0; ``integrate`` applies DET_GUARD to accepted samples."""
+    if not model.in_domain(theta):
+        raise DomainError(f"{theta!r} lies outside the {model.name} domain")
+    inv = invert3(model.metric(theta), tol=0.0)
     return -inv.matvec(model.eta(theta))
 
 
@@ -97,15 +101,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         raise DomainError(f"max_step must be > 0, got {max_step!r}")
     y = model.check_domain(theta0)
 
-    def f(point: np.ndarray) -> np.ndarray:
-        if not model.in_domain(point):
-            raise DomainError("stage point left the model domain")
-        inv = invert3(model.metric(point), tol=0.0)
-        return -inv.matvec(model.eta(point))
-
     try:
         ref_lax = lax_pair(model.eta(y)).L
-    except Exception:
+    except (DegenerateEtaError, NegativeRatioError):
         ref_lax = None
 
     samples = [(0.0, y, *_diagnostics(model, y, ref_lax))]
@@ -119,10 +117,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     status = "completed"
 
     if t_end > 0.0:
-        k1 = f(y)
-        h = min(t_end, 1e-2 / (1.0 + float(np.max(np.abs(k1)))))
-        if max_step is not None:
-            h = min(h, max_step)
+        k1 = rhs(model, y)
+        h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
         err_prev = None
         reject_reason = "error"
@@ -142,10 +138,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 )
             try:
                 k = [k1]
-                y_stage = y
                 for row in _A[1:]:
-                    y_stage = y + h * sum(a * ki for a, ki in zip(row, k))
-                    k.append(f(y_stage))
+                    k.append(rhs(model, y + h * sum(a * ki for a, ki in zip(row, k))))
                 y_new = y + h * sum(a * ki for a, ki in zip(_A[6], k))
                 err_vec = h * sum(e * ki for e, ki in zip(_E, k))
             except DomainError:
@@ -207,17 +201,13 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
 def _diagnostics(model, theta, ref_lax):
     eta = model.eta(theta)
     det = det3(model.metric(theta))
+    ham = dev = math.nan
     try:
         ham = hamiltonian(eta)
-    except Exception:
-        ham = math.nan
-    if ref_lax is None:
-        dev = math.nan
-    else:
-        try:
+        if ref_lax is not None:
             dev = float(np.linalg.norm(lax_pair(eta).L - ref_lax))
-        except Exception:
-            dev = math.nan
+    except (DegenerateEtaError, NegativeRatioError):
+        pass
     return eta, ham, det, dev
 
 

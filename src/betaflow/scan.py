@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .exact import EXACT_MODEL
 from .flow import eta_closed, integrate
 from .integrability import hamiltonian, lax_pair, lax_residual
 from .manifold import DomainLabel
-from .stirling import STIRLING_MODEL
+from .stirling import STIRLING_MODEL, det_kernel
 
 
 @dataclass(frozen=True)
@@ -70,58 +69,37 @@ class FlaggedCell:
     sign_change: bool
 
 
-def scan_degeneracy(region: Region, tol: float = 1e-9,
-                    workers: int = 1) -> list[FlaggedCell]:
+def scan_degeneracy(region: Region, tol: float = 1e-9) -> list[FlaggedCell]:
     """Flag cells where the closed-form determinant changes sign across the
     corners or falls below tol at a corner or the midpoint.  The result is
-    ordered lexicographically by cell index and is independent of the
-    worker count."""
+    ordered lexicographically by cell index."""
     ax, bx, cx = region.axes()
-    det = np.empty((region.na, region.nb, region.nc))
-    for i, a in enumerate(ax):
-        for j, b in enumerate(bx):
-            for k, c in enumerate(cx):
-                det[i, j, k] = STIRLING_MODEL.det_closed((a, b, c))
+    det = det_kernel(*np.meshgrid(ax, bx, cx, indexing="ij"))
+    mid_axes = [0.5 * (x[:-1] + x[1:]) for x in (ax, bx, cx)]
+    det_mid = det_kernel(*np.meshgrid(*mid_axes, indexing="ij"))
+
+    ni, nj, nk = det_mid.shape
+    corners = [det[di:di + ni, dj:dj + nj, dk:dk + nk]
+               for di in (0, 1) for dj in (0, 1) for dk in (0, 1)]
+    sign_change = (np.minimum.reduce(corners) < 0.0) & (0.0 < np.maximum.reduce(corners))
+    min_abs = np.minimum.reduce([np.abs(view) for view in corners])
+    flagged = sign_change | (min_abs <= tol) | (np.abs(det_mid) <= tol)
 
     half_diag = 0.5 * math.hypot(ax[1] - ax[0], bx[1] - bx[0], cx[1] - cx[0])
-
-    def scan_slab(i_range) -> list[FlaggedCell]:
-        found = []
-        for i in i_range:
-            for j in range(region.nb - 1):
-                for k in range(region.nc - 1):
-                    corners = det[i:i + 2, j:j + 2, k:k + 2]
-                    sign_change = bool(corners.min() < 0.0 < corners.max())
-                    min_abs = float(np.min(np.abs(corners)))
-                    mid = (
-                        0.5 * (ax[i] + ax[i + 1]),
-                        0.5 * (bx[j] + bx[j + 1]),
-                        0.5 * (cx[k] + cx[k + 1]),
-                    )
-                    if not (sign_change or min_abs <= tol
-                            or abs(STIRLING_MODEL.det_closed(mid)) <= tol):
-                        continue
-                    cls = STIRLING_MODEL.classify_domain(mid, tol=half_diag)
-                    found.append(FlaggedCell(
-                        index=(i, j, k),
-                        lo=(float(ax[i]), float(bx[j]), float(cx[k])),
-                        hi=(float(ax[i + 1]), float(bx[j + 1]), float(cx[k + 1])),
-                        label=cls.label,
-                        distance=cls.distance,
-                        min_abs_det=min_abs,
-                        sign_change=sign_change,
-                    ))
-        return found
-
-    i_all = range(region.na - 1)
-    if workers <= 1:
-        return scan_slab(i_all)
-    chunks = [i_all[p::workers] for p in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(scan_slab, chunks))
-    merged = [cell for part in parts for cell in part]
-    merged.sort(key=lambda cell: cell.index)
-    return merged
+    found = []
+    for i, j, k in np.argwhere(flagged).tolist():
+        mid = (mid_axes[0][i], mid_axes[1][j], mid_axes[2][k])
+        cls = STIRLING_MODEL.classify_domain(mid, tol=half_diag)
+        found.append(FlaggedCell(
+            index=(i, j, k),
+            lo=(float(ax[i]), float(bx[j]), float(cx[k])),
+            hi=(float(ax[i + 1]), float(bx[j + 1]), float(cx[k + 1])),
+            label=cls.label,
+            distance=cls.distance,
+            min_abs_det=float(min_abs[i, j, k]),
+            sign_change=bool(sign_change[i, j, k]),
+        ))
+    return found
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ def _check_positive(x: float, name: str) -> float:
     return x
 
 
+def _finite(value: float, name: str, x: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name}({x!r}) overflows double precision")
+    return value
+
+
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function on x > 0."""
     x = _check_positive(x, "log_gamma")
@@ -85,7 +91,7 @@ def log_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function on x > 0."""
-    x = _check_positive(x, "digamma")
+    x0 = x = _check_positive(x, "digamma")
     shift = 0.0
     while x < _SHIFT:
         shift += 1.0 / x
@@ -94,12 +100,15 @@ def digamma(x: float) -> float:
     tail = 0.0
     for c in reversed(_DIGAMMA_COEF):
         tail = (tail + c) * u
-    return math.log(x) - 0.5 / x - tail - shift
+    return _finite(math.log(x) - 0.5 / x - tail - shift, "digamma", x0)
 
 
 def trigamma(x: float) -> float:
     """Derivative of the digamma function on x > 0."""
-    x = _check_positive(x, "trigamma")
+    x0 = x = _check_positive(x, "trigamma")
+    if x * x == 0.0:
+        # 1/x^2 would divide by an underflowed zero.
+        raise DomainError(f"trigamma({x0!r}) overflows double precision")
     shift = 0.0
     while x < _SHIFT:
         shift += 1.0 / (x * x)
@@ -108,4 +117,4 @@ def trigamma(x: float) -> float:
     tail = 0.0
     for c in reversed(_TRIGAMMA_COEF):
         tail = (tail + c) * u
-    return 1.0 / x + 0.5 * u + tail / x + shift
+    return _finite(1.0 / x + 0.5 * u + tail / x + shift, "trigamma", x0)

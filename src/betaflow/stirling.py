@@ -41,6 +41,15 @@ def _den(a: float, b: float, c: float) -> float:
     )
 
 
+def det_kernel(a, b, c):
+    """Unchecked det G = -den / (8 (a-1)^2 (b-1)^2 (c-1)^2 (s-1)) on floats
+    or same-shape arrays.  Squares are products, as a scalar ``** 2`` goes
+    to libm pow, which can be an ulp off the exact square taken on arrays."""
+    ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
+    divisor = ua * ua * (ub * ub) * (uc * uc) * (a + b + c - 1.0)
+    return -0.125 * _den(a, b, c) / divisor + 0.0
+
+
 class StirlingModel:
     """Pure function bundle over points with a, b, c > 1."""
 
@@ -84,9 +93,7 @@ class StirlingModel:
         return Metric3(d1=d[0], d2=d[1], d3=d[2], o12=o, o13=o, o23=o)
 
     def det_closed(self, theta) -> float:
-        a, b, c = self.check_domain(theta)
-        divisor = (a - 1.0) ** 2 * (b - 1.0) ** 2 * (c - 1.0) ** 2 * (a + b + c - 1.0)
-        return -0.125 * _den(a, b, c) / divisor + 0.0
+        return det_kernel(*self.check_domain(theta))
 
     def metric_inverse_closed(self, theta, tol: float = 1e-9) -> Metric3:
         a, b, c = self.check_domain(theta)
@@ -182,7 +189,10 @@ def _solve_u(r: float) -> float:
     if r < _PHI_MIN:
         # No solution; the caller's sigma lower bound should prevent this.
         return 0.5
-    lo, hi = 0.5, max(math.exp(r), 0.5 + 1e-12)
+    try:
+        lo, hi = 0.5, max(math.exp(r), 0.5 + 1e-12)
+    except OverflowError:
+        raise DomainError(f"root of ln(u) + 1/(2u) = {float(r)!r} overflows") from None
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if math.log(mid) + 0.5 / mid <= r:

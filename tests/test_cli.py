@@ -36,6 +36,13 @@ def test_info_negative_point_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_info_overflowing_point_is_domain_error(capsys):
+    # trigamma(1e-200) overflows; that is a domain error, not a crash
+    assert main(["info", "--model", "exact", "--point", "1e-200,1,1"]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_info_singular_point(capsys):
     # the inverse metric is part of the report, so V points cannot be shown
     assert main(["info", "--model", "stirling", "--point", "3,3,3"]) == 3

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from betaflow import EXACT_MODEL, DomainError, det3
+from betaflow import EXACT_MODEL, DomainError, DomainLabel, det3
 
 mpmath.mp.dps = 40
 
@@ -187,3 +187,17 @@ def test_domain_rejection(theta):
     with pytest.raises(DomainError):
         EXACT_MODEL.check_domain(theta)
     assert not EXACT_MODEL.in_domain(theta)
+
+
+def test_det_closed_is_det_of_metric():
+    for theta in ((2.0, 3.0, 4.0), (0.3, 1.7, 4.2)):
+        assert EXACT_MODEL.det_closed(theta) == det3(EXACT_MODEL.metric(theta))
+        assert EXACT_MODEL.det_closed(theta) > 0.0
+
+
+def test_classify_domain_never_raises_on_points():
+    cls = EXACT_MODEL.classify_domain((2.0, 3.0, 0.25))
+    assert cls.label is DomainLabel.REGULAR and cls.distance == 0.25
+    cls = EXACT_MODEL.classify_domain((-0.5, 2.0, 2.0))
+    assert cls.label is DomainLabel.OUTSIDE and cls.distance == 0.5
+    assert EXACT_MODEL.classify_domain((0.0, 1.0, 1.0)).label is DomainLabel.OUTSIDE

@@ -6,6 +6,7 @@ import pytest
 from betaflow import (
     EXACT_MODEL,
     STIRLING_MODEL,
+    BetaflowError,
     DomainError,
     NoConvergenceError,
     SingularMatrixError,
@@ -152,6 +153,13 @@ def test_invert_eta_random_roundtrips_stirling():
 def test_invert_eta_rejects_unreachable_target():
     with pytest.raises(DomainError):
         invert_eta(EXACT_MODEL, (1.0, 1.0, 1.0))
+
+
+def test_invert_eta_overflowing_stirling_target_is_betaflow_error():
+    # near a = 1 the root on the branch u >= 1/2 exceeds the float range
+    target = STIRLING_MODEL.eta((1.0005, 3.0, 2.0))
+    with pytest.raises(BetaflowError):
+        invert_eta(STIRLING_MODEL, target)
 
 
 def test_invert_eta_rejects_guess_outside_domain():

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from betaflow import (
+    STIRLING_MODEL,
     DomainError,
     DomainLabel,
+    FlaggedCell,
     Region,
     SUITE_NAMES,
     UnknownSuiteError,
@@ -72,9 +75,69 @@ def test_scan_ordered_and_deterministic():
     assert scan_degeneracy(box) == first
 
 
-def test_scan_worker_count_irrelevant():
-    box = region((2.9, 3.1), (2.9, 3.1), (2.9, 3.1))
-    assert scan_degeneracy(box, workers=3) == scan_degeneracy(box, workers=1)
+def reference_scan(box, tol=1e-9):
+    """Per-cell scan: one det_closed call per node, then per cell a corner
+    test and, only if that does not flag, a midpoint test."""
+    ax, bx, cx = box.axes()
+    det = np.empty((box.na, box.nb, box.nc))
+    for i, a in enumerate(ax):
+        for j, b in enumerate(bx):
+            for k, c in enumerate(cx):
+                det[i, j, k] = STIRLING_MODEL.det_closed((a, b, c))
+    half_diag = 0.5 * math.hypot(ax[1] - ax[0], bx[1] - bx[0], cx[1] - cx[0])
+    found = []
+    for i in range(box.na - 1):
+        for j in range(box.nb - 1):
+            for k in range(box.nc - 1):
+                corners = det[i:i + 2, j:j + 2, k:k + 2]
+                sign_change = bool(corners.min() < 0.0 < corners.max())
+                min_abs = float(np.min(np.abs(corners)))
+                mid = (0.5 * (ax[i] + ax[i + 1]), 0.5 * (bx[j] + bx[j + 1]),
+                       0.5 * (cx[k] + cx[k + 1]))
+                if not (sign_change or min_abs <= tol
+                        or abs(STIRLING_MODEL.det_closed(mid)) <= tol):
+                    continue
+                cls = STIRLING_MODEL.classify_domain(mid, tol=half_diag)
+                found.append(FlaggedCell(
+                    index=(i, j, k),
+                    lo=(float(ax[i]), float(bx[j]), float(cx[k])),
+                    hi=(float(ax[i + 1]), float(bx[j + 1]), float(cx[k + 1])),
+                    label=cls.label,
+                    distance=cls.distance,
+                    min_abs_det=min_abs,
+                    sign_change=sign_change,
+                ))
+    return found
+
+
+def box_around(rng, point, n):
+    """Box inside [1.2, 5]^3 holding point, 0.1 to 1 wide on each side."""
+    lo = np.maximum(1.2, point - rng.uniform(0.1, 1.0, 3))
+    hi = np.minimum(5.0, point + rng.uniform(0.1, 1.0, 3))
+    return Region(*((float(l), float(h)) for l, h in zip(lo, hi)), n, n, n)
+
+
+def test_scan_matches_per_cell_reference():
+    rng = np.random.Generator(np.random.Philox(41))
+    labels = set()
+    for n in (8, 11, 14, 17, 20):
+        on_d = np.array([rng.uniform(1.5, 4.5), 1.5, 1.5])
+        while True:
+            b, c = rng.uniform(1.6, 4.5, 2)
+            # den = 0 solved for a
+            a = ((27.0 - 15.0 * b - 15.0 * c + 8.0 * b * c)
+                 / (4.0 * b * c - 8.0 * b - 8.0 * c + 15.0))
+            if 1.3 < a < 4.5:
+                break
+        on_v = np.array([a, b, c])
+        for point in (on_d, on_v):
+            box = box_around(rng, point, n)
+            cells = scan_degeneracy(box)
+            assert cells and cells == reference_scan(box)
+            labels.update(cell.label for cell in cells)
+    assert {DomainLabel.ON_D, DomainLabel.ON_V} <= labels
+    full = region((1.2, 5.0), (1.2, 5.0), (1.2, 5.0), n=32)
+    assert scan_degeneracy(full) == reference_scan(full)
 
 
 def test_run_suite_lax():

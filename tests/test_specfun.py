@@ -87,3 +87,18 @@ def test_finite_difference_consistency():
 def test_domain_errors(func, bad):
     with pytest.raises(DomainError):
         func(bad)
+
+
+@pytest.mark.parametrize("func, x", [
+    (trigamma, 1e-300),   # x*x underflows to zero
+    (trigamma, 1e-160),   # 1/x^2 overflows to inf
+    (digamma, 5e-324),    # 1/x overflows to inf
+])
+def test_overflow_at_tiny_arguments_is_domain_error(func, x):
+    with pytest.raises(DomainError):
+        func(x)
+
+
+def test_tiny_arguments_with_finite_results():
+    assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-15)
+    assert trigamma(1e-150) == pytest.approx(1e300, rel=1e-15)
