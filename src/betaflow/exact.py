@@ -17,28 +17,16 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainClass, DomainLabel, Metric3, as_point, det3
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, det3
 from .specfun import digamma, log_gamma, trigamma
 
 
-class ExactModel:
+class ExactModel(Model):
     """Pure function bundle over points with a, b, c > 0."""
 
     name = "exact"
     domain_description = "a, b, c > 0"
-
-    def in_domain(self, theta) -> bool:
-        try:
-            p = as_point(theta)
-        except DomainError:
-            return False
-        return bool(np.all(p > 0.0))
-
-    def check_domain(self, theta) -> np.ndarray:
-        p = as_point(theta, "theta")
-        if not np.all(p > 0.0):
-            raise DomainError(f"exact model needs a, b, c > 0, got {p.tolist()}")
-        return p
+    lower = 0.0
 
     def potential(self, theta) -> float:
         a, b, c = self.check_domain(theta)
@@ -65,7 +53,7 @@ class ExactModel:
     def classify_domain(self, theta) -> DomainClass:
         """The metric is positive definite on the whole domain, so a point is
         Regular at distance min(theta) or OutsideDomain at depth -min(theta)."""
-        low = float(min(as_point(theta, "theta")))
+        low = float(min(as_point(theta, "theta"))) - self.lower
         label = DomainLabel.REGULAR if low > 0.0 else DomainLabel.OUTSIDE
         return DomainClass(label, abs(low))
 
@@ -134,7 +122,7 @@ class ExactModel:
     def check_inversion_target(self, target: np.ndarray) -> None:
         """eta is componentwise negative on this model, so any nonnegative
         component makes the target unreachable."""
-        if np.any(target >= 0.0):
+        if (target >= 0.0).any():
             raise DomainError(
                 f"eta targets for the exact model must be componentwise < 0, "
                 f"got {target.tolist()}"

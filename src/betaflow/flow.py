@@ -121,48 +121,39 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
         err_prev = None
-        reject_reason = "error"
+        # Every rejection sets the status a step underflow ends in (None: raise).
+        underflow_status = None
         while t < t_end:
             h = min(h, t_end - t)
             if max_step is not None:
                 h = min(h, max_step)
             if h < 1e-13 * max(1.0, t):
-                if reject_reason == "domain":
-                    status = "left_domain"
-                    break
-                if reject_reason == "singular":
-                    status = "singular"
-                    break
-                raise StepFailureError(
-                    f"step size underflow at t={t!r} (h={h!r})"
-                )
+                if underflow_status is None:
+                    raise StepFailureError(
+                        f"step size underflow at t={t!r} (h={h!r})"
+                    )
+                status = underflow_status
+                break
+            failed, shrink = None, 0.5
             try:
                 k = [k1]
                 for row in _A[1:]:
                     k.append(rhs(model, y + h * sum(a * ki for a, ki in zip(row, k))))
+            except DomainError:
+                failed = "left_domain"
+            except SingularMatrixError:
+                failed = "singular"
+            else:
                 y_new = y + h * sum(a * ki for a, ki in zip(_A[6], k))
                 err_vec = h * sum(e * ki for e, ki in zip(_E, k))
-            except DomainError:
+                if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
+                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                    shrink = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else None
+            if shrink is not None:
                 n_rejected += 1
-                reject_reason = "domain"
-                h *= 0.5
-                continue
-            except SingularMatrixError:
-                n_rejected += 1
-                reject_reason = "singular"
-                h *= 0.5
-                continue
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
-                n_rejected += 1
-                reject_reason = "error"
-                h *= 0.5
-                continue
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if err > 1.0:
-                n_rejected += 1
-                reject_reason = "error"
-                h *= max(0.2, 0.9 * err ** -0.2)
+                underflow_status = failed
+                h *= shrink
                 continue
             t += h
             y = y_new

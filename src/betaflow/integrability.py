@@ -63,25 +63,33 @@ class LaxPair:
         return self.L[0, 0] + self.L[1, 1] + self.L[2, 2]
 
 
-def _checked_eta(eta) -> np.ndarray:
+def _checked_eta(eta) -> list[float]:
+    """eta as three Python floats, whose quotients overflow without a warning."""
     e = np.asarray(eta, dtype=float)
-    if e.shape != (3,) or not np.all(np.isfinite(e)):
+    if e.shape != (3,) or not np.isfinite(e).all():
         raise DegenerateEtaError(f"eta must be three finite reals, got {eta!r}")
     if e[0] == 0.0 or e[1] == 0.0:
         raise DegenerateEtaError(f"eta1 and eta2 must be nonzero, got {e.tolist()}")
-    return e
+    return e.tolist()
+
+
+def _ratio(num: float, den: float) -> float:
+    q = num / den
+    if not math.isfinite(q):
+        raise DegenerateEtaError(f"{num!r} / {den!r} is not a finite real")
+    return q
 
 
 def to_canonical(eta) -> CanonicalState:
-    e = _checked_eta(eta)
-    return CanonicalState(P1=1.0 / e[0], Q1=e[1], P1p=1.0 / e[1], Q1p=e[2])
+    e1, e2, e3 = _checked_eta(eta)
+    return CanonicalState(P1=_ratio(1.0, e1), Q1=e2, P1p=_ratio(1.0, e2), Q1p=e3)
 
 
 def hamiltonian(eta) -> float:
     """H = eta2/eta1 + eta3/eta2, conserved along the flow and invariant
     under uniform rescaling of eta."""
-    e = _checked_eta(eta)
-    return e[1] / e[0] + e[2] / e[1]
+    e1, e2, e3 = _checked_eta(eta)
+    return _ratio(e2, e1) + _ratio(e3, e2)
 
 
 def hamilton_rhs(state: CanonicalState) -> np.ndarray:
@@ -113,16 +121,16 @@ def _gradient(func, x: np.ndarray, step: float) -> np.ndarray:
 def lax_pair(eta, ell: float = 1.0) -> LaxPair:
     """L with the invariant ratios on the diagonal and sqrt(eta3/eta1) in
     the corners; trace L equals the Hamiltonian by construction."""
-    e = _checked_eta(eta)
-    ratio = e[2] / e[0]
+    e1, e2, e3 = _checked_eta(eta)
+    ratio = _ratio(e3, e1)
     if ratio < 0.0:
         raise NegativeRatioError(
             f"eta3/eta1 = {ratio!r} < 0: Lax corner entry leaves the reals"
         )
     corner = math.sqrt(ratio)
     L = np.zeros((3, 3))
-    L[0, 0] = e[1] / e[0]
-    L[2, 2] = e[2] / e[1]
+    L[0, 0] = _ratio(e2, e1)
+    L[2, 2] = _ratio(e3, e2)
     L[0, 2] = L[2, 0] = corner
     N = np.diag([ell, 0.0, ell])
     return LaxPair(L=L, N=N, ell=ell)

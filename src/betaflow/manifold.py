@@ -22,9 +22,33 @@ def as_point(x, name: str = "point") -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (3,):
         raise DomainError(f"{name} must have exactly 3 components, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DomainError(f"{name} must be finite, got {p.tolist()}")
     return p
+
+
+class Model:
+    """The domain rule both models share: a point is three finite
+    coordinates, each above ``lower``.  Subclasses set ``lower``, ``name``
+    and ``domain_description``, which the error message quotes."""
+
+    def in_domain(self, theta) -> bool:
+        try:
+            self.check_domain(theta)
+        except DomainError:
+            return False
+        return True
+
+    def check_domain(self, theta) -> np.ndarray:
+        p = as_point(theta, "theta")
+        if not (p > self.lower).all():
+            raise DomainError(
+                f"{self.name} model needs {self.domain_description}, got {p.tolist()}"
+            )
+        return p
+
+    def check_inversion_target(self, target: np.ndarray) -> None:
+        """Accept any target; models with a restricted dual image override this."""
 
 
 @dataclass(frozen=True)
@@ -91,16 +115,20 @@ def det3(m: Metric3) -> float:
 def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     """Adjugate-over-determinant inverse of a symmetric 3x3 matrix.
 
-    ``tol`` is the singularity threshold on |det|; the default scales with the
-    cube of the largest entry so the test is invariant under m -> s*m.
+    ``tol`` is the singularity threshold on |det|; the default, 1e-12 times the
+    cube of the largest entry, is invariant under m -> s*m and is compared in
+    units of a power of two near that cube, so it cannot overflow.
     """
     ca = m.d2 * m.d3 - m.o23 * m.o23
     cb = m.o13 * m.o23 - m.o12 * m.d3
     cc = m.o12 * m.o23 - m.d2 * m.o13
     det = m.d1 * ca + m.o12 * cb + m.o13 * cc
     if tol is None:
-        tol = 1e-12 * m.max_abs() ** 3
-    if abs(det) <= tol:
+        mant, e = math.frexp(m.max_abs())
+        singular = abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3
+    else:
+        singular = abs(det) <= tol
+    if singular:
         raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
     ce = m.o12 * m.o13 - m.d1 * m.o23
     return Metric3(

@@ -10,6 +10,7 @@ the surface.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -40,9 +41,10 @@ class Region:
         for lo, hi in (self.a, self.b, self.c):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(f"invalid region interval [{lo!r}, {hi!r}]")
-            if lo <= 1.0:
+            if lo <= STIRLING_MODEL.lower:
                 raise DomainError(
-                    f"region lower bound {lo!r} must exceed 1 (stirling domain)"
+                    f"region lower bound {lo!r} must exceed"
+                    f" {STIRLING_MODEL.lower:g} (stirling domain)"
                 )
         for n in (self.na, self.nb, self.nc):
             if n < 2:
@@ -157,14 +159,11 @@ _ACCEPTANCE_STARTS = {
     "stirling": (STIRLING_MODEL, (2.5, 3.0, 2.0)),
 }
 
-_trajectory_cache: dict[str, object] = {}
 
-
+@functools.cache
 def _acceptance_trajectory(tag: str):
-    if tag not in _trajectory_cache:
-        model, start = _ACCEPTANCE_STARTS[tag]
-        _trajectory_cache[tag] = integrate(model, start, 2.0, rtol=1e-10, atol=1e-12)
-    return _trajectory_cache[tag]
+    model, start = _ACCEPTANCE_STARTS[tag]
+    return integrate(model, start, 2.0, rtol=1e-10, atol=1e-12)
 
 
 def _record(name: str, residual: float, tolerance: float) -> CheckRecord:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import DomainClass, DomainLabel, Metric3, as_point
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -50,25 +50,13 @@ def det_kernel(a, b, c):
     return -0.125 * _den(a, b, c) / divisor + 0.0
 
 
-class StirlingModel:
+class StirlingModel(Model):
     """Pure function bundle over points with a, b, c > 1."""
 
     name = "stirling"
     domain_description = "a, b, c > 1"
+    lower = 1.0
     k = -_LN_2PI - 2.0
-
-    def in_domain(self, theta) -> bool:
-        try:
-            p = as_point(theta)
-        except DomainError:
-            return False
-        return bool(np.all(p > 1.0))
-
-    def check_domain(self, theta) -> np.ndarray:
-        p = as_point(theta, "theta")
-        if not np.all(p > 1.0):
-            raise DomainError(f"stirling model needs a, b, c > 1, got {p.tolist()}")
-        return p
 
     def potential(self, theta) -> float:
         p = self.check_domain(theta)
@@ -124,8 +112,8 @@ class StirlingModel:
 
     def classify_domain(self, theta, tol: float = 1e-9) -> DomainClass:
         a, b, c = (float(x) for x in as_point(theta, "theta"))
-        if min(a, b, c) <= 1.0:
-            return DomainClass(DomainLabel.OUTSIDE, 1.0 - min(a, b, c))
+        if min(a, b, c) <= self.lower:
+            return DomainClass(DomainLabel.OUTSIDE, self.lower - min(a, b, c))
         dist_d = max(abs(b - 1.5), abs(c - 1.5))
         if dist_d <= tol:
             return DomainClass(DomainLabel.ON_D, dist_d)
@@ -137,10 +125,6 @@ class StirlingModel:
         if dist_v <= tol:
             return DomainClass(DomainLabel.ON_V, dist_v)
         return DomainClass(DomainLabel.REGULAR, min(dist_d, dist_v))
-
-    def check_inversion_target(self, target: np.ndarray) -> None:
-        """The dual map is onto a full-dimensional set with no sign
-        constraint; finiteness is already enforced upstream."""
 
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
         """Start point for Newton inversion of eta.
@@ -156,7 +140,10 @@ class StirlingModel:
         problem.  The smallest root is the sheet where den < 0; Newton
         then converges from the assembled point.
         """
-        sigma_min = max(math.exp(t + _PHI_MIN) for t in target)
+        try:
+            sigma_min = max(math.exp(t + _PHI_MIN) for t in target)
+        except OverflowError:
+            raise DomainError(f"stirling preimage of {target.tolist()} overflows") from None
 
         def residual(sigma: float) -> float:
             ls = math.log(sigma)
@@ -173,14 +160,13 @@ class StirlingModel:
             lo, f_lo = hi, f_hi
         else:
             raise DomainError(f"no stirling preimage found for eta={target.tolist()}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if residual(lo) * residual(mid) <= 0.0:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            f_mid = residual(mid)
+            if f_lo * f_mid <= 0.0:
                 hi = mid
             else:
-                lo = mid
-        sigma = 0.5 * (lo + hi)
-        ls = math.log(sigma)
+                lo, f_lo = mid, f_mid
+        ls = math.log(mid)
         return np.array([_solve_u(ls - t) + 1.0 for t in target])
 
 
@@ -193,13 +179,12 @@ def _solve_u(r: float) -> float:
         lo, hi = 0.5, max(math.exp(r), 0.5 + 1e-12)
     except OverflowError:
         raise DomainError(f"root of ln(u) + 1/(2u) = {float(r)!r} overflows") from None
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if math.log(mid) + 0.5 / mid <= r:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 STIRLING_MODEL = StirlingModel()

@@ -43,6 +43,13 @@ def test_info_overflowing_point_is_domain_error(capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_info_huge_entry_is_singular_not_overflow(capsys):
+    # trigamma(1e-100) = 1e200, whose cube overflows the float range
+    assert main(["info", "--model", "exact", "--point", "1e-100,1e200,1e200"]) == 3
+    err = capsys.readouterr().err
+    assert "error: matrix is singular" in err and "Traceback" not in err
+
+
 def test_info_singular_point(capsys):
     # the inverse metric is part of the report, so V points cannot be shown
     assert main(["info", "--model", "stirling", "--point", "3,3,3"]) == 3

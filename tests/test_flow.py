@@ -8,8 +8,10 @@ from betaflow import (
     STIRLING_MODEL,
     BetaflowError,
     DomainError,
+    Metric3,
     NoConvergenceError,
     SingularMatrixError,
+    StepFailureError,
     eta_closed,
     integrate,
     invert_eta,
@@ -170,3 +172,70 @@ def test_invert_eta_rejects_guess_outside_domain():
 def test_invert_eta_iteration_budget():
     with pytest.raises(NoConvergenceError):
         invert_eta(EXACT_MODEL, EXACT_MODEL.eta((4.0, 0.7, 2.0)), max_iter=1)
+
+
+class _PlaneModel:
+    """Test-only model: forwards the model interface to ``model`` and
+    replaces one method past the plane a = PLANE, which both reference
+    flows cross before t = 0.2."""
+
+    PLANE = 3.0
+
+    def __init__(self, model, method, past_plane):
+        self._model = model
+        self.name = model.name
+        inner = getattr(model, method)
+
+        def replaced(theta):
+            if np.asarray(theta, dtype=float)[0] >= self.PLANE:
+                return past_plane(self._model, theta)
+            return inner(theta)
+
+        setattr(self, method, replaced)
+
+    def __getattr__(self, attr):
+        return getattr(self._model, attr)
+
+
+REFERENCE_STARTS = {EXACT_MODEL: (2.0, 3.0, 4.0), STIRLING_MODEL: (2.5, 3.0, 2.0)}
+ZERO_METRIC = Metric3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+@pytest.mark.parametrize("method, past_plane, status", [
+    # the domain ends at the plane
+    ("in_domain", lambda model, theta: False, "left_domain"),
+    # a non-finite velocity makes the next stage point non-finite, which
+    # rhs rejects as outside the domain
+    ("eta", lambda model, theta: np.full(3, math.nan), "left_domain"),
+    # det G is exactly 0 past the plane, so every stage there is singular
+    ("metric", lambda model, theta: ZERO_METRIC, "singular"),
+], ids=["narrow-domain", "nan-eta", "singular-metric"])
+def test_step_underflow_status_follows_the_failed_stage(model, method, past_plane, status):
+    wrapped = _PlaneModel(model, method, past_plane)
+    traj = integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+    assert traj.status == status
+    assert traj.n_rejected > 0
+    # stopped by the step underflow just short of the plane, not by the det guard
+    assert 0.0 < _PlaneModel.PLANE - traj.theta_end[0] <= 1e-9
+    assert abs(traj.det_g[-1]) >= 1e-12
+    assert traj.t[-1] < 2.0
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_step_underflow_after_error_test_rejections_raises(model):
+    # eta jumps by a factor 1e6 past the plane: every step that reaches the
+    # plane fails the error test, down to the smallest step size
+    wrapped = _PlaneModel(model, "eta", lambda inner, theta: 1e6 * inner.eta(theta))
+    with pytest.raises(StepFailureError, match="step size underflow"):
+        integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+@pytest.mark.parametrize("point", [
+    (math.nan, 2.0, 2.0), (2.0, math.inf, 2.0), (2.0, 2.0, -math.inf),
+    (0.0, 2.0, 2.0), (2.0, -3.0, 2.0),
+])
+def test_rhs_rejects_points_outside_the_domain(model, point):
+    with pytest.raises(DomainError):
+        rhs(model, point)

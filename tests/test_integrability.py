@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,15 @@ def test_lax_pair_negative_ratio():
 def test_lax_pair_degenerate_eta():
     with pytest.raises(DegenerateEtaError):
         lax_pair((0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("func", [hamiltonian, lax_pair, to_canonical])
+def test_non_finite_ratio_is_degenerate_eta(func):
+    # eta3/eta2 and 1/eta1 overflow; no inf is returned and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateEtaError):
+            func((1e-320, 1e-320, 1.0))
 
 
 def test_lax_trace_equals_hamiltonian_bitwise():

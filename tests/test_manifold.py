@@ -7,6 +7,7 @@ from betaflow import (
     DomainClass,
     DomainError,
     DomainLabel,
+    EXACT_MODEL,
     Metric3,
     STIRLING_MODEL,
     SingularMatrixError,
@@ -82,6 +83,27 @@ def test_invert3_singular():
         invert3(STIRLING_MODEL.metric((3.0, 3.0, 3.0)))
 
 
+@pytest.mark.parametrize("m", [
+    Metric3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    # 1e120 cubed overflows the float range
+    Metric3(1e120, 1.0, 1.0, 0.0, 0.0, 0.0),
+], ids=["zero", "huge-entry"])
+def test_invert3_default_tolerance_flags_singular(m):
+    with pytest.raises(SingularMatrixError):
+        invert3(m)
+
+
+@pytest.mark.parametrize("power", [-300, 0, 300])
+def test_invert3_default_tolerance_is_scale_invariant(power):
+    # det / max|m_ij|^3 = d; the default flags d <= 1e-12 at every scale
+    s = 2.0 ** power
+    with pytest.raises(SingularMatrixError):
+        invert3(Metric3(s, s, 1e-12 * s, 0.0, 0.0, 0.0))
+    d = np.nextafter(1e-12, 1.0)
+    inv = invert3(Metric3(s, s, d * s, 0.0, 0.0, 0.0))
+    assert inv.d3 == pytest.approx(1.0 / (d * s), rel=1e-15)
+
+
 def test_invert3_random_well_conditioned():
     rng = np.random.Generator(np.random.Philox(11))
     eye = np.eye(3)
@@ -105,3 +127,42 @@ def test_leading_minors():
 def test_domain_class_rejects_nan_distance():
     with pytest.raises(ValueError):
         DomainClass(DomainLabel.REGULAR, math.nan)
+
+
+# The lower bound of each model's domain: every coordinate must exceed it.
+DOMAIN_LOWER = {EXACT_MODEL: 0.0, STIRLING_MODEL: 1.0}
+
+
+def _domain_cases():
+    for model, lower in DOMAIN_LOWER.items():
+        inside = np.nextafter(lower, math.inf)
+        for point, accepted in (
+            ((lower, 2.0, 2.0), False),
+            ((2.0, 2.0, lower), False),
+            ((inside, 2.0, 2.0), True),
+            ((2.0, inside, inside), True),
+            ((math.nan, 2.0, 2.0), False),
+            ((2.0, math.inf, 2.0), False),
+            ((2.0, 2.0, -math.inf), False),
+            ((2.0, 2.0), False),
+            (((2.0, 2.0, 2.0),), False),
+        ):
+            yield pytest.param(model, point, accepted,
+                               id=f"{model.name}-{np.asarray(point).tolist()}")
+
+
+@pytest.mark.parametrize("model, point, accepted", _domain_cases())
+def test_in_domain_is_false_exactly_where_check_domain_raises(model, point, accepted):
+    assert model.lower == DOMAIN_LOWER[model]
+    assert model.in_domain(point) is accepted
+    if accepted:
+        assert np.array_equal(model.check_domain(point), point)
+    else:
+        with pytest.raises(DomainError):
+            model.check_domain(point)
+
+
+@pytest.mark.parametrize("model", list(DOMAIN_LOWER), ids=lambda m: m.name)
+def test_check_domain_message_names_the_domain(model):
+    with pytest.raises(DomainError, match=model.domain_description):
+        model.check_domain((2.0, 2.0, DOMAIN_LOWER[model]))

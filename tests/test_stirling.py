@@ -9,6 +9,7 @@ from betaflow import (
     DomainError,
     DomainLabel,
     SingularMatrixError,
+    invert_eta,
     det3,
     invert3,
 )
@@ -213,3 +214,9 @@ def test_inversion_start_lands_in_domain():
         target = STIRLING_MODEL.eta(theta)
         start = STIRLING_MODEL.inversion_start(target)
         assert STIRLING_MODEL.in_domain(start)
+
+
+def test_inversion_start_overflow_is_domain_error():
+    # the lower bound exp(800 + 1 - ln 2) of sigma exceeds the float range
+    with pytest.raises(DomainError, match="overflows"):
+        invert_eta(STIRLING_MODEL, (800.0, 0.0, 0.0))
