@@ -33,17 +33,17 @@ class ExactModel(Model):
         return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
 
     def eta(self, theta) -> np.ndarray:
-        p = self.check_domain(theta)
-        ps = digamma(p.sum())
-        return np.array([digamma(p[0]) - ps, digamma(p[1]) - ps, digamma(p[2]) - ps])
+        a, b, c = self.check_domain(theta).tolist()
+        ps = digamma(a + b + c)
+        return np.array([digamma(a) - ps, digamma(b) - ps, digamma(c) - ps])
 
     def metric(self, theta) -> Metric3:
-        p = self.check_domain(theta)
-        o = -trigamma(p.sum())
+        a, b, c = self.check_domain(theta).tolist()
+        o = -trigamma(a + b + c)
         return Metric3(
-            d1=trigamma(p[0]) + o,
-            d2=trigamma(p[1]) + o,
-            d3=trigamma(p[2]) + o,
+            d1=trigamma(a) + o,
+            d2=trigamma(b) + o,
+            d3=trigamma(c) + o,
             o12=o, o13=o, o23=o,
         )
 

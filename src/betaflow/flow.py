@@ -25,7 +25,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import hamiltonian, lax_pair
-from .manifold import as_point, det3, invert3
+from .manifold import as_point, det3, invert3, solve3
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -73,10 +73,17 @@ class Trajectory:
 def rhs(model, theta) -> np.ndarray:
     """Flow velocity -G^{-1} eta at a point.  Singular only where det G is
     exactly 0; ``integrate`` applies DET_GUARD to accepted samples."""
+    return np.array(_velocity(model, theta)[0])
+
+
+def _velocity(model, theta):
+    """The velocity of ``rhs`` as three floats, with the eta and G it used."""
     if not model.in_domain(theta):
         raise DomainError(f"{theta!r} lies outside the {model.name} domain")
-    inv = invert3(model.metric(theta), tol=0.0)
-    return -inv.matvec(model.eta(theta))
+    g = model.metric(theta)
+    eta = model.eta(theta)
+    v0, v1, v2 = solve3(g, eta)
+    return (-v0, -v1, -v2), eta, g
 
 
 def eta_closed(eta0, t: float) -> np.ndarray:
@@ -100,13 +107,13 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     if max_step is not None and not max_step > 0.0:
         raise DomainError(f"max_step must be > 0, got {max_step!r}")
     y = model.check_domain(theta0)
-
+    eta, g = model.eta(y), model.metric(y)
     try:
-        ref_lax = lax_pair(model.eta(y)).L
+        ref_lax = lax_pair(eta).L
     except (DegenerateEtaError, NegativeRatioError):
         ref_lax = None
 
-    samples = [(0.0, y, *_diagnostics(model, y, ref_lax))]
+    samples = [(0.0, y, *_diagnostics(eta, g, ref_lax))]
     if abs(samples[0][4]) < DET_GUARD:
         raise SingularMatrixError(
             f"metric is numerically singular at the start point {y.tolist()}"
@@ -117,8 +124,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     status = "completed"
 
     if t_end > 0.0:
-        k1 = rhs(model, y)
+        k1 = _velocity(model, y)[0]
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
+        y = y.tolist()
         t = 0.0
         err_prev = None
         # Every rejection sets the status a step underflow ends in (None: raise).
@@ -135,20 +143,23 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 status = underflow_status
                 break
             failed, shrink = None, 0.5
+            k = [k1]
             try:
-                k = [k1]
                 for row in _A[1:]:
-                    k.append(rhs(model, y + h * sum(a * ki for a, ki in zip(row, k))))
+                    s0, s1, s2 = _weighted(row, k)
+                    y_new = [y[0] + h * s0, y[1] + h * s1, y[2] + h * s2]
+                    point = np.array(y_new)
+                    velocity, eta, g = _velocity(model, point)
+                    k.append(velocity)
             except DomainError:
                 failed = "left_domain"
             except SingularMatrixError:
                 failed = "singular"
             else:
-                y_new = y + h * sum(a * ki for a, ki in zip(_A[6], k))
-                err_vec = h * sum(e * ki for e, ki in zip(_E, k))
-                if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
-                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                # The last stage point is the step result y_new.
+                err_vec = [h * e for e in _weighted(_E, k)]
+                if all(map(math.isfinite, y_new + err_vec)):
+                    err = _error_norm(err_vec, y, y_new, rtol, atol)
                     shrink = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else None
             if shrink is not None:
                 n_rejected += 1
@@ -159,8 +170,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             y = y_new
             k1 = k[6]
             n_accepted += 1
-            diag = _diagnostics(model, y, ref_lax)
-            samples.append((t, y, *diag))
+            # The last stage evaluated eta and G at y_new.
+            diag = _diagnostics(eta, g, ref_lax)
+            samples.append((t, point, *diag))
             if abs(diag[2]) < DET_GUARD:
                 status = "singular"
                 break
@@ -189,9 +201,26 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     )
 
 
-def _diagnostics(model, theta, ref_lax):
-    eta = model.eta(theta)
-    det = det3(model.metric(theta))
+def _weighted(row, k) -> tuple[float, float, float]:
+    """sum(a * k_i) over the row per coordinate, added left to right."""
+    s0 = s1 = s2 = 0.0
+    for a, (k0, k1, k2) in zip(row, k):
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+    return s0, s1, s2
+
+
+def _error_norm(err_vec, y, y_new, rtol, atol) -> float:
+    """RMS of err_vec over atol + rtol * max(|y|, |y_new|).  A zero scale
+    (atol = 0 and rtol * |y| = 0) gives inf, or NaN for a zero error."""
+    scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+    q0, q1, q2 = (e / s if s else e * math.inf for e, s in zip(err_vec, scale))
+    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
+
+
+def _diagnostics(eta, g, ref_lax):
+    det = det3(g)
     ham = dev = math.nan
     try:
         ham = hamiltonian(eta)

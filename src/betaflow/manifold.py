@@ -40,6 +40,13 @@ class Model:
         return True
 
     def check_domain(self, theta) -> np.ndarray:
+        p = np.asarray(theta, dtype=float)
+        if p.shape == (3,):
+            # The common case on three floats; NaN fails every comparison.
+            a, b, c = p.tolist()
+            low = self.lower
+            if low < a < math.inf and low < b < math.inf and low < c < math.inf:
+                return p
         p = as_point(theta, "theta")
         if not (p > self.lower).all():
             raise DomainError(
@@ -119,6 +126,23 @@ def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     cube of the largest entry, is invariant under m -> s*m and is compared in
     units of a power of two near that cube, so it cannot overflow.
     """
+    return Metric3(*_inverse(m, tol))
+
+
+def solve3(m: Metric3, v) -> tuple[float, float, float]:
+    """m^{-1} v, rounded exactly as ``invert3(m, tol=0.0).matvec(v)``: singular
+    only where det is exactly 0."""
+    d1, d2, d3, o12, o13, o23 = _inverse(m, 0.0)
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    return (
+        d1 * v0 + o12 * v1 + o13 * v2,
+        o12 * v0 + d2 * v1 + o23 * v2,
+        o13 * v0 + o23 * v1 + d3 * v2,
+    )
+
+
+def _inverse(m: Metric3, tol: float | None) -> tuple[float, ...]:
+    """The six entries of m^{-1} in Metric3 field order."""
     ca = m.d2 * m.d3 - m.o23 * m.o23
     cb = m.o13 * m.o23 - m.o12 * m.d3
     cc = m.o12 * m.o23 - m.d2 * m.o13
@@ -131,13 +155,13 @@ def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     if singular:
         raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
     ce = m.o12 * m.o13 - m.d1 * m.o23
-    return Metric3(
-        d1=ca / det,
-        d2=(m.d1 * m.d3 - m.o13 * m.o13) / det,
-        d3=(m.d1 * m.d2 - m.o12 * m.o12) / det,
-        o12=cb / det,
-        o13=cc / det,
-        o23=ce / det,
+    return (
+        ca / det,
+        (m.d1 * m.d3 - m.o13 * m.o13) / det,
+        (m.d1 * m.d2 - m.o12 * m.o12) / det,
+        cb / det,
+        cc / det,
+        ce / det,
     )
 
 

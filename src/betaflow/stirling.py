@@ -41,6 +41,15 @@ def _den(a: float, b: float, c: float) -> float:
     )
 
 
+def _square(u: float) -> float:
+    """u ** 2 through libm pow, as numpy's scalar power takes it (an ulp off
+    u * u at some u), and inf where the square leaves the float range."""
+    try:
+        return u ** 2
+    except OverflowError:
+        return math.inf
+
+
 def det_kernel(a, b, c):
     """Unchecked det G = -den / (8 (a-1)^2 (b-1)^2 (c-1)^2 (s-1)) on floats
     or same-shape arrays.  Squares are products, as a scalar ``** 2`` goes
@@ -68,16 +77,14 @@ class StirlingModel(Model):
         )
 
     def eta(self, theta) -> np.ndarray:
-        p = self.check_domain(theta)
-        ls = math.log(p.sum() - 1.0)
-        return np.array(
-            [ls - math.log(x - 1.0) - 0.5 / (x - 1.0) for x in p]
-        )
+        p = a, b, c = self.check_domain(theta).tolist()
+        ls = math.log(a + b + c - 1.0)
+        return np.array([ls - math.log(x - 1.0) - 0.5 / (x - 1.0) for x in p])
 
     def metric(self, theta) -> Metric3:
-        p = self.check_domain(theta)
-        o = 1.0 / (p.sum() - 1.0)
-        d = [o - (x - 1.5) / (x - 1.0) ** 2 for x in p]
+        p = a, b, c = self.check_domain(theta).tolist()
+        o = 1.0 / (a + b + c - 1.0)
+        d = [o - (x - 1.5) / _square(x - 1.0) for x in p]
         return Metric3(d1=d[0], d2=d[1], d3=d[2], o12=o, o13=o, o23=o)
 
     def det_closed(self, theta) -> float:
@@ -172,14 +179,16 @@ class StirlingModel(Model):
 
 def _solve_u(r: float) -> float:
     """Solve ln(u) + 1/(2u) = r for u on the increasing branch u >= 1/2."""
+    r = float(r)  # a numpy scalar would slow every comparison below
     if r < _PHI_MIN:
         # No solution; the caller's sigma lower bound should prevent this.
         return 0.5
     try:
         lo, hi = 0.5, max(math.exp(r), 0.5 + 1e-12)
     except OverflowError:
-        raise DomainError(f"root of ln(u) + 1/(2u) = {float(r)!r} overflows") from None
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        raise DomainError(f"root of ln(u) + 1/(2u) = {r!r} overflows") from None
+    # Halve before adding: lo + hi overflows once hi nears the float range.
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         if math.log(mid) + 0.5 / mid <= r:
             lo = mid
         else:

@@ -4,20 +4,30 @@ import numpy as np
 import pytest
 
 from betaflow import (
+    DET_GUARD,
     EXACT_MODEL,
     STIRLING_MODEL,
     BetaflowError,
+    DegenerateEtaError,
     DomainError,
     Metric3,
+    NegativeRatioError,
     NoConvergenceError,
     SingularMatrixError,
     StepFailureError,
+    as_point,
+    det3,
+    digamma,
     eta_closed,
+    hamiltonian,
     integrate,
+    invert3,
     invert_eta,
+    lax_pair,
     rhs,
     trigamma,
 )
+from betaflow.flow import _A, _E
 from conftest import linearization_residual
 
 
@@ -239,3 +249,275 @@ def test_step_underflow_after_error_test_rejections_raises(model):
 def test_rhs_rejects_points_outside_the_domain(model, point):
     with pytest.raises(DomainError):
         rhs(model, point)
+
+
+# --- Equality oracle: the flow on three floats against numpy arrays --------
+
+def _reference_rhs(model, theta):
+    if not model.in_domain(theta):
+        raise DomainError(f"{theta!r} lies outside the {model.name} domain")
+    return -invert3(model.metric(theta), tol=0.0).matvec(model.eta(theta))
+
+
+def _reference_diagnostics(model, theta, ref_lax):
+    eta = model.eta(theta)
+    det = det3(model.metric(theta))
+    ham = dev = math.nan
+    try:
+        ham = hamiltonian(eta)
+        if ref_lax is not None:
+            dev = float(np.linalg.norm(lax_pair(eta).L - ref_lax))
+    except (DegenerateEtaError, NegativeRatioError):
+        pass
+    return eta, ham, det, dev
+
+
+def _reference_integrate(model, theta0, t_end, rtol, atol):
+    """The Dormand-Prince loop on numpy arrays, every stage and diagnostic
+    recomputed through the model; ``integrate`` must match it bit for bit."""
+    y = model.check_domain(theta0)
+    try:
+        ref_lax = lax_pair(model.eta(y)).L
+    except (DegenerateEtaError, NegativeRatioError):
+        ref_lax = None
+    samples = [(0.0, y, *_reference_diagnostics(model, y, ref_lax))]
+    if abs(samples[0][4]) < DET_GUARD:
+        raise SingularMatrixError(
+            f"metric is numerically singular at the start point {y.tolist()}"
+        )
+    n_accepted = n_rejected = 0
+    status = "completed"
+    k1 = _reference_rhs(model, y)
+    h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
+    t = 0.0
+    err_prev = None
+    underflow_status = None
+    while t < t_end:
+        h = min(h, t_end - t)
+        if h < 1e-13 * max(1.0, t):
+            if underflow_status is None:
+                raise StepFailureError(f"step size underflow at t={t!r} (h={h!r})")
+            status = underflow_status
+            break
+        failed, shrink = None, 0.5
+        try:
+            k = [k1]
+            for row in _A[1:]:
+                k.append(_reference_rhs(model, y + h * sum(a * ki for a, ki in zip(row, k))))
+        except DomainError:
+            failed = "left_domain"
+        except SingularMatrixError:
+            failed = "singular"
+        else:
+            y_new = y + h * sum(a * ki for a, ki in zip(_A[6], k))
+            err_vec = h * sum(e * ki for e, ki in zip(_E, k))
+            if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                shrink = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else None
+        if shrink is not None:
+            n_rejected += 1
+            underflow_status = failed
+            h *= shrink
+            continue
+        t += h
+        y = y_new
+        k1 = k[6]
+        n_accepted += 1
+        diag = _reference_diagnostics(model, y, ref_lax)
+        samples.append((t, y, *diag))
+        if abs(diag[2]) < DET_GUARD:
+            status = "singular"
+            break
+        if err == 0.0:
+            fac = 5.0
+        elif err_prev is None:
+            fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            fac = min(5.0, max(0.2, 0.9 * err ** -0.14 * err_prev ** 0.08))
+        err_prev = err
+        h *= fac
+    columns = [np.array([s[i] for s in samples]) for i in range(6)]
+    return columns, status, n_accepted, n_rejected
+
+
+def _columns(traj):
+    return [traj.t, traj.theta, traj.eta, traj.hamiltonian, traj.det_g, traj.lax_dev]
+
+
+def _assert_same_flow(model, start, rtol, atol=1e-12):
+    try:
+        want = _reference_integrate(model, start, 2.0, rtol, atol)
+    except BetaflowError as exc:
+        with pytest.raises(type(exc)) as got:
+            integrate(model, start, 2.0, rtol=rtol, atol=atol)
+        assert str(got.value) == str(exc)
+        return
+    traj = integrate(model, start, 2.0, rtol=rtol, atol=atol)
+    columns, status, n_accepted, n_rejected = want
+    for got_col, want_col in zip(_columns(traj), columns):
+        assert got_col.shape == want_col.shape
+        assert got_col.tobytes() == want_col.tobytes()
+    assert (traj.status, traj.n_accepted, traj.n_rejected) == (status, n_accepted, n_rejected)
+
+
+def _seeded_starts(seed, model, n, spread):
+    """Starts at log-uniform offsets in ``spread`` above the model's lower
+    bound."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    lo, hi = spread
+    offsets = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(n, 3)))
+    return [model.lower + o for o in offsets]
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_integrate_matches_array_reference_on_seeded_starts(model):
+    for start in _seeded_starts(41, model, 4, (0.2, 6.0)):
+        _assert_same_flow(model, start, 1e-10)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_integrate_matches_array_reference_near_the_edge(model):
+    for start in _seeded_starts(43, model, 6, (1e-4, 3.0)):
+        _assert_same_flow(model, start, 1e-6)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+@pytest.mark.parametrize("method, past_plane", [
+    ("in_domain", lambda model, theta: False),
+    ("eta", lambda model, theta: np.full(3, math.nan)),
+    ("metric", lambda model, theta: ZERO_METRIC),
+    ("eta", lambda inner, theta: 1e6 * inner.eta(theta)),
+], ids=["narrow-domain", "nan-eta", "singular-metric", "eta-jump"])
+def test_integrate_matches_array_reference_on_plane_models(model, method, past_plane):
+    _assert_same_flow(_PlaneModel(model, method, past_plane), REFERENCE_STARTS[model], 1e-10)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_integrate_matches_array_reference_at_zero_tolerance(model):
+    # rtol = atol = 0 makes every error scale 0: the error ratios are inf
+    # (NaN for a zero error), as numpy divides, and the step size underflows
+    with pytest.raises(StepFailureError):
+        integrate(model, REFERENCE_STARTS[model], 2.0, rtol=0.0, atol=0.0)
+    with np.errstate(all="ignore"):
+        _assert_same_flow(model, REFERENCE_STARTS[model], 0.0, atol=0.0)
+
+
+# --- Model calls per flow ---------------------------------------------------
+
+class _CountingModel:
+    """Forwards the model interface to ``model`` and counts the calls the
+    flow makes into it."""
+
+    def __init__(self, model):
+        self._model = model
+        self.name = model.name
+        self.calls = dict.fromkeys(("check_domain", "in_domain", "in_domain_true",
+                                    "eta", "metric"), 0)
+
+    def __getattr__(self, attr):
+        return getattr(self._model, attr)
+
+    def check_domain(self, theta):
+        self.calls["check_domain"] += 1
+        return self._model.check_domain(theta)
+
+    def in_domain(self, theta):
+        self.calls["in_domain"] += 1
+        inside = self._model.in_domain(theta)
+        self.calls["in_domain_true"] += inside
+        return inside
+
+    def eta(self, theta):
+        self.calls["eta"] += 1
+        return self._model.eta(theta)
+
+    def metric(self, theta):
+        self.calls["metric"] += 1
+        return self._model.metric(theta)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
+    # a short flow that completes: every step runs all six new stages
+    counting = _CountingModel(model)
+    traj = integrate(counting, REFERENCE_STARTS[model], 0.05, rtol=1e-10, atol=1e-12)
+    assert traj.status == "completed"
+    n_rhs = 1 + 6 * (traj.n_accepted + traj.n_rejected)
+    assert counting.calls == {"check_domain": 1, "in_domain": n_rhs,
+                              "in_domain_true": n_rhs, "eta": n_rhs + 1,
+                              "metric": n_rhs + 1}
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_flow_diagnostics_reuse_the_last_stage(model):
+    # the reference flows stop at the det guard; each in-domain rhs calls
+    # metric and eta once, and the diagnostics add only the start sample's
+    counting = _CountingModel(model)
+    traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+    assert traj.status == "singular"
+    n_rhs = counting.calls["in_domain_true"]
+    assert counting.calls["eta"] == counting.calls["metric"] == n_rhs + 1
+    assert n_rhs >= 6 * traj.n_accepted
+
+
+# --- The model formulas against plain numpy ---------------------------------
+
+def _numpy_point(model, theta):
+    p = as_point(theta, "theta")
+    if not (p > model.lower).all():
+        raise DomainError("outside")
+    return p
+
+
+def _numpy_eta(model, theta):
+    p = _numpy_point(model, theta)
+    if model is EXACT_MODEL:
+        ps = digamma(p.sum())
+        return np.array([digamma(p[0]) - ps, digamma(p[1]) - ps, digamma(p[2]) - ps])
+    ls = math.log(p.sum() - 1.0)
+    return np.array([ls - math.log(x - 1.0) - 0.5 / (x - 1.0) for x in p])
+
+
+def _numpy_metric(model, theta):
+    p = _numpy_point(model, theta)
+    if model is EXACT_MODEL:
+        o = -trigamma(p.sum())
+        return Metric3(trigamma(p[0]) + o, trigamma(p[1]) + o, trigamma(p[2]) + o, o, o, o)
+    o = 1.0 / (p.sum() - 1.0)
+    d = [o - (x - 1.5) / (x - 1.0) ** 2 for x in p]
+    return Metric3(d[0], d[1], d[2], o, o, o)
+
+
+def _numpy_rhs(model, theta):
+    return -invert3(_numpy_metric(model, theta), tol=0.0).matvec(_numpy_eta(model, theta))
+
+
+def _outcome(func, model, theta):
+    """The result's bytes, or the type of the BetaflowError raised."""
+    try:
+        value = func(model, theta)
+    except BetaflowError as exc:
+        return type(exc)
+    if isinstance(value, Metric3):
+        value = [value.d1, value.d2, value.d3, value.o12, value.o13, value.o23]
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("model, exponents", [
+    (EXACT_MODEL, (-300.0, 300.0)),
+    (STIRLING_MODEL, (-20.0, 200.0)),
+], ids=["exact", "stirling"])
+def test_model_formulas_match_numpy_bit_for_bit(model, exponents):
+    # log-uniform offsets above lower: each call gives the numpy result or
+    # raises the same error (DomainError where digamma or trigamma
+    # overflows or an offset below 1e-16 rounds onto lower,
+    # SingularMatrixError where det G rounds to 0)
+    rng = np.random.Generator(np.random.Philox(47))
+    points = model.lower + 10.0 ** rng.uniform(*exponents, size=(2000, 3))
+    with np.errstate(all="ignore"):
+        for theta in points:
+            for func, want in ((lambda m, p: m.eta(p), _numpy_eta),
+                               (lambda m, p: m.metric(p), _numpy_metric),
+                               (rhs, _numpy_rhs)):
+                assert _outcome(func, model, theta) == _outcome(want, model, theta), theta

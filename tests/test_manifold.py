@@ -166,3 +166,27 @@ def test_in_domain_is_false_exactly_where_check_domain_raises(model, point, acce
 def test_check_domain_message_names_the_domain(model):
     with pytest.raises(DomainError, match=model.domain_description):
         model.check_domain((2.0, 2.0, DOMAIN_LOWER[model]))
+
+
+@pytest.mark.parametrize("model", list(DOMAIN_LOWER), ids=lambda m: m.name)
+@pytest.mark.parametrize("point, message", [
+    ((math.nan, 2.0, 2.0), "theta must be finite, got [nan, 2.0, 2.0]"),
+    ((2.0, math.inf, 2.0), "theta must be finite, got [2.0, inf, 2.0]"),
+    ((2.0, 2.0, -math.inf), "theta must be finite, got [2.0, 2.0, -inf]"),
+    ((2.0, 2.0), "theta must have exactly 3 components, got shape (2,)"),
+    (((2.0, 2.0, 2.0),), "theta must have exactly 3 components, got shape (1, 3)"),
+    ("lower", "{name} model needs {domain}, got [{lower!r}, 2.0, 2.0]"),
+    ("below", "{name} model needs {domain}, got [2.0, {below!r}, 2.0]"),
+], ids=["nan", "inf", "-inf", "shape-2", "shape-1x3", "at-lower", "below-lower"])
+def test_check_domain_messages(model, point, message):
+    below = model.lower - 0.5
+    if point == "lower":
+        point = (model.lower, 2.0, 2.0)
+    elif point == "below":
+        point = (2.0, below, 2.0)
+    want = message.format(name=model.name, domain=model.domain_description,
+                          lower=model.lower, below=below)
+    for theta in (point, np.array(point)):
+        with pytest.raises(DomainError) as exc:
+            model.check_domain(theta)
+        assert str(exc.value) == want

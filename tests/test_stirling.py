@@ -13,6 +13,7 @@ from betaflow import (
     det3,
     invert3,
 )
+from betaflow.stirling import _solve_u
 
 K = -math.log(2.0 * math.pi) - 2.0
 
@@ -220,3 +221,11 @@ def test_inversion_start_overflow_is_domain_error():
     # the lower bound exp(800 + 1 - ln 2) of sigma exceeds the float range
     with pytest.raises(DomainError, match="overflows"):
         invert_eta(STIRLING_MODEL, (800.0, 0.0, 0.0))
+
+
+def test_solve_u_is_finite_near_the_top_of_the_float_range():
+    # the root exp(r) nears the largest float: lo + hi would overflow
+    for r in np.linspace(709.1, 709.78, 41):
+        u = _solve_u(float(r))
+        assert math.isfinite(u)
+        assert abs(math.log(u) + 0.5 / u - r) <= 4 * math.ulp(r)
