@@ -25,7 +25,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import hamiltonian, lax_pair
-from .manifold import as_point, det3, invert3, solve3
+from .manifold import as_point, det3, solve3
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -114,7 +114,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         ref_lax = None
 
     samples = [(0.0, y, *_diagnostics(eta, g, ref_lax))]
-    if abs(samples[0][4]) < DET_GUARD:
+    # A NaN det (the metric's entries overflow in its products) is singular too.
+    if not abs(samples[0][4]) >= DET_GUARD:
         raise SingularMatrixError(
             f"metric is numerically singular at the start point {y.tolist()}"
         )
@@ -246,7 +247,7 @@ def invert_eta(model, target, guess=None, tol: float = 1e-12,
         if float(np.max(np.abs(residual))) <= tol:
             return theta
         try:
-            step = invert3(model.metric(theta)).matvec(-residual)
+            step = np.array(solve3(model.metric(theta), -residual))
         except SingularMatrixError as exc:
             raise NoConvergenceError(
                 f"Newton Jacobian is singular at {theta.tolist()}"

@@ -27,9 +27,10 @@ from .errors import DomainError, SingularMatrixError
 from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point
 
 _LN_2PI = math.log(2.0 * math.pi)
+_LN_2 = math.log(2.0)
 
 # Minimum of ln(u) + 1/(2u) over u > 0, attained at u = 1/2.
-_PHI_MIN = 1.0 - math.log(2.0)
+_PHI_MIN = 1.0 - _LN_2
 
 
 def _den(a: float, b: float, c: float) -> float:
@@ -134,66 +135,194 @@ class StirlingModel(Model):
         return DomainClass(DomainLabel.REGULAR, min(dist_d, dist_v))
 
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
-        """Start point for Newton inversion of eta.
-
-        The dual map folds across the degeneracy surface V, so a generic
-        start stalls on the wrong sheet.  Decompose instead: with
-        sigma = s - 1 and u_i = alpha_i - 1,
-
-            ln(u_i) + 1/(2 u_i) = ln(sigma) - target_i
-
-        fixes each u_i(sigma) on the branch u >= 1/2, and the consistency
-        condition sum_i u_i(sigma) = sigma - 2 becomes a scalar root
-        problem.  The smallest root is the sheet where den < 0; Newton
-        then converges from the assembled point.
-        """
-        try:
-            sigma_min = max(math.exp(t + _PHI_MIN) for t in target)
-        except OverflowError:
-            raise DomainError(f"stirling preimage of {target.tolist()} overflows") from None
-
-        def residual(sigma: float) -> float:
-            ls = math.log(sigma)
-            return sum(_solve_u(ls - t) for t in target) + 2.0 - sigma
-
-        lo = sigma_min * (1.0 + 1e-12)
-        f_lo = residual(lo)
-        hi = lo
-        for _ in range(2000):
-            hi = hi * 1.05 + 1e-9
-            f_hi = residual(hi)
-            if f_lo == 0.0 or f_lo * f_hi < 0.0:
-                break
-            lo, f_lo = hi, f_hi
-        else:
+        """Start point for Newton inversion of eta: the first preimage of
+        ``_preimages``, so the smallest-sigma root on the sheet where every
+        alpha_i >= 3/2 when there is one, and otherwise a root on the
+        sheets with one, two or three alpha_i < 3/2, in that order."""
+        start = next(_preimages(target), None)
+        if start is None:
             raise DomainError(f"no stirling preimage found for eta={target.tolist()}")
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            f_mid = residual(mid)
-            if f_lo * f_mid <= 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        ls = math.log(mid)
-        return np.array([_solve_u(ls - t) + 1.0 for t in target])
+        return start
 
 
-def _solve_u(r: float) -> float:
-    """Solve ln(u) + 1/(2u) = r for u on the increasing branch u >= 1/2."""
-    r = float(r)  # a numpy scalar would slow every comparison below
-    if r < _PHI_MIN:
-        # No solution; the caller's sigma lower bound should prevent this.
-        return 0.5
+# Branch patterns of (u_1, u_2, u_3): 0 for u >= 1/2, -1 for u <= 1/2, with
+# the patterns of fewer branch -1 coordinates first.
+_PATTERNS = (
+    (0, 0, 0),
+    (0, 0, -1), (0, -1, 0), (-1, 0, 0),
+    (0, -1, -1), (-1, 0, -1), (-1, -1, 0),
+    (-1, -1, -1),
+)
+
+
+def _preimages(target):
+    """Preimages of the dual map, each as a start point theta = u + 1.
+
+    With sigma = s - 1 and u_i = alpha_i - 1, eta_i = t_i is
+
+        ln(u_i) + 1/(2 u_i) = ln(sigma) - t_i,
+
+    which fixes u_i(sigma) on either branch of ``_solve_u``; the point is a
+    preimage where F(sigma) = sum_i u_i(sigma) + 2 - sigma vanishes.  The
+    dual map folds across the degeneracy surface V, so one target can have
+    preimages on several sheets.  Yields the roots of F pattern by pattern
+    (``_PATTERNS``), each pattern's in increasing sigma.
+    """
+    t = [float(x) for x in target]
     try:
-        lo, hi = 0.5, max(math.exp(r), 0.5 + 1e-12)
+        # sigma = sum(u) + 2 > 2, and each u_i exists from e^{t_i + _PHI_MIN} on.
+        lo = max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
     except OverflowError:
-        raise DomainError(f"root of ln(u) + 1/(2u) = {r!r} overflows") from None
-    # Halve before adding: lo + hi overflows once hi nears the float range.
-    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-        if math.log(mid) + 0.5 / mid <= r:
-            lo = mid
+        raise DomainError(f"stirling preimage of {t} overflows") from None
+    for pattern in _PATTERNS:
+        hi = _sigma_hi(t, pattern)
+        if hi > lo:
+            for point in _roots(t, pattern, lo, hi):
+                yield np.array([u + 1.0 for u in point[4]])
+
+
+def _sigma_hi(t, pattern) -> float:
+    """A sigma past which F keeps its sign on ``pattern``; 0 where F has no
+    root at all.
+
+    On branch 0, u = sigma e^{-t} - 1/2 - eps with eps in [0, e/2 - 1], and
+    eps <= e^{1/(2u)} / (8u); on branch -1, u is in (0, 1/2).  So F is
+    sigma (sum_{branch 0} e^{-t_i} - 1) plus a term in [-0.578, 3.5].
+    """
+    n0 = pattern.count(0)
+    try:
+        slope = sum(math.exp(-x) for x, k in zip(t, pattern) if k == 0) - 1.0
+    except OverflowError:
+        return 0.0  # a branch-0 root leaves the float range for every sigma
+    if slope < 0.0:
+        return (3.5 - n0) / -slope
+    if n0 < 3:
+        return 0.0  # the term is at least 2 - 2 (e/2 - 1/2) > 0
+    # Once every u_i >= 3/2, the eps sum to less than the 1/2 in the term.
+    hi = 2.5 * math.exp(max(t))
+    return min(hi, 0.578 / slope) if slope > 0.0 else hi
+
+
+def _roots(t, pattern, lo, hi):
+    """Roots of F on [lo, hi] for one branch pattern, in increasing order.
+
+    Each evaluated point is (sigma, F, d0, d1, u): d0 = sum of u_i' over
+    branch 0 minus 1, nonincreasing in sigma because those u_i(sigma) are
+    concave, and d1 = sum of u_i' over branch -1, nondecreasing because those
+    are convex (sigma(u) = e^t u e^{1/(2u)} is convex).  So on a cell [p, q]
+    F' lies in [q.d0 + p.d1, p.d0 + q.d1].  A cell where F' keeps its sign
+    holds at most one root, bracketed by a sign change of F; a cell with
+    ends of one sign that F cannot cross within those slopes holds none;
+    any other cell is split at its geometric midpoint.  Near the fold, the
+    roots come in close pairs around an extremum of F, which the split on
+    the sign of F' separates.
+    """
+    def at(sigma):
+        ls = math.log(sigma)
+        f, d0, d1, us = 2.0 - sigma, -1.0, 0.0, []
+        for x, k in zip(t, pattern):
+            u = _solve_u(ls - x, k)
+            us.append(u)
+            f += u
+            # u' = 2u^2 / ((2u - 1) sigma), infinite at the branch point.
+            w = sigma - 0.5 * sigma / u
+            if k == 0:
+                d0 += u / w if w else math.inf
+            else:
+                d1 += u / w if w else -math.inf
+        return sigma, f, d0, d1, us
+
+    stack = [(at(lo), at(hi))]
+    while stack:
+        p, q = stack.pop()
+        low, high = q[2] + p[3], p[2] + q[3]
+        crosses = p[1] * q[1] < 0.0 or q[1] == 0.0
+        # A NaN slope bound counts as monotone and a NaN reach as root-free,
+        # so no cell splits without end.
+        if not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
+            if crosses:
+                yield _refine(at, p, q)
+        elif crosses or not _root_free(p, q, low, high):
+            m = at(math.sqrt(p[0]) * math.sqrt(q[0]))
+            stack += [(m, q), (p, m)]
+
+
+def _root_free(p, q, low, high) -> bool:
+    """Whether F, of one sign at both ends of [p, q] with F' in [low, high],
+    cannot reach zero: leaving each end at the steepest slope toward zero,
+    it would need more than the cell's width."""
+    toward_p = low if p[1] > 0.0 else high
+    toward_q = high if q[1] > 0.0 else low
+    reach_p = -p[1] / toward_p if toward_p else math.inf
+    reach_q = q[1] / toward_q if toward_q else math.inf
+    return not reach_p + reach_q <= q[0] - p[0]
+
+
+def _refine(at, p, q):
+    """The root of F between p and q, where F is monotone and changes sign:
+    Newton's method on F' = d0 + d1, bisecting whenever a step leaves the
+    bracket."""
+    if q[1] == 0.0:
+        return q
+    x = p if abs(p[1]) < abs(q[1]) else q
+    for _ in range(100):
+        slope = x[2] + x[3]
+        sigma = x[0] - x[1] / slope if slope else math.nan
+        if not p[0] < sigma < q[0]:
+            sigma = 0.5 * p[0] + 0.5 * q[0]
+            if not p[0] < sigma < q[0]:
+                break
+        y = at(sigma)
+        if y[1] == 0.0 or abs(sigma - x[0]) <= 4e-16 * sigma:
+            return y
+        if (y[1] < 0.0) == (p[1] < 0.0):
+            p = y
         else:
-            hi = mid
-    return mid
+            q = y
+        x = y
+    return x
+
+
+def _solve_u(r: float, branch: int = 0) -> float:
+    """Solve ln(u) + 1/(2u) = r for u on branch 0 (u >= 1/2) or branch -1
+    (0 < u <= 1/2); both meet at u = 1/2, r = _PHI_MIN, and r below that
+    has no root.
+
+    The root is u = -1/(2 W_k(-e^{-r}/2)) with k the branch of Lambert's W
+    (Corless et al., 1996).  Halley's method runs in u, not in W, because
+    e^{-r}/2 turns subnormal near r = 708.  It starts from the series of W
+    at its branch point in p = sqrt(2 (1 - e^{_PHI_MIN - r})), or past
+    p = 1 from the asymptotes u = e^r - 1/2 (branch 0) and
+    W = -L1 - L2 - L2/L1 with L1 = r + ln 2, L2 = ln(L1) (branch -1).  On
+    a dense sweep of r up to the top of each branch it stops after at most
+    three steps, one for most r.
+    """
+    r = float(r)  # a numpy scalar would slow every operation below
+    p = math.sqrt(max(0.0, -2.0 * math.expm1(_PHI_MIN - r)))
+    if p < 1.0:
+        q = p if branch == 0 else -p
+        u = 0.5 / (1.0 - q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0 - q * 43.0 / 540.0))))
+    elif branch == 0:
+        try:
+            u = math.exp(r) - 0.5
+        except OverflowError:
+            raise DomainError(f"root of ln(u) + 1/(2u) = {r!r} overflows") from None
+    else:
+        l1 = r + _LN_2
+        l2 = math.log(l1)
+        u = 0.5 / (l1 + l2 + l2 / l1)
+    for _ in range(6):
+        w = u - 0.5
+        if w == 0.0:
+            break
+        # Newton's step f / f' and Halley's correction, with
+        # f = ln(u) + 1/(2u) - r, f' = w / u^2, f'' = (1 - u) / u^3.
+        newton = (math.log(u) + 0.5 / u - r) * u / (w / u)
+        step = newton / (1.0 - newton * (1.0 - u) / (2.0 * u * w))
+        u -= step
+        if abs(step) <= 1e-6 * u:
+            break  # the next step would be below rounding
+    return u
 
 
 STIRLING_MODEL = StirlingModel()

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import betaflow
 from betaflow import (
     DET_GUARD,
     EXACT_MODEL,
@@ -82,6 +86,23 @@ def test_integrate_rejects_bad_arguments(kwargs):
 def test_integrate_rejects_singular_start():
     with pytest.raises(SingularMatrixError):
         integrate(STIRLING_MODEL, (3.0, 3.0, 3.0), 1.0)
+
+
+def test_integrate_rejects_a_nan_det_at_the_start():
+    # det G overflows to NaN here; a NaN that passed the start guard made the
+    # step size NaN and the step loop endless, so run it under a timeout
+    code = (
+        "from betaflow import EXACT_MODEL, SingularMatrixError, integrate\n"
+        "try:\n"
+        "    integrate(EXACT_MODEL, (1e-150, 1e-150, 1e-150), 1.0)\n"
+        "except SingularMatrixError:\n"
+        "    print('singular')\n"
+    )
+    src = os.path.dirname(os.path.dirname(betaflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "singular\n", done.stderr
 
 
 def test_trajectory_invariants(exact_trajectory, stirling_trajectory):
@@ -168,10 +189,21 @@ def test_invert_eta_rejects_unreachable_target():
 
 
 def test_invert_eta_overflowing_stirling_target_is_betaflow_error():
-    # near a = 1 the root on the branch u >= 1/2 exceeds the float range
+    # near a = 1, one ulp of a moves eta_a by more than Newton's tolerance
     target = STIRLING_MODEL.eta((1.0005, 3.0, 2.0))
     with pytest.raises(BetaflowError):
         invert_eta(STIRLING_MODEL, target)
+
+
+@pytest.mark.parametrize("theta", [
+    (0.07841161329637725, 3.8568287863026125, 3.090419140548928),
+    (4.754882201531671, 3.2391817274790826, 0.0021838464312864403),
+])
+def test_invert_eta_solves_regular_ill_conditioned_jacobians(theta):
+    # invert3's relative singularity threshold rejected these Jacobians
+    target = EXACT_MODEL.eta(theta)
+    back = invert_eta(EXACT_MODEL, target)
+    assert np.max(np.abs(EXACT_MODEL.eta(back) - target)) <= 1e-12
 
 
 def test_invert_eta_rejects_guess_outside_domain():

@@ -13,7 +13,8 @@ from betaflow import (
     det3,
     invert3,
 )
-from betaflow.stirling import _solve_u
+from betaflow import BetaflowError
+from betaflow.stirling import _PHI_MIN, _preimages, _solve_u
 
 K = -math.log(2.0 * math.pi) - 2.0
 
@@ -224,8 +225,91 @@ def test_inversion_start_overflow_is_domain_error():
 
 
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
-    # the root exp(r) nears the largest float: lo + hi would overflow
+    # the root, about exp(r) - 1/2, nears the largest float
     for r in np.linspace(709.1, 709.78, 41):
         u = _solve_u(float(r))
         assert math.isfinite(u)
         assert abs(math.log(u) + 0.5 / u - r) <= 4 * math.ulp(r)
+
+
+@pytest.mark.parametrize("branch, top", [(0, 709.78), (-1, 1e6)])
+def test_solve_u_is_a_root_on_both_branches(branch, top):
+    # from the branch point r = _PHI_MIN, where u = 1/2 on both branches,
+    # to the top of each branch's range
+    rs = [_PHI_MIN, *(_PHI_MIN + np.logspace(-20, math.log10(top - _PHI_MIN), 4000))]
+    assert _solve_u(_PHI_MIN, branch) == 0.5
+    for r in rs:
+        u = _solve_u(float(r), branch)
+        assert (u >= 0.5) if branch == 0 else (0.0 < u <= 0.5)
+        terms = max(abs(math.log(u)), 0.5 / u, r)
+        assert abs(math.log(u) + 0.5 / u - r) <= 4 * math.ulp(terms)
+
+
+def test_solve_u_branch_zero_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        _solve_u(709.79)
+    assert 0.0 < _solve_u(709.79, -1) < 0.5
+
+
+@pytest.mark.parametrize("seed, lo, hi", [(31, 1.01, 1.5), (37, 1.01, 6.0)])
+def test_invert_eta_seeded_roundtrips_on_every_sheet(seed, lo, hi):
+    # coordinates below 3/2 put u_i on the branch u < 1/2
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(600):
+        target = STIRLING_MODEL.eta(rng.uniform(lo, hi, size=3))
+        back = invert_eta(STIRLING_MODEL, target)
+        assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [(1.01, 1.02, 40.0), (5.0, 1.2, 9.0)])
+def test_invert_eta_roundtrips_below_three_halves(theta):
+    target = STIRLING_MODEL.eta(theta)
+    back = invert_eta(STIRLING_MODEL, target)
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-10
+
+
+def test_preimages_span_the_fold():
+    # (100, 100, 100) and a point near (1.92, 1.92, 1.92) share an eta: the
+    # dual map folds across V.  The default sheet (den < 0) comes first.
+    target = STIRLING_MODEL.eta((100.0, 100.0, 100.0))
+    small, large = _preimages(target)
+    assert np.max(np.abs(small - 1.92)) <= 0.01
+    assert np.max(np.abs(large - 100.0)) <= 1e-9 * 100.0
+    for theta in (small, large):
+        assert np.max(np.abs(STIRLING_MODEL.eta(theta) - target)) <= 1e-12
+    assert np.max(np.abs(invert_eta(STIRLING_MODEL, target) - small)) <= 1e-12
+
+
+def test_preimages_separate_a_close_pair_near_the_fold():
+    # Both preimages of this eta lie within 4% of each other in sigma; a
+    # 1.05 geometric scan of sigma stepped over the pair.
+    theta = (2.62, 4.89, 2.85)
+    target = STIRLING_MODEL.eta(theta)
+    found = list(_preimages(target))
+    assert len(found) == 2
+    assert np.max(np.abs(found[1] - theta)) <= 1e-9 * 4.89
+    for start in found:
+        assert np.max(np.abs(STIRLING_MODEL.eta(start) - target)) <= 1e-12
+
+
+def test_preimages_of_a_mixed_sheet():
+    # the (0, 0, 0) pattern has no root; (1.01, 1.02, 40) lies on the pattern
+    # (-1, -1, 0) and a second preimage on (-1, -1, -1)
+    target = STIRLING_MODEL.eta((1.01, 1.02, 40.0))
+    found = list(_preimages(target))
+    assert len(found) == 2
+    assert np.max(np.abs(found[0] - [1.01, 1.02, 40.0])) <= 1e-9 * 40.0
+    assert np.max(np.abs(found[1] - [1.0106, 1.0228, 1.2175])) <= 1e-4
+
+
+@pytest.mark.parametrize("target", [
+    (-800.0, -800.0, -800.0),
+    tuple(STIRLING_MODEL.eta((1.00025, 1.00029, 1.00014))),
+])
+def test_invert_eta_far_targets_roundtrip_or_raise(target):
+    # the lower bound e^{t + _PHI_MIN} of sigma underflows to 0 here
+    try:
+        back = invert_eta(STIRLING_MODEL, target)
+    except BetaflowError:
+        return
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-12
