@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, det3
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, det3, finite_det
 from .specfun import digamma, log_gamma, trigamma
 
 
@@ -48,7 +48,7 @@ class ExactModel(Model):
         )
 
     def det_closed(self, theta) -> float:
-        return det3(self.metric(theta))
+        return finite_det(det3(self.metric(theta)), theta)
 
     def classify_domain(self, theta) -> DomainClass:
         """The metric is positive definite on the whole domain, so a point is
@@ -119,17 +119,18 @@ class ExactModel(Model):
             )
         return Metric3(**cov), Metric3(**se)
 
-    def check_inversion_target(self, target: np.ndarray) -> None:
-        """eta is componentwise negative on this model, so any nonnegative
-        component makes the target unreachable."""
-        if (target >= 0.0).any():
-            raise DomainError(
-                f"eta targets for the exact model must be componentwise < 0, "
-                f"got {target.tolist()}"
-            )
-
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
-        return np.array([2.0, 2.0, 2.0])
+        """alpha_i = 1/2 + e^{eta_i} / (1 - sum_j e^{eta_j}), from psi(x) ~
+        ln(x - 1/2).  The dual image is {sum_i e^{eta_i} < 1} (Amari and
+        Nagaoka, Methods of Information Geometry)."""
+        t = target.tolist()
+        lo, mid, hi = sorted(t)
+        # 1 - sum_j e^{eta_j}, with no cancellation in 1 - e^{eta_max}
+        room = -math.expm1(hi) - math.exp(mid) - math.exp(lo) if hi < 0.0 else 0.0
+        if not room > 0.0:
+            raise DomainError(f"eta target {t} is outside the exact dual image")
+        # a preimage past the float range fails the domain check
+        return self.check_domain([0.5 + math.exp(x) / room for x in t])
 
 
 EXACT_MODEL = ExactModel()

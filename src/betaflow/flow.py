@@ -30,6 +30,9 @@ from .manifold import as_point, det3, solve3
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
 
+# invert_eta's residual goal and Newton step budget.
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100
+
 # Dormand-Prince 5(4) tableau; the last stage evaluates at the step result,
 # so its slope is reused as stage one of the next step.
 _A = (
@@ -99,8 +102,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     step.  Stops early with status "singular" when |det G| < 1e-12 at an
     accepted sample or when step-size collapse is driven by metric
     degeneracy, and with status "left_domain" when it is driven by the
-    domain boundary; raises StepFailure only when the step size underflows
-    for plain accuracy reasons.
+    domain boundary; raises StepFailureError when the step size underflows
+    for plain accuracy reasons or at non-finite stage points, and
+    SingularMatrixError when det G at the start is below 1e-12 or not finite.
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
@@ -114,8 +118,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         ref_lax = None
 
     samples = [(0.0, y, *_diagnostics(eta, g, ref_lax))]
-    # A NaN det (the metric's entries overflow in its products) is singular too.
-    if not abs(samples[0][4]) >= DET_GUARD:
+    # A det that overflows in the metric's products (inf or NaN) fails too.
+    if not DET_GUARD <= abs(samples[0][4]) < math.inf:
         raise SingularMatrixError(
             f"metric is numerically singular at the start point {y.tolist()}"
         )
@@ -136,7 +140,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             h = min(h, t_end - t)
             if max_step is not None:
                 h = min(h, max_step)
-            if h < 1e-13 * max(1.0, t):
+            # A non-finite start velocity makes h NaN or 0, and fails here.
+            if not h >= 1e-13 * max(1.0, t):
                 if underflow_status is None:
                     raise StepFailureError(
                         f"step size underflow at t={t!r} (h={h!r})"
@@ -153,7 +158,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                     velocity, eta, g = _velocity(model, point)
                     k.append(velocity)
             except DomainError:
-                failed = "left_domain"
+                # A non-finite stage point is a plain step failure.
+                failed = "left_domain" if all(map(math.isfinite, y_new)) else None
             except SingularMatrixError:
                 failed = "singular"
             else:
@@ -232,34 +238,33 @@ def _diagnostics(eta, g, ref_lax):
     return eta, ham, det, dev
 
 
-def invert_eta(model, target, guess=None, tol: float = 1e-12,
-               max_iter: int = 100) -> np.ndarray:
-    """Newton inversion of the dual map, using the metric as the exact
-    Jacobian and step halving whenever a full step would exit the domain."""
+def invert_eta(model, target, guess=None) -> np.ndarray:
+    """Newton inversion of the dual map from ``guess`` or else
+    ``model.inversion_start(target)``, with the metric as the exact Jacobian
+    and step halving whenever a full step would exit the domain.  Returns
+    once max|eta(theta) - target| <= 1e-12, or at the rounding floor: when a
+    full step below sqrt(eps)|theta_i| = 2^-26 |theta_i| in every coordinate
+    no longer lowers that residual, the better of the two iterates."""
     target = as_point(target, "target")
-    model.check_inversion_target(target)
-    if guess is not None:
-        theta = model.check_domain(guess)
-    else:
-        theta = model.inversion_start(target)
-    for _ in range(max_iter):
+    theta = model.inversion_start(target) if guess is None else model.check_domain(guess)
+    floor = None  # (theta, residual) before a full step below 2^-26 |theta|
+    for _ in range(_NEWTON_MAX_ITER):
         residual = model.eta(theta) - target
-        if float(np.max(np.abs(residual))) <= tol:
+        size = float(np.max(np.abs(residual)))
+        if size <= _NEWTON_TOL:
             return theta
+        if floor is not None and not size < floor[1]:
+            return floor[0]
         try:
             step = np.array(solve3(model.metric(theta), -residual))
         except SingularMatrixError as exc:
-            raise NoConvergenceError(
-                f"Newton Jacobian is singular at {theta.tolist()}"
-            ) from exc
+            raise NoConvergenceError(f"Newton Jacobian is singular at {theta.tolist()}") from exc
         lam = 1.0
         while not model.in_domain(theta + lam * step):
             lam *= 0.5
             if lam < 2.0 ** -60:
-                raise NoConvergenceError(
-                    f"backtracking stalled at {theta.tolist()}"
-                )
+                raise NoConvergenceError(f"backtracking stalled at {theta.tolist()}")
+        small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * np.abs(theta)).all()
+        floor = (theta, size) if small else None
         theta = theta + lam * step
-    raise NoConvergenceError(
-        f"eta inversion did not reach tol={tol!r} in {max_iter} iterations"
-    )
+    raise NoConvergenceError(f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps")

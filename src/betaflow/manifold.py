@@ -54,9 +54,6 @@ class Model:
             )
         return p
 
-    def check_inversion_target(self, target: np.ndarray) -> None:
-        """Accept any target; models with a restricted dual image override this."""
-
 
 @dataclass(frozen=True)
 class Metric3:
@@ -109,6 +106,14 @@ class Metric3:
         m1 = self.d1
         m2 = self.d1 * self.d2 - self.o12 * self.o12
         return m1, m2, det3(self)
+
+
+def finite_det(det: float, theta) -> float:
+    """``det``, or DomainError where the products it is made of overflowed
+    (an infinite or NaN det)."""
+    if not math.isfinite(det):
+        raise DomainError(f"det G overflows at {np.asarray(theta).tolist()}: {det!r}")
+    return det
 
 
 def det3(m: Metric3) -> float:

@@ -76,9 +76,13 @@ def scan_degeneracy(region: Region, tol: float = 1e-9) -> list[FlaggedCell]:
     corners or falls below tol at a corner or the midpoint.  The result is
     ordered lexicographically by cell index."""
     ax, bx, cx = region.axes()
-    det = det_kernel(*np.meshgrid(ax, bx, cx, indexing="ij"))
     mid_axes = [0.5 * (x[:-1] + x[1:]) for x in (ax, bx, cx)]
-    det_mid = det_kernel(*np.meshgrid(*mid_axes, indexing="ij"))
+    # Where det_kernel's products overflow (coordinates past about 1e100)
+    # det is inf or NaN; such a cell compares false everywhere below and
+    # is not flagged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = det_kernel(*np.meshgrid(ax, bx, cx, indexing="ij"))
+        det_mid = det_kernel(*np.meshgrid(*mid_axes, indexing="ij"))
 
     ni, nj, nk = det_mid.shape
     corners = [det[di:di + ni, dj:dj + nj, dk:dk + nk]

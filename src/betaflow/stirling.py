@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, finite_det
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -89,7 +89,8 @@ class StirlingModel(Model):
         return Metric3(d1=d[0], d2=d[1], d3=d[2], o12=o, o13=o, o23=o)
 
     def det_closed(self, theta) -> float:
-        return det_kernel(*self.check_domain(theta))
+        # on Python floats an overflow gives inf or NaN and no warning
+        return finite_det(det_kernel(*self.check_domain(theta).tolist()), theta)
 
     def metric_inverse_closed(self, theta, tol: float = 1e-9) -> Metric3:
         a, b, c = self.check_domain(theta)

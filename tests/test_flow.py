@@ -32,7 +32,7 @@ from betaflow import (
     trigamma,
 )
 from betaflow.flow import _A, _E
-from conftest import linearization_residual
+from conftest import linearization_residual, rounding_floor_ratio
 
 
 def test_rhs_stirling_spot():
@@ -88,13 +88,19 @@ def test_integrate_rejects_singular_start():
         integrate(STIRLING_MODEL, (3.0, 3.0, 3.0), 1.0)
 
 
-def test_integrate_rejects_a_nan_det_at_the_start():
-    # det G overflows to NaN here; a NaN that passed the start guard made the
-    # step size NaN and the step loop endless, so run it under a timeout
+@pytest.mark.parametrize("call", [
+    # det G overflows to NaN
+    "(1e-150, 1e-150, 1e-150), 1.0",
+    # d3 = psi'(c) - psi'(s) rounds to 0, as s == c in floats, so det G is -inf
+    "(9.149e-98, 2.172e-112, 9.356e-78), 0.05, rtol=1e-6",
+], ids=["nan-det", "inf-det"])
+def test_integrate_rejects_a_non_finite_det_at_the_start(call):
+    # a det that passed the start guard made the step size NaN and the step
+    # loop endless, so run it under a timeout
     code = (
         "from betaflow import EXACT_MODEL, SingularMatrixError, integrate\n"
         "try:\n"
-        "    integrate(EXACT_MODEL, (1e-150, 1e-150, 1e-150), 1.0)\n"
+        f"    integrate(EXACT_MODEL, {call})\n"
         "except SingularMatrixError:\n"
         "    print('singular')\n"
     )
@@ -183,16 +189,52 @@ def test_invert_eta_random_roundtrips_stirling():
         assert np.max(np.abs(back - theta)) <= 1e-9
 
 
-def test_invert_eta_rejects_unreachable_target():
-    with pytest.raises(DomainError):
-        invert_eta(EXACT_MODEL, (1.0, 1.0, 1.0))
+@pytest.mark.parametrize("target", [(1.0, 1.0, 1.0), (-0.1, -0.1, -0.1), (-1.0, -1.0, -1.0)])
+def test_invert_eta_rejects_targets_outside_the_exact_dual_image(target):
+    # the exact dual image is {sum_i exp(eta_i) < 1}
+    with pytest.raises(DomainError, match="dual image"):
+        invert_eta(EXACT_MODEL, target)
 
 
-def test_invert_eta_overflowing_stirling_target_is_betaflow_error():
-    # near a = 1, one ulp of a moves eta_a by more than Newton's tolerance
+@pytest.mark.parametrize("target", [(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)])
+def test_invert_eta_with_a_guess_skips_the_image_test(target):
+    # no start is drawn, so an unreachable target ends in Newton's failure
+    with pytest.raises(NoConvergenceError):
+        invert_eta(EXACT_MODEL, target, guess=(2.0, 2.0, 2.0))
+
+
+def test_invert_eta_near_the_stirling_boundary_stops_at_the_rounding_floor():
+    # near a = 1, one ulp of a moves eta_a by more than 1e-12
     target = STIRLING_MODEL.eta((1.0005, 3.0, 2.0))
-    with pytest.raises(BetaflowError):
-        invert_eta(STIRLING_MODEL, target)
+    back = invert_eta(STIRLING_MODEL, target)
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) > 1e-12
+    assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
+
+
+@pytest.mark.parametrize("model, seed, exponents, n", [
+    (EXACT_MODEL, 5, (-6.0, 6.0), 500),
+    (STIRLING_MODEL, 11, (-4.0, 3.0), 600),
+])
+def test_invert_eta_roundtrips_to_the_rounding_floor(model, seed, exponents, n):
+    # theta - lower is log-uniform over 10^exponents; an absolute 1e-12
+    # failed 25 of these exact and 58 of these Stirling targets
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(n):
+        theta = model.lower + 10.0 ** rng.uniform(*exponents, 3)
+        target = model.eta(theta)
+        back = invert_eta(model, target)
+        assert rounding_floor_ratio(model, back, target) <= 1.0, theta.tolist()
+
+
+def test_exact_inversion_start_lands_in_domain():
+    rng = np.random.Generator(np.random.Philox(7))
+    for _ in range(200):
+        theta = 10.0 ** rng.uniform(-6, 6, 3)
+        start = EXACT_MODEL.inversion_start(EXACT_MODEL.eta(theta))
+        assert EXACT_MODEL.in_domain(start)
+        if theta.min() >= 1.0:
+            # psi(x) ~ ln(x - 1/2) is off by O(1/x^2), so the start is near
+            assert np.max(np.abs(start - theta) / theta) <= 0.15
 
 
 @pytest.mark.parametrize("theta", [
@@ -211,9 +253,10 @@ def test_invert_eta_rejects_guess_outside_domain():
         invert_eta(EXACT_MODEL, (-1.0, -1.0, -1.0), guess=(0.0, 2.0, 2.0))
 
 
-def test_invert_eta_iteration_budget():
+def test_invert_eta_iteration_budget(monkeypatch):
+    monkeypatch.setattr(betaflow.flow, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NoConvergenceError):
-        invert_eta(EXACT_MODEL, EXACT_MODEL.eta((4.0, 0.7, 2.0)), max_iter=1)
+        invert_eta(EXACT_MODEL, EXACT_MODEL.eta((4.0, 0.7, 2.0)))
 
 
 class _PlaneModel:
@@ -247,12 +290,9 @@ ZERO_METRIC = Metric3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 @pytest.mark.parametrize("method, past_plane, status", [
     # the domain ends at the plane
     ("in_domain", lambda model, theta: False, "left_domain"),
-    # a non-finite velocity makes the next stage point non-finite, which
-    # rhs rejects as outside the domain
-    ("eta", lambda model, theta: np.full(3, math.nan), "left_domain"),
     # det G is exactly 0 past the plane, so every stage there is singular
     ("metric", lambda model, theta: ZERO_METRIC, "singular"),
-], ids=["narrow-domain", "nan-eta", "singular-metric"])
+], ids=["narrow-domain", "singular-metric"])
 def test_step_underflow_status_follows_the_failed_stage(model, method, past_plane, status):
     wrapped = _PlaneModel(model, method, past_plane)
     traj = integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
@@ -265,10 +305,16 @@ def test_step_underflow_status_follows_the_failed_stage(model, method, past_plan
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-def test_step_underflow_after_error_test_rejections_raises(model):
+@pytest.mark.parametrize("past_plane", [
     # eta jumps by a factor 1e6 past the plane: every step that reaches the
     # plane fails the error test, down to the smallest step size
-    wrapped = _PlaneModel(model, "eta", lambda inner, theta: 1e6 * inner.eta(theta))
+    lambda inner, theta: 1e6 * inner.eta(theta),
+    # a NaN velocity makes the next stage point NaN: no point left the
+    # domain, so that is a plain step failure
+    lambda inner, theta: np.full(3, math.nan),
+], ids=["eta-jump", "nan-eta"])
+def test_step_underflow_after_plain_step_failures_raises(model, past_plane):
+    wrapped = _PlaneModel(model, "eta", past_plane)
     with pytest.raises(StepFailureError, match="step size underflow"):
         integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
 
@@ -313,7 +359,7 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
     except (DegenerateEtaError, NegativeRatioError):
         ref_lax = None
     samples = [(0.0, y, *_reference_diagnostics(model, y, ref_lax))]
-    if abs(samples[0][4]) < DET_GUARD:
+    if not DET_GUARD <= abs(samples[0][4]) < math.inf:
         raise SingularMatrixError(
             f"metric is numerically singular at the start point {y.tolist()}"
         )
@@ -326,7 +372,7 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
     underflow_status = None
     while t < t_end:
         h = min(h, t_end - t)
-        if h < 1e-13 * max(1.0, t):
+        if not h >= 1e-13 * max(1.0, t):
             if underflow_status is None:
                 raise StepFailureError(f"step size underflow at t={t!r} (h={h!r})")
             status = underflow_status
@@ -335,9 +381,10 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
         try:
             k = [k1]
             for row in _A[1:]:
-                k.append(_reference_rhs(model, y + h * sum(a * ki for a, ki in zip(row, k))))
+                point = y + h * sum(a * ki for a, ki in zip(row, k))
+                k.append(_reference_rhs(model, point))
         except DomainError:
-            failed = "left_domain"
+            failed = "left_domain" if np.isfinite(point).all() else None
         except SingularMatrixError:
             failed = "singular"
         else:
