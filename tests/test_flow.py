@@ -88,13 +88,7 @@ def test_integrate_rejects_singular_start():
         integrate(STIRLING_MODEL, (3.0, 3.0, 3.0), 1.0)
 
 
-@pytest.mark.parametrize("call", [
-    # det G overflows to NaN
-    "(1e-150, 1e-150, 1e-150), 1.0",
-    # d3 = psi'(c) - psi'(s) rounds to 0, as s == c in floats, so det G is -inf
-    "(9.149e-98, 2.172e-112, 9.356e-78), 0.05, rtol=1e-6",
-], ids=["nan-det", "inf-det"])
-def test_integrate_rejects_a_non_finite_det_at_the_start(call):
+def _assert_singular_start(call):
     # a det that passed the start guard made the step size NaN and the step
     # loop endless, so run it under a timeout
     code = (
@@ -109,6 +103,16 @@ def test_integrate_rejects_a_non_finite_det_at_the_start(call):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == "singular\n", done.stderr
+
+
+def test_integrate_rejects_a_nan_det_at_the_start():
+    # det G overflows to NaN
+    _assert_singular_start("(1e-150, 1e-150, 1e-150), 1.0")
+
+
+def test_integrate_rejects_an_infinite_det_at_the_start():
+    # d3 = psi'(c) - psi'(s) rounds to 0, as s == c in floats, so det G is -inf
+    _assert_singular_start("(9.149e-98, 2.172e-112, 9.356e-78), 0.05, rtol=1e-6")
 
 
 def test_trajectory_invariants(exact_trajectory, stirling_trajectory):
@@ -189,7 +193,12 @@ def test_invert_eta_random_roundtrips_stirling():
         assert np.max(np.abs(back - theta)) <= 1e-9
 
 
-@pytest.mark.parametrize("target", [(1.0, 1.0, 1.0), (-0.1, -0.1, -0.1), (-1.0, -1.0, -1.0)])
+def test_invert_eta_rejects_unreachable_target():
+    with pytest.raises(DomainError, match="dual image"):
+        invert_eta(EXACT_MODEL, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("target", [(-0.1, -0.1, -0.1), (-1.0, -1.0, -1.0)])
 def test_invert_eta_rejects_targets_outside_the_exact_dual_image(target):
     # the exact dual image is {sum_i exp(eta_i) < 1}
     with pytest.raises(DomainError, match="dual image"):
@@ -290,11 +299,18 @@ ZERO_METRIC = Metric3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 @pytest.mark.parametrize("method, past_plane, status", [
     # the domain ends at the plane
     ("in_domain", lambda model, theta: False, "left_domain"),
+    # a NaN velocity makes the next stage point NaN: no point left the
+    # domain, so that is a plain step failure and the underflow raises
+    ("eta", lambda model, theta: np.full(3, math.nan), None),
     # det G is exactly 0 past the plane, so every stage there is singular
     ("metric", lambda model, theta: ZERO_METRIC, "singular"),
-], ids=["narrow-domain", "singular-metric"])
+], ids=["narrow-domain", "nan-eta", "singular-metric"])
 def test_step_underflow_status_follows_the_failed_stage(model, method, past_plane, status):
     wrapped = _PlaneModel(model, method, past_plane)
+    if status is None:
+        with pytest.raises(StepFailureError, match="step size underflow"):
+            integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+        return
     traj = integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
     assert traj.status == status
     assert traj.n_rejected > 0
@@ -305,16 +321,10 @@ def test_step_underflow_status_follows_the_failed_stage(model, method, past_plan
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("past_plane", [
+def test_step_underflow_after_error_test_rejections_raises(model):
     # eta jumps by a factor 1e6 past the plane: every step that reaches the
     # plane fails the error test, down to the smallest step size
-    lambda inner, theta: 1e6 * inner.eta(theta),
-    # a NaN velocity makes the next stage point NaN: no point left the
-    # domain, so that is a plain step failure
-    lambda inner, theta: np.full(3, math.nan),
-], ids=["eta-jump", "nan-eta"])
-def test_step_underflow_after_plain_step_failures_raises(model, past_plane):
-    wrapped = _PlaneModel(model, "eta", past_plane)
+    wrapped = _PlaneModel(model, "eta", lambda inner, theta: 1e6 * inner.eta(theta))
     with pytest.raises(StepFailureError, match="step size underflow"):
         integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
 

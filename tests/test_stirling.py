@@ -306,8 +306,9 @@ def test_preimages_of_a_mixed_sheet():
     (-800.0, -800.0, -800.0),
     tuple(STIRLING_MODEL.eta((1.00025, 1.00029, 1.00014))),
 ])
-def test_invert_eta_far_targets_reach_the_rounding_floor(target):
-    # the lower bound e^{t + _PHI_MIN} of sigma underflows to 0 here
+def test_invert_eta_far_targets_roundtrip_or_raise(target):
+    # the lower bound e^{t + _PHI_MIN} of sigma underflows to 0 here; no
+    # such target raises any more, each round trips to the rounding floor
     back = invert_eta(STIRLING_MODEL, target)
     assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
 
