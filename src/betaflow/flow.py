@@ -246,7 +246,10 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     full step below sqrt(eps)|theta_i| = 2^-26 |theta_i| in every coordinate
     no longer lowers that residual, the better of the two iterates."""
     target = as_point(target, "target")
-    theta = model.inversion_start(target) if guess is None else model.check_domain(guess)
+    if guess is not None:
+        theta = model.check_domain(guess)
+    else:
+        theta = model.inversion_start(target)
     floor = None  # (theta, residual) before a full step below 2^-26 |theta|
     for _ in range(_NEWTON_MAX_ITER):
         residual = model.eta(theta) - target
@@ -258,13 +261,22 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
         try:
             step = np.array(solve3(model.metric(theta), -residual))
         except SingularMatrixError as exc:
-            raise NoConvergenceError(f"Newton Jacobian is singular at {theta.tolist()}") from exc
+            raise NoConvergenceError(
+                f"Newton Jacobian is singular at {theta.tolist()}"
+            ) from exc
+        # An infinite det G (its products overflow) solves to a zero step.
+        if not step.any():
+            raise NoConvergenceError(f"Newton step is zero at {theta.tolist()}")
         lam = 1.0
         while not model.in_domain(theta + lam * step):
             lam *= 0.5
             if lam < 2.0 ** -60:
-                raise NoConvergenceError(f"backtracking stalled at {theta.tolist()}")
+                raise NoConvergenceError(
+                    f"backtracking stalled at {theta.tolist()}"
+                )
         small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * np.abs(theta)).all()
         floor = (theta, size) if small else None
         theta = theta + lam * step
-    raise NoConvergenceError(f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps")
+    raise NoConvergenceError(
+        f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps"
+    )

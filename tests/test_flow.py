@@ -212,6 +212,14 @@ def test_invert_eta_with_a_guess_skips_the_image_test(target):
         invert_eta(EXACT_MODEL, target, guess=(2.0, 2.0, 2.0))
 
 
+def test_invert_eta_from_a_guess_where_det_overflows_is_no_convergence():
+    # det G is inf there but its cofactors are finite, so the Newton step
+    # solves to exactly 0; the unchanged residual must not read as the floor
+    with pytest.raises(NoConvergenceError, match="step is zero"):
+        invert_eta(EXACT_MODEL, EXACT_MODEL.eta((2.0, 3.0, 4.0)),
+                   guess=(1e-145, 1e-6, 1e-5))
+
+
 def test_invert_eta_near_the_stirling_boundary_stops_at_the_rounding_floor():
     # near a = 1, one ulp of a moves eta_a by more than 1e-12
     target = STIRLING_MODEL.eta((1.0005, 3.0, 2.0))

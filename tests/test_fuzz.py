@@ -1,6 +1,7 @@
 """Seeded fuzz of the error contract: every function that takes a point or a
 dual target returns a finite result or raises a BetaflowError, with warnings
-turned into errors, and the CLI exits 0, 2 or 3.
+turned into errors, the CLI exits 0, 2 or 3, and every inversion that
+returns meets the rounding-floor oracle.
 
 Points are theta = lower + 10^U per coordinate, drawn by Philox: U over
 [-300, 300], which reaches both ends of the float range, and over [-3, 3].
@@ -20,6 +21,7 @@ import pytest
 
 import betaflow as bf
 from betaflow.cli import main
+from conftest import rounding_floor_ratio
 
 MODELS = {"exact": bf.EXACT_MODEL, "stirling": bf.STIRLING_MODEL}
 N_PER_BAND = 100
@@ -129,6 +131,38 @@ TARGET_CALLS = {
 def test_target_functions_return_finite_or_raise(name, call):
     model = MODELS[name]
     _assert_contract(lambda t: TARGET_CALLS[call](model, t), _targets(name))
+
+
+def _assert_inversions_end_at_the_floor(model, targets, guesses):
+    """invert_eta of each target from its guess raises a BetaflowError or
+    returns a point within the rounding-floor oracle."""
+    bad = []
+    for target, guess in zip(targets, guesses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                back = bf.invert_eta(model, target, guess)
+            except bf.BetaflowError:
+                continue
+            if not rounding_floor_ratio(model, back, target) <= 1.0:
+                bad.append((target.tolist(), guess, back.tolist()))
+    assert not bad, f"{len(bad)} of {len(targets)} miss the floor, first {bad[0]}"
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_invert_eta_of_a_drawn_point_ends_at_the_floor(name):
+    model = MODELS[name]
+    targets = _targets(name)[:-N_PER_BAND]  # eta of the drawn points only
+    _assert_inversions_end_at_the_floor(model, targets, [None] * len(targets))
+
+
+def test_invert_eta_from_a_tiny_guess_ends_at_the_floor():
+    # guesses of 10^[-120, -40] per coordinate often overflow det G while its
+    # cofactors stay finite
+    targets = [bf.EXACT_MODEL.eta(p) for p in _points("exact")[N_PER_BAND:]]
+    rng = np.random.Generator(np.random.Philox(73))
+    guesses = [tuple(g) for g in (10.0 ** rng.uniform(-120.0, -40.0, (N_PER_BAND, 3))).tolist()]
+    _assert_inversions_end_at_the_floor(bf.EXACT_MODEL, targets, guesses)
 
 
 @pytest.mark.parametrize("name", MODELS)
