@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateEtaError,
     DomainError,
-    NegativeRatioError,
     NoConvergenceError,
     SingularMatrixError,
     StepFailureError,
 )
-from .integrability import hamiltonian, lax_pair
+from .integrability import invariant_columns
 from .manifold import as_point, det3, solve3
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
@@ -98,8 +96,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
               atol: float = 1e-12, max_step: float | None = None) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) solution of the gradient flow.
 
-    Diagnostics (eta, H, det G, Lax drift) are recorded at every accepted
-    step.  Stops early with status "singular" when |det G| < 1e-12 at an
+    Each accepted step records t, theta, eta and det G; the ``hamiltonian``
+    and ``lax_dev`` columns follow from the eta column after the loop.
+    Stops early with status "singular" when |det G| < 1e-12 at an
     accepted sample or when step-size collapse is driven by metric
     degeneracy, and with status "left_domain" when it is driven by the
     domain boundary; raises StepFailureError when the step size underflows
@@ -111,15 +110,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     if max_step is not None and not max_step > 0.0:
         raise DomainError(f"max_step must be > 0, got {max_step!r}")
     y = model.check_domain(theta0)
-    eta, g = model.eta(y), model.metric(y)
-    try:
-        ref_lax = lax_pair(eta).L
-    except (DegenerateEtaError, NegativeRatioError):
-        ref_lax = None
-
-    samples = [(0.0, y, *_diagnostics(eta, g, ref_lax))]
+    samples = [(0.0, y, model.eta(y), det3(model.metric(y)))]
     # A det that overflows in the metric's products (inf or NaN) fails too.
-    if not DET_GUARD <= abs(samples[0][4]) < math.inf:
+    if not DET_GUARD <= abs(samples[0][3]) < math.inf:
         raise SingularMatrixError(
             f"metric is numerically singular at the start point {y.tolist()}"
         )
@@ -178,9 +171,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             k1 = k[6]
             n_accepted += 1
             # The last stage evaluated eta and G at y_new.
-            diag = _diagnostics(eta, g, ref_lax)
-            samples.append((t, point, *diag))
-            if abs(diag[2]) < DET_GUARD:
+            samples.append((t, point, eta, det3(g)))
+            if abs(samples[-1][3]) < DET_GUARD:
                 status = "singular"
                 break
             if err == 0.0:
@@ -192,14 +184,16 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             err_prev = err
             h *= fac
 
+    eta = np.array([s[2] for s in samples])
+    hamiltonian, lax_dev = invariant_columns(eta)
     return Trajectory(
         model=model.name,
         t=np.array([s[0] for s in samples]),
         theta=np.array([s[1] for s in samples]),
-        eta=np.array([s[2] for s in samples]),
-        hamiltonian=np.array([s[3] for s in samples]),
-        det_g=np.array([s[4] for s in samples]),
-        lax_dev=np.array([s[5] for s in samples]),
+        eta=eta,
+        hamiltonian=hamiltonian,
+        det_g=np.array([s[3] for s in samples]),
+        lax_dev=lax_dev,
         rtol=rtol,
         atol=atol,
         n_accepted=n_accepted,
@@ -224,18 +218,6 @@ def _error_norm(err_vec, y, y_new, rtol, atol) -> float:
     scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
     q0, q1, q2 = (e / s if s else e * math.inf for e, s in zip(err_vec, scale))
     return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
-
-
-def _diagnostics(eta, g, ref_lax):
-    det = det3(g)
-    ham = dev = math.nan
-    try:
-        ham = hamiltonian(eta)
-        if ref_lax is not None:
-            dev = float(np.linalg.norm(lax_pair(eta).L - ref_lax))
-    except (DegenerateEtaError, NegativeRatioError):
-        pass
-    return eta, ham, det, dev
 
 
 def invert_eta(model, target, guess=None) -> np.ndarray:

@@ -136,6 +136,24 @@ def lax_pair(eta, ell: float = 1.0) -> LaxPair:
     return LaxPair(L=L, N=N, ell=ell)
 
 
+@np.errstate(all="ignore")
+def invariant_columns(eta) -> tuple[np.ndarray, np.ndarray]:
+    """H and the Frobenius drift of L from row 0 for each row of an (n, 3) eta
+    array; NaN where ``hamiltonian`` or ``lax_pair`` raises (on row 0: every drift)."""
+    e1, e2, e3 = eta.T
+    r21, r32, r31 = e2 / e1, e3 / e2, e3 / e1
+    ham_ok = np.isfinite(eta).all(axis=1) & np.isfinite(r21) & np.isfinite(r32)
+    ham = np.where(ham_ok, r21 + r32, math.nan)
+    lax_ok = ham_ok & np.isfinite(r31) & (r31 >= 0.0)
+    dev = np.full(ham.shape, math.nan)
+    if lax_ok[0]:
+        corner, zero = np.sqrt(r31), np.zeros_like(r31)
+        # each L flattened; a norm per row adds its squares as the scalar drift does
+        L = np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)[lax_ok]
+        dev[lax_ok] = [np.linalg.norm(m - L[0]) for m in L]
+    return ham, dev
+
+
 @dataclass(frozen=True)
 class LaxDiagnostics:
     """Worst-case deviations over a trajectory."""

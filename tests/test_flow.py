@@ -473,6 +473,13 @@ def test_integrate_matches_array_reference_on_seeded_starts(model):
         _assert_same_flow(model, start, 1e-10)
 
 
+def test_integrate_matches_array_reference_where_lax_pair_fails_at_the_start():
+    # eta1 < 0 < eta3 at (1.1, 3, 3), so every lax_dev is NaN
+    traj = integrate(STIRLING_MODEL, (1.1, 3.0, 3.0), 2.0, rtol=1e-10)
+    assert np.isnan(traj.lax_dev).all() and np.isfinite(traj.hamiltonian).all()
+    _assert_same_flow(STIRLING_MODEL, (1.1, 3.0, 3.0), 1e-10)
+
+
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_integrate_matches_array_reference_near_the_edge(model):
     for start in _seeded_starts(43, model, 6, (1e-4, 3.0)):

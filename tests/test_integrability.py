@@ -20,6 +20,7 @@ from betaflow import (
     poisson_bracket,
     to_canonical,
 )
+from betaflow.integrability import invariant_columns
 
 ETA_234 = (-1.7178571429, -1.2178571429, -0.8845238095)
 
@@ -273,3 +274,65 @@ def test_first_integrals_functionally_independent():
             [0.0, -e[2] / e[1] ** 2, 1.0 / e[1]],
         ])
         assert np.linalg.matrix_rank(grads) == 2
+
+
+def _scalar_invariants(eta):
+    """hamiltonian and the drift of lax_pair from row 0, row by row, NaN
+    where they raise."""
+    try:
+        ref = lax_pair(eta[0]).L
+    except (DegenerateEtaError, NegativeRatioError):
+        ref = None
+    ham, dev = np.full(len(eta), math.nan), np.full(len(eta), math.nan)
+    for i, row in enumerate(eta):
+        try:
+            ham[i] = hamiltonian(row)
+            if ref is not None:
+                with np.errstate(over="ignore"):
+                    dev[i] = np.linalg.norm(lax_pair(row).L - ref)
+        except (DegenerateEtaError, NegativeRatioError):
+            pass
+    return ham, dev
+
+
+def _drawn_eta(seed, n):
+    # signed 10^U over the float range, so ratios overflow and underflow,
+    # one row in five in [-3, 3], and one entry in ten 0, -0, inf, -inf or NaN
+    rng = np.random.Generator(np.random.Philox(seed))
+    eta = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 3))
+    eta[::5] = rng.uniform(-3.0, 3.0, (len(eta[::5]), 3))
+    special = rng.random((n, 3)) < 0.1
+    eta[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], special.sum())
+    return eta
+
+
+def test_invariant_columns_match_hamiltonian_and_lax_pair_bit_for_bit():
+    eta = _drawn_eta(79, 4000)
+    row0_fails = drifts = 0
+    # blocks of 8 rows, each a trajectory's eta column with its own row 0
+    for block in eta.reshape(-1, 8, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invariant_columns(block)
+        want = _scalar_invariants(block)
+        assert got[0].tobytes() == want[0].tobytes(), block
+        assert got[1].tobytes() == want[1].tobytes(), block
+        row0_fails += bool(np.isnan(got[1]).all())
+        drifts += int(np.count_nonzero(got[1] > 0.0))
+    # row 0 both fails and passes, and there are nonzero drifts
+    assert 0 < row0_fails < len(eta) // 8 and drifts > 0
+
+
+@pytest.mark.parametrize("eta, ham, dev", [
+    # e1 = inf gives a finite e2/e1 = 0, but hamiltonian raises
+    ([[1.0, 2.0, 3.0], [math.inf, 2.0, 3.0]], [3.5, math.nan], [0.0, math.nan]),
+    # eta3/eta1 < 0 on row 0: H is finite, every drift NaN
+    ([[-1.0, 2.0, 3.0], [-2.0, 4.0, 6.0]], [-0.5, -0.5], [math.nan, math.nan]),
+    # ratios that overflow
+    ([[1.0, 1.0, 1.0], [1e-300, 1e300, 1.0], [1.0, 1e-300, 1e300]],
+     [2.0, math.nan, math.nan], [0.0, math.nan, math.nan]),
+])
+def test_invariant_columns_spots(eta, ham, dev):
+    got_ham, got_dev = invariant_columns(np.array(eta))
+    assert np.array_equal(got_ham, ham, equal_nan=True)
+    assert np.array_equal(got_dev, dev, equal_nan=True)
