@@ -29,7 +29,7 @@ class ExactModel(Model):
     lower = 0.0
 
     def potential(self, theta) -> float:
-        a, b, c = self.check_domain(theta)
+        a, b, c = self.check_domain(theta).tolist()
         return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
 
     def eta(self, theta) -> np.ndarray:
@@ -63,7 +63,7 @@ class ExactModel(Model):
         return float(np.dot(p, self.eta(p))) - self.potential(p)
 
     def log_pdf(self, theta, x) -> float:
-        a, b, c = self.check_domain(theta)
+        a, b, c = self.check_domain(theta).tolist()
         x = np.asarray(x, dtype=float)
         if x.shape != (2,):
             raise DomainError(f"x must be (x1, x2), got shape {x.shape}")

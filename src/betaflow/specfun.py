@@ -1,11 +1,11 @@
 """Scalar log-gamma, digamma, and trigamma for positive real arguments.
 
-All three use the same scheme: shift the argument above ``_SHIFT`` with the
-upward recurrences
+Log-gamma is the C library's ``lgamma`` through ``math.lgamma``.  Digamma
+and trigamma shift the argument above ``_SHIFT`` with the upward
+recurrences
 
-    ln Gamma(x) = ln Gamma(x+1) - ln x
-    psi(x)      = psi(x+1)      - 1/x
-    psi'(x)     = psi'(x+1)     + 1/x^2
+    psi(x)  = psi(x+1)  - 1/x
+    psi'(x) = psi'(x+1) + 1/x^2
 
 and evaluate the standard asymptotic series at the shifted argument.  The
 series are truncated where the first omitted term is below ~1e-16 at
@@ -19,19 +19,6 @@ import math
 from .errors import DomainError
 
 _SHIFT = 8.0
-
-# ln Gamma(x) ~ (x - 1/2) ln x - x + ln(2 pi)/2 + sum c_k / x^(2k-1),
-# c_k = B_{2k} / (2k (2k-1)).
-_LGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
 
 # psi(x) ~ ln x - 1/(2x) - sum d_k / x^(2k), d_k = B_{2k} / (2k).
 _DIGAMMA_COEF = (
@@ -59,8 +46,6 @@ _TRIGAMMA_COEF = (
     43867.0 / 798.0,
 )
 
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def _check_positive(x: float, name: str) -> float:
     x = float(x)
@@ -78,15 +63,10 @@ def _finite(value: float, name: str, x: float) -> float:
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function on x > 0."""
     x = _check_positive(x, "log_gamma")
-    shift = 0.0
-    while x < _SHIFT:
-        shift += math.log(x)
-        x += 1.0
-    u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_LGAMMA_COEF):
-        tail = tail * u + c
-    return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + tail / x - shift
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x!r}) overflows double precision") from None
 
 
 def digamma(x: float) -> float:
