@@ -86,6 +86,8 @@ class ExactModel(Model):
         p = self.check_domain(theta)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed!r}")
         rng = np.random.Generator(np.random.Philox(seed))
         g = rng.standard_gamma(p, size=(n, 3))
         return g[:, :2] / g.sum(axis=1, keepdims=True)

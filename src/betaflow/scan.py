@@ -309,6 +309,8 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
 
     In the "all" report each record summarizes one sub-suite; its residual
     is the sub-suite's worst residual-to-tolerance ratio."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     start = time.perf_counter()
     if name == "all":
         checks = []

@@ -148,6 +148,11 @@ def test_check_suite_text(capsys):
     assert "FAIL" not in out
 
 
+def test_check_negative_seed_exits_3(capsys):
+    assert main(["check", "--suite", "lax", "--seed", "-1"]) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_check_suite_json(capsys):
     assert main(["check", "--suite", "legendre", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -140,6 +140,13 @@ def test_sample_deterministic_and_on_simplex():
     assert not np.array_equal(a, c)
 
 
+def test_sample_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        EXACT_MODEL.sample((2.0, 3.0, 4.0), 10, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        EXACT_MODEL.fisher_mc((2.0, 3.0, 4.0), 2000, seed=-1)
+
+
 def test_sample_mean_matches_moments():
     # E[x1] = a/s, Var[x1] = a(s-a) / (s^2 (s+1)) at (2, 3, 4)
     n = 100_000

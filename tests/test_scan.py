@@ -159,6 +159,12 @@ def test_run_suite_unknown_name():
         run_suite("definitely-not-a-suite")
 
 
+@pytest.mark.parametrize("name", ["lax", "linearization", "all"])
+def test_run_suite_rejects_a_negative_seed(name):
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        run_suite(name, seed=-1)
+
+
 def test_suite_report_serialization_deterministic():
     for name, seed in (("hamiltonian", 0), ("lax", 5)):
         assert run_suite(name, seed).to_json() == run_suite(name, seed).to_json()
