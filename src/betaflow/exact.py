@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, det3, finite_det
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite, det3
 from .specfun import digamma, log_gamma, trigamma
 
 
@@ -48,7 +48,7 @@ class ExactModel(Model):
         )
 
     def det_closed(self, theta) -> float:
-        return finite_det(det3(self.metric(theta)), theta)
+        return check_finite(det3(self.metric(theta)), "det G", theta)
 
     def classify_domain(self, theta) -> DomainClass:
         """The metric is positive definite on the whole domain, so a point is
@@ -90,7 +90,9 @@ class ExactModel(Model):
             raise DomainError(f"seed must be >= 0, got {seed!r}")
         rng = np.random.Generator(np.random.Philox(seed))
         g = rng.standard_gamma(p, size=(n, 3))
-        return g[:, :2] / g.sum(axis=1, keepdims=True)
+        # at tiny theta every variate of a draw can underflow, giving 0/0
+        with np.errstate(invalid="ignore"):
+            return check_finite(g[:, :2] / g.sum(axis=1, keepdims=True), "a draw", p)
 
     def fisher_mc(self, theta, n: int, seed: int) -> Metric3:
         """Monte Carlo Fisher estimate: sample covariance of the sufficient

@@ -23,7 +23,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import invariant_columns
-from .manifold import as_point, det3, solve3
+from .manifold import as_point, check_finite, det3, solve3
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -73,8 +73,9 @@ class Trajectory:
 
 def rhs(model, theta) -> np.ndarray:
     """Flow velocity -G^{-1} eta at a point.  Singular only where det G is
-    exactly 0; ``integrate`` applies DET_GUARD to accepted samples."""
-    return np.array(_velocity(model, theta)[0])
+    exactly 0; ``integrate`` applies DET_GUARD to accepted samples.  Raises
+    DomainError where the velocity is not finite (the metric overflows)."""
+    return check_finite(np.array(_velocity(model, theta)[0]), "flow velocity", theta)
 
 
 def _velocity(model, theta):

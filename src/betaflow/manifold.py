@@ -108,12 +108,12 @@ class Metric3:
         return m1, m2, det3(self)
 
 
-def finite_det(det: float, theta) -> float:
-    """``det``, or DomainError where the products it is made of overflowed
-    (an infinite or NaN det)."""
-    if not math.isfinite(det):
-        raise DomainError(f"det G overflows at {np.asarray(theta).tolist()}: {det!r}")
-    return det
+def check_finite(value, what: str, theta):
+    """``value``, a float or an array, or DomainError where any of it is
+    infinite or NaN: a product it is made of overflowed, or a 0/0."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} is not finite at {np.asarray(theta).tolist()}")
+    return value
 
 
 def det3(m: Metric3) -> float:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, finite_det
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -90,17 +90,17 @@ class StirlingModel(Model):
 
     def det_closed(self, theta) -> float:
         # on Python floats an overflow gives inf or NaN and no warning
-        return finite_det(det_kernel(*self.check_domain(theta).tolist()), theta)
+        return check_finite(det_kernel(*self.check_domain(theta).tolist()), "det G", theta)
 
-    def metric_inverse_closed(self, theta, tol: float = 1e-9) -> Metric3:
-        a, b, c = self.check_domain(theta)
+    def metric_inverse_closed(self, theta) -> Metric3:
+        a, b, c = self.check_domain(theta).tolist()
         den = _den(a, b, c)
-        if abs(den) <= tol:
+        if abs(den) <= 1e-9:
             raise SingularMatrixError(
                 f"metric is degenerate at {(a, b, c)}: denominator {den!r}"
             )
-        ra, rb, rc = (a - 1.0) ** 2, (b - 1.0) ** 2, (c - 1.0) ** 2
-        return Metric3(
+        ra, rb, rc = _square(a - 1.0), _square(b - 1.0), _square(c - 1.0)
+        inverse = Metric3(
             d1=-2.0 * ra * (4 * a * b * c - 6 * a * b - 6 * c * a + 9 * a - b - c + 3) / den,
             d2=-2.0 * rb * (4 * a * b * c - 6 * a * b - 6 * b * c + 9 * b - a - c + 3) / den,
             d3=-2.0 * rc * (4 * a * b * c - 6 * c * a - 6 * b * c + 9 * c - a - b + 3) / den,
@@ -108,6 +108,8 @@ class StirlingModel(Model):
             o13=-4.0 * (2.0 * b - 3.0) * ra * rc / den,
             o23=-4.0 * (2.0 * a - 3.0) * rb * rc / den,
         )
+        check_finite(inverse.as_array(), "metric inverse", theta)
+        return inverse
 
     def dual_potential(self, theta) -> float:
         """Closed form of <theta, eta> - Phi; the two agree to rounding."""

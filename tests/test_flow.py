@@ -594,7 +594,10 @@ def _numpy_metric(model, theta):
 
 
 def _numpy_rhs(model, theta):
-    return -invert3(_numpy_metric(model, theta), tol=0.0).matvec(_numpy_eta(model, theta))
+    velocity = -invert3(_numpy_metric(model, theta), tol=0.0).matvec(_numpy_eta(model, theta))
+    if not np.isfinite(velocity).all():
+        raise DomainError("velocity is not finite")
+    return velocity
 
 
 def _outcome(func, model, theta):
@@ -615,8 +618,8 @@ def _outcome(func, model, theta):
 def test_model_formulas_match_numpy_bit_for_bit(model, exponents):
     # log-uniform offsets above lower: each call gives the numpy result or
     # raises the same error (DomainError where digamma or trigamma
-    # overflows or an offset below 1e-16 rounds onto lower,
-    # SingularMatrixError where det G rounds to 0)
+    # overflows, an offset below 1e-16 rounds onto lower or the velocity is
+    # not finite, SingularMatrixError where det G rounds to 0)
     rng = np.random.Generator(np.random.Philox(47))
     points = model.lower + 10.0 ** rng.uniform(*exponents, size=(2000, 3))
     with np.errstate(all="ignore"):

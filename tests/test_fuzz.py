@@ -93,20 +93,8 @@ POINT_CALLS = {
 }
 MODEL_ONLY = {"log_pdf": "exact", "sample": "exact", "metric_inverse_closed": "stirling"}
 
-# Defects the draw finds, each named by a FOUND line in CHANGES.md.
-FOUND = {
-    ("exact", "rhs"): "rhs returns NaN where the exact metric's entries overflow in solve3",
-    ("exact", "sample"): "sample divides 0 by 0 (a RuntimeWarning, then NaN) where"
-                         " every gamma variate underflows",
-    ("stirling", "metric_inverse_closed"): "metric_inverse_closed overflows on numpy"
-                                           " scalars past about 1e100",
-}
-
 POINT_CASES = [
-    pytest.param(name, call, id=f"{name}-{call}",
-                 marks=pytest.mark.xfail(strict=True, reason=FOUND[name, call])
-                 if (name, call) in FOUND else ())
-    for name in MODELS for call in POINT_CALLS
+    (name, call) for name in MODELS for call in POINT_CALLS
     if MODEL_ONLY.get(call, name) == name
 ]
 
