@@ -1,7 +1,8 @@
 """Seeded fuzz of the error contract: every function that takes a point or a
 dual target returns a finite result or raises a BetaflowError, with warnings
-turned into errors, the CLI exits 0, 2 or 3, and every inversion that
-returns meets the rounding-floor oracle.
+turned into errors, the CLI exits 0, 2 or 3 (and 1 only for a failed
+``check``), and every inversion that returns meets the rounding-floor
+oracle.
 
 Points are theta = lower + 10^U per coordinate, drawn by Philox: U over
 [-300, 300], which reaches both ends of the float range, and over [-3, 3];
@@ -166,6 +167,37 @@ def test_cli_info_exits_0_2_or_3(name, capsys):
         assert code in (0, 2, 3), (p, code)
         if code == 0:
             assert _finite(_numbers(json.loads(out))), (p, out)
+
+
+def test_cli_scan_exits_0_2_or_3(capsys):
+    # boxes spanned by consecutive drawn Stirling points, 2 to 5 nodes an axis
+    points = _points("stirling")
+    rng = np.random.Generator(np.random.Philox(83))
+    for p, q in zip(points[::2], points[1::2]):
+        region = ",".join(f"{min(x, y)!r}:{max(x, y)!r}" for x, y in zip(p, q))
+        args = ["scan", "--region", region, "--resolution", str(rng.integers(2, 6))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3), (args, code)
+        if code == 0:
+            assert _finite(_numbers(json.loads(out))), (args, out)
+
+
+@pytest.mark.parametrize("suite", bf.SUITE_NAMES)
+def test_cli_check_exits_0_1_or_3(suite, capsys):
+    # exit 1 (a failed check) is allowed here only
+    rng = np.random.Generator(np.random.Philox(89))
+    for seed in (-1, 0, 2 ** 64, *rng.integers(0, 2 ** 63, 2).tolist()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--suite", suite, "--seed", str(seed), "--json"])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 3), (seed, code)
+        assert (code == 3) == (seed < 0), (seed, code)
+        if code != 3:
+            assert json.loads(out)["passed"] == (code == 0)
 
 
 def _numbers(report) -> list:
