@@ -111,7 +111,9 @@ class Metric3:
 def check_finite(value, what: str, theta):
     """``value``, a float or an array, or DomainError where any of it is
     infinite or NaN: a product it is made of overflowed, or a 0/0."""
-    if not np.isfinite(value).all():
+    # math.isfinite takes a float in a tenth of np.isfinite's time
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not finite:
         raise DomainError(f"{what} is not finite at {np.asarray(theta).tolist()}")
     return value
 
