@@ -32,20 +32,13 @@ class ExactModel(Model):
         a, b, c = self.check_domain(theta).tolist()
         return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
 
-    def eta(self, theta) -> np.ndarray:
-        a, b, c = self.check_domain(theta).tolist()
+    def eta_kernel(self, a, b, c):
         ps = digamma(a + b + c)
-        return np.array([digamma(a) - ps, digamma(b) - ps, digamma(c) - ps])
+        return digamma(a) - ps, digamma(b) - ps, digamma(c) - ps
 
-    def metric(self, theta) -> Metric3:
-        a, b, c = self.check_domain(theta).tolist()
+    def metric_kernel(self, a, b, c):
         o = -trigamma(a + b + c)
-        return Metric3(
-            d1=trigamma(a) + o,
-            d2=trigamma(b) + o,
-            d3=trigamma(c) + o,
-            o12=o, o13=o, o23=o,
-        )
+        return trigamma(a) + o, trigamma(b) + o, trigamma(c) + o, o
 
     def det_closed(self, theta) -> float:
         return check_finite(det3(self.metric(theta)), "det G", theta)
@@ -90,9 +83,11 @@ class ExactModel(Model):
             raise DomainError(f"seed must be >= 0, got {seed!r}")
         rng = np.random.Generator(np.random.Philox(seed))
         g = rng.standard_gamma(p, size=(n, 3))
-        # at tiny theta every variate of a draw can underflow, giving 0/0
-        with np.errstate(invalid="ignore"):
-            return check_finite(g[:, :2] / g.sum(axis=1, keepdims=True), "a draw", p)
+        # the variates' sum can overflow, and at tiny theta every variate of
+        # a draw can underflow, giving 0/0
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = check_finite(g.sum(axis=1, keepdims=True), "a gamma sum", p)
+            return check_finite(g[:, :2] / total, "a draw", p)
 
     def fisher_mc(self, theta, n: int, seed: int) -> Metric3:
         """Monte Carlo Fisher estimate: sample covariance of the sufficient

@@ -23,7 +23,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import invariant_columns
-from .manifold import as_point, check_finite, det3, solve3
+from .manifold import as_point, check_finite, det3, inside, solve3, solve_det
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -75,17 +75,21 @@ def rhs(model, theta) -> np.ndarray:
     """Flow velocity -G^{-1} eta at a point.  Singular only where det G is
     exactly 0; ``integrate`` applies DET_GUARD to accepted samples.  Raises
     DomainError where the velocity is not finite (the metric overflows)."""
-    return check_finite(np.array(_velocity(model, theta)[0]), "flow velocity", theta)
-
-
-def _velocity(model, theta):
-    """The velocity of ``rhs`` as three floats, with the eta and G it used."""
     if not model.in_domain(theta):
         raise DomainError(f"{theta!r} lies outside the {model.name} domain")
-    g = model.metric(theta)
-    eta = model.eta(theta)
-    v0, v1, v2 = solve3(g, eta)
-    return (-v0, -v1, -v2), eta, g
+    a, b, c = np.asarray(theta, dtype=float).tolist()
+    return check_finite(np.array(_velocity(model, a, b, c)[0]), "flow velocity", theta)
+
+
+def _velocity(model, a, b, c):
+    """The velocity of ``rhs`` at (a, b, c) as three floats, with the eta
+    and det G it used."""
+    if not inside(model.lower, a, b, c):
+        raise DomainError(f"{[a, b, c]!r} lies outside the {model.name} domain")
+    d1, d2, d3, o = model.metric_kernel(a, b, c)
+    eta = model.eta_kernel(a, b, c)
+    det, v0, v1, v2 = solve_det(d1, d2, d3, o, o, o, *eta)
+    return (-v0, -v1, -v2), eta, det
 
 
 def eta_closed(eta0, t: float) -> np.ndarray:
@@ -123,9 +127,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     status = "completed"
 
     if t_end > 0.0:
-        k1 = _velocity(model, y)[0]
-        h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         y = y.tolist()
+        k1 = _velocity(model, *y)[0]
+        h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
         err_prev = None
         # Every rejection sets the status a step underflow ends in (None: raise).
@@ -148,8 +152,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 for row in _A[1:]:
                     s0, s1, s2 = _weighted(row, k)
                     y_new = [y[0] + h * s0, y[1] + h * s1, y[2] + h * s2]
-                    point = np.array(y_new)
-                    velocity, eta, g = _velocity(model, point)
+                    velocity, eta, det = _velocity(model, *y_new)
                     k.append(velocity)
             except DomainError:
                 # A non-finite stage point is a plain step failure.
@@ -171,8 +174,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             y = y_new
             k1 = k[6]
             n_accepted += 1
-            # The last stage evaluated eta and G at y_new.
-            samples.append((t, point, eta, det3(g)))
+            # The last stage evaluated eta and det G at y_new.
+            samples.append((t, y_new, eta, det))
             if abs(samples[-1][3]) < DET_GUARD:
                 status = "singular"
                 break

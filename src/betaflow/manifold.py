@@ -27,10 +27,26 @@ def as_point(x, name: str = "point") -> np.ndarray:
     return p
 
 
+def inside(lower: float, a: float, b: float, c: float) -> bool:
+    """The domain rule on three floats: each finite and above ``lower``.
+    NaN fails every comparison."""
+    return lower < a < math.inf and lower < b < math.inf and lower < c < math.inf
+
+
 class Model:
-    """The domain rule both models share: a point is three finite
-    coordinates, each above ``lower``.  Subclasses set ``lower``, ``name``
-    and ``domain_description``, which the error message quotes."""
+    """The domain rule both models share, and their checked ``eta`` and
+    ``metric``.  A point is three finite coordinates, each above ``lower``.
+    Subclasses set ``lower``, ``name`` and ``domain_description``, which the
+    error message quotes, and provide two float hooks, which run on
+    (a, b, c) already in the domain and do not check it again:
+
+    - ``eta_kernel(a, b, c)``: the dual coordinates as three floats;
+    - ``metric_kernel(a, b, c)``: ``(d1, d2, d3, o)``, the diagonal of G
+      and its one off-diagonal value.
+
+    A hook raises ``DomainError`` only where a special function it calls
+    overflows.
+    """
 
     def in_domain(self, theta) -> bool:
         try:
@@ -41,18 +57,27 @@ class Model:
 
     def check_domain(self, theta) -> np.ndarray:
         p = np.asarray(theta, dtype=float)
-        if p.shape == (3,):
-            # The common case on three floats; NaN fails every comparison.
-            a, b, c = p.tolist()
-            low = self.lower
-            if low < a < math.inf and low < b < math.inf and low < c < math.inf:
-                return p
+        if p.shape == (3,) and inside(self.lower, *p.tolist()):
+            return p
         p = as_point(theta, "theta")
         if not (p > self.lower).all():
             raise DomainError(
                 f"{self.name} model needs {self.domain_description}, got {p.tolist()}"
             )
         return p
+
+    def eta(self, theta) -> np.ndarray:
+        """eta at a point of the domain; DomainError where it is not finite
+        (a coordinate sum overflowed)."""
+        a, b, c = self.check_domain(theta).tolist()
+        eta = self.eta_kernel(a, b, c)
+        if not (math.isfinite(eta[0]) and math.isfinite(eta[1]) and math.isfinite(eta[2])):
+            raise DomainError(f"eta is not finite at {[a, b, c]}")
+        return np.array(eta)
+
+    def metric(self, theta) -> Metric3:
+        d1, d2, d3, o = self.metric_kernel(*self.check_domain(theta).tolist())
+        return Metric3(d1, d2, d3, o, o, o)
 
 
 @dataclass(frozen=True)
@@ -95,12 +120,6 @@ class Metric3:
             ]
         )
 
-    def max_abs(self) -> float:
-        return max(
-            abs(self.d1), abs(self.d2), abs(self.d3),
-            abs(self.o12), abs(self.o13), abs(self.o23),
-        )
-
     def leading_minors(self) -> tuple[float, float, float]:
         """Leading principal minors; all positive iff positive definite."""
         m1 = self.d1
@@ -120,10 +139,7 @@ def check_finite(value, what: str, theta):
 
 def det3(m: Metric3) -> float:
     """Determinant by cofactor expansion along the first row."""
-    ca = m.d2 * m.d3 - m.o23 * m.o23
-    cb = m.o13 * m.o23 - m.o12 * m.d3
-    cc = m.o12 * m.o23 - m.d2 * m.o13
-    return m.d1 * ca + m.o12 * cb + m.o13 * cc
+    return _adjugate(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)[0]
 
 
 def invert3(m: Metric3, tol: float | None = None) -> Metric3:
@@ -133,42 +149,54 @@ def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     cube of the largest entry, is invariant under m -> s*m and is compared in
     units of a power of two near that cube, so it cannot overflow.
     """
-    return Metric3(*_inverse(m, tol))
+    return Metric3(*_inverse(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23, tol)[1:])
 
 
 def solve3(m: Metric3, v) -> tuple[float, float, float]:
     """m^{-1} v, rounded exactly as ``invert3(m, tol=0.0).matvec(v)``: singular
     only where det is exactly 0."""
-    d1, d2, d3, o12, o13, o23 = _inverse(m, 0.0)
     v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    return solve_det(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23, v0, v1, v2)[1:]
+
+
+def solve_det(d1, d2, d3, o12, o13, o23, v0, v1, v2) -> tuple[float, ...]:
+    """``solve3`` on the six entries of m and three floats of v, with det m
+    first: (det, x0, x1, x2)."""
+    det, i1, i2, i3, i12, i13, i23 = _inverse(d1, d2, d3, o12, o13, o23, 0.0)
     return (
-        d1 * v0 + o12 * v1 + o13 * v2,
-        o12 * v0 + d2 * v1 + o23 * v2,
-        o13 * v0 + o23 * v1 + d3 * v2,
+        det,
+        i1 * v0 + i12 * v1 + i13 * v2,
+        i12 * v0 + i2 * v1 + i23 * v2,
+        i13 * v0 + i23 * v1 + i3 * v2,
     )
 
 
-def _inverse(m: Metric3, tol: float | None) -> tuple[float, ...]:
-    """The six entries of m^{-1} in Metric3 field order."""
-    ca = m.d2 * m.d3 - m.o23 * m.o23
-    cb = m.o13 * m.o23 - m.o12 * m.d3
-    cc = m.o12 * m.o23 - m.d2 * m.o13
-    det = m.d1 * ca + m.o12 * cb + m.o13 * cc
+def _inverse(d1, d2, d3, o12, o13, o23, tol: float | None) -> tuple[float, ...]:
+    """det m, then the six entries of m^{-1} in Metric3 field order."""
+    det, a1, a2, a3, a12, a13, a23 = _adjugate(d1, d2, d3, o12, o13, o23)
     if tol is None:
-        mant, e = math.frexp(m.max_abs())
+        mant, e = math.frexp(max(abs(d1), abs(d2), abs(d3), abs(o12), abs(o13), abs(o23)))
         singular = abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3
     else:
         singular = abs(det) <= tol
     if singular:
         raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
-    ce = m.o12 * m.o13 - m.d1 * m.o23
+    return det, a1 / det, a2 / det, a3 / det, a12 / det, a13 / det, a23 / det
+
+
+def _adjugate(d1, d2, d3, o12, o13, o23) -> tuple[float, ...]:
+    """det m, then the six entries of its adjugate in Metric3 field order."""
+    ca = d2 * d3 - o23 * o23
+    cb = o13 * o23 - o12 * d3
+    cc = o12 * o23 - d2 * o13
     return (
-        ca / det,
-        (m.d1 * m.d3 - m.o13 * m.o13) / det,
-        (m.d1 * m.d2 - m.o12 * m.o12) / det,
-        cb / det,
-        cc / det,
-        ce / det,
+        d1 * ca + o12 * cb + o13 * cc,
+        ca,
+        d1 * d3 - o13 * o13,
+        d1 * d2 - o12 * o12,
+        cb,
+        cc,
+        o12 * o13 - d1 * o23,
     )
 
 

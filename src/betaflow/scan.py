@@ -76,7 +76,9 @@ def scan_degeneracy(region: Region, tol: float = 1e-9) -> list[FlaggedCell]:
     corners or falls below tol at a corner or the midpoint.  The result is
     ordered lexicographically by cell index."""
     ax, bx, cx = region.axes()
-    mid_axes = [0.5 * (x[:-1] + x[1:]) for x in (ax, bx, cx)]
+    # Halves first, so the sum cannot overflow; on coordinates above 1 this
+    # rounds as 0.5 * (x[:-1] + x[1:]).
+    mid_axes = [0.5 * x[:-1] + 0.5 * x[1:] for x in (ax, bx, cx)]
     # Where det_kernel's products overflow (coordinates past about 1e100)
     # det is inf or NaN; such a cell compares false everywhere below and
     # is not flagged.

@@ -20,32 +20,6 @@ from .errors import DomainError
 
 _SHIFT = 8.0
 
-# psi(x) ~ ln x - 1/(2x) - sum d_k / x^(2k), d_k = B_{2k} / (2k).
-_DIGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-    43867.0 / 14364.0,
-)
-
-# psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2k} / x^(2k+1).
-_TRIGAMMA_COEF = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-)
-
 
 def _check_positive(x: float, name: str) -> float:
     x = float(x)
@@ -77,9 +51,10 @@ def digamma(x: float) -> float:
         shift += 1.0 / x
         x += 1.0
     u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_COEF):
-        tail = (tail + c) * u
+    # ln x - 1/(2x) - sum d_k / x^(2k), d_k = B_{2k} / (2k), by Horner in u
+    tail = ((((((((43867.0 / 14364.0 * u - 3617.0 / 8160.0) * u + 1.0 / 12.0) * u
+                - 691.0 / 32760.0) * u + 1.0 / 132.0) * u - 1.0 / 240.0) * u
+             + 1.0 / 252.0) * u - 1.0 / 120.0) * u + 1.0 / 12.0) * u
     return _finite(math.log(x) - 0.5 / x - tail - shift, "digamma", x0)
 
 
@@ -94,7 +69,8 @@ def trigamma(x: float) -> float:
         shift += 1.0 / (x * x)
         x += 1.0
     u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_TRIGAMMA_COEF):
-        tail = (tail + c) * u
+    # 1/x + 1/(2x^2) + sum B_{2k} / x^(2k+1), by Horner in u
+    tail = ((((((((43867.0 / 798.0 * u - 3617.0 / 510.0) * u + 7.0 / 6.0) * u
+                - 691.0 / 2730.0) * u + 5.0 / 66.0) * u - 1.0 / 30.0) * u
+             + 1.0 / 42.0) * u - 1.0 / 30.0) * u + 1.0 / 6.0) * u
     return _finite(1.0 / x + 0.5 * u + tail / x + shift, "trigamma", x0)

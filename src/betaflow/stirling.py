@@ -69,24 +69,27 @@ class StirlingModel(Model):
     k = -_LN_2PI - 2.0
 
     def potential(self, theta) -> float:
-        p = self.check_domain(theta)
-        s = p.sum()
-        return (
+        # on Python floats an overflow gives inf or NaN and no warning
+        a, b, c = self.check_domain(theta).tolist()
+        s = a + b + c
+        value = (
             (s - 0.5) * math.log(s - 1.0)
-            + sum((0.5 - x) * math.log(x - 1.0) for x in p)
+            + ((0.5 - a) * math.log(a - 1.0) + (0.5 - b) * math.log(b - 1.0)
+               + (0.5 - c) * math.log(c - 1.0))
             + self.k
         )
+        return check_finite(value, "potential", theta)
 
-    def eta(self, theta) -> np.ndarray:
-        p = a, b, c = self.check_domain(theta).tolist()
+    def eta_kernel(self, a, b, c):
         ls = math.log(a + b + c - 1.0)
-        return np.array([ls - math.log(x - 1.0) - 0.5 / (x - 1.0) for x in p])
+        ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
+        return (ls - math.log(ua) - 0.5 / ua, ls - math.log(ub) - 0.5 / ub,
+                ls - math.log(uc) - 0.5 / uc)
 
-    def metric(self, theta) -> Metric3:
-        p = a, b, c = self.check_domain(theta).tolist()
+    def metric_kernel(self, a, b, c):
         o = 1.0 / (a + b + c - 1.0)
-        d = [o - (x - 1.5) / _square(x - 1.0) for x in p]
-        return Metric3(d1=d[0], d2=d[1], d3=d[2], o12=o, o13=o, o23=o)
+        return (o - (a - 1.5) / _square(a - 1.0), o - (b - 1.5) / _square(b - 1.0),
+                o - (c - 1.5) / _square(c - 1.0), o)
 
     def det_closed(self, theta) -> float:
         # on Python floats an overflow gives inf or NaN and no warning
@@ -113,13 +116,15 @@ class StirlingModel(Model):
 
     def dual_potential(self, theta) -> float:
         """Closed form of <theta, eta> - Phi; the two agree to rounding."""
-        p = self.check_domain(theta)
-        return (
-            -sum(x / (2.0 * (x - 1.0)) for x in p)
-            + 0.5 * math.log(p.sum() - 1.0)
-            - 0.5 * sum(math.log(x - 1.0) for x in p)
+        a, b, c = self.check_domain(theta).tolist()
+        # x / (2 (x-1)) rounds as 0.5 x / (x-1), which cannot overflow
+        value = (
+            -(0.5 * a / (a - 1.0) + 0.5 * b / (b - 1.0) + 0.5 * c / (c - 1.0))
+            + 0.5 * math.log(a + b + c - 1.0)
+            - 0.5 * (math.log(a - 1.0) + math.log(b - 1.0) + math.log(c - 1.0))
             - self.k
         )
+        return check_finite(value, "dual potential", theta)
 
     def classify_domain(self, theta, tol: float = 1e-9) -> DomainClass:
         a, b, c = (float(x) for x in as_point(theta, "theta"))

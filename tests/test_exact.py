@@ -147,6 +147,12 @@ def test_sample_rejects_a_negative_seed():
         EXACT_MODEL.fisher_mc((2.0, 3.0, 4.0), 2000, seed=-1)
 
 
+def test_sample_raises_where_the_variates_sum_overflows():
+    # each variate is near 1e308, so their sum is inf and every draw 0
+    with pytest.raises(DomainError, match="gamma sum"):
+        EXACT_MODEL.sample((1e308, 1e308, 1e308), 4, seed=1)
+
+
 def test_sample_mean_matches_moments():
     # E[x1] = a/s, Var[x1] = a(s-a) / (s^2 (s+1)) at (2, 3, 4)
     n = 100_000

@@ -32,7 +32,9 @@ from betaflow import (
     trigamma,
 )
 from betaflow.flow import _A, _E
+from betaflow.manifold import Model, check_finite
 from conftest import linearization_residual, rounding_floor_ratio
+from test_fuzz import MODELS as FUZZ_MODELS, _points as fuzz_points
 
 
 def test_rhs_stirling_spot():
@@ -276,45 +278,62 @@ def test_invert_eta_iteration_budget(monkeypatch):
         invert_eta(EXACT_MODEL, EXACT_MODEL.eta((4.0, 0.7, 2.0)))
 
 
-class _PlaneModel:
-    """Test-only model: forwards the model interface to ``model`` and
-    replaces one method past the plane a = PLANE, which both reference
-    flows cross before t = 0.2."""
+class _HookModel(Model):
+    """Test-only model with the domain and hooks of ``model``, which it
+    forwards the rest of the model interface to.  Its ``eta`` and ``metric``
+    are ``Model``'s, made from whatever hooks a subclass puts in place."""
 
-    PLANE = 3.0
-
-    def __init__(self, model, method, past_plane):
+    def __init__(self, model):
         self._model = model
-        self.name = model.name
-        inner = getattr(model, method)
-
-        def replaced(theta):
-            if np.asarray(theta, dtype=float)[0] >= self.PLANE:
-                return past_plane(self._model, theta)
-            return inner(theta)
-
-        setattr(self, method, replaced)
+        self.name, self.lower = model.name, model.lower
+        self.domain_description = model.domain_description
 
     def __getattr__(self, attr):
         return getattr(self._model, attr)
 
 
+class _PlaneModel(_HookModel):
+    """Replaces one hook past the plane a = PLANE, which both reference
+    flows cross before t = 0.2."""
+
+    PLANE = 3.0
+
+    def __init__(self, model, hook, past_plane):
+        super().__init__(model)
+        inner = getattr(model, hook)
+
+        def replaced(a, b, c):
+            if a >= self.PLANE:
+                return past_plane(model, a, b, c)
+            return inner(a, b, c)
+
+        setattr(self, hook, replaced)
+
+    def eta(self, theta):
+        # no finiteness test, so the flow's stages and the array reference
+        # both see a NaN eta_kernel as a NaN eta
+        return np.array(self.eta_kernel(*self.check_domain(theta).tolist()))
+
+
+def _past_the_plane(model, a, b, c):
+    raise DomainError(f"{[a, b, c]} lies past the plane")
+
+
 REFERENCE_STARTS = {EXACT_MODEL: (2.0, 3.0, 4.0), STIRLING_MODEL: (2.5, 3.0, 2.0)}
-ZERO_METRIC = Metric3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("method, past_plane, status", [
+@pytest.mark.parametrize("hook, past_plane, status", [
     # the domain ends at the plane
-    ("in_domain", lambda model, theta: False, "left_domain"),
+    ("metric_kernel", _past_the_plane, "left_domain"),
     # a NaN velocity makes the next stage point NaN: no point left the
     # domain, so that is a plain step failure and the underflow raises
-    ("eta", lambda model, theta: np.full(3, math.nan), None),
+    ("eta_kernel", lambda model, a, b, c: (math.nan,) * 3, None),
     # det G is exactly 0 past the plane, so every stage there is singular
-    ("metric", lambda model, theta: ZERO_METRIC, "singular"),
+    ("metric_kernel", lambda model, a, b, c: (0.0,) * 4, "singular"),
 ], ids=["narrow-domain", "nan-eta", "singular-metric"])
-def test_step_underflow_status_follows_the_failed_stage(model, method, past_plane, status):
-    wrapped = _PlaneModel(model, method, past_plane)
+def test_step_underflow_status_follows_the_failed_stage(model, hook, past_plane, status):
+    wrapped = _PlaneModel(model, hook, past_plane)
     if status is None:
         with pytest.raises(StepFailureError, match="step size underflow"):
             integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
@@ -332,7 +351,8 @@ def test_step_underflow_status_follows_the_failed_stage(model, method, past_plan
 def test_step_underflow_after_error_test_rejections_raises(model):
     # eta jumps by a factor 1e6 past the plane: every step that reaches the
     # plane fails the error test, down to the smallest step size
-    wrapped = _PlaneModel(model, "eta", lambda inner, theta: 1e6 * inner.eta(theta))
+    wrapped = _PlaneModel(model, "eta_kernel",
+                          lambda inner, a, b, c: tuple(1e6 * e for e in inner.eta_kernel(a, b, c)))
     with pytest.raises(StepFailureError, match="step size underflow"):
         integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
 
@@ -487,14 +507,14 @@ def test_integrate_matches_array_reference_near_the_edge(model):
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("method, past_plane", [
-    ("in_domain", lambda model, theta: False),
-    ("eta", lambda model, theta: np.full(3, math.nan)),
-    ("metric", lambda model, theta: ZERO_METRIC),
-    ("eta", lambda inner, theta: 1e6 * inner.eta(theta)),
+@pytest.mark.parametrize("hook, past_plane", [
+    ("metric_kernel", _past_the_plane),
+    ("eta_kernel", lambda model, a, b, c: (math.nan,) * 3),
+    ("metric_kernel", lambda model, a, b, c: (0.0,) * 4),
+    ("eta_kernel", lambda inner, a, b, c: tuple(1e6 * e for e in inner.eta_kernel(a, b, c))),
 ], ids=["narrow-domain", "nan-eta", "singular-metric", "eta-jump"])
-def test_integrate_matches_array_reference_on_plane_models(model, method, past_plane):
-    _assert_same_flow(_PlaneModel(model, method, past_plane), REFERENCE_STARTS[model], 1e-10)
+def test_integrate_matches_array_reference_on_plane_models(model, hook, past_plane):
+    _assert_same_flow(_PlaneModel(model, hook, past_plane), REFERENCE_STARTS[model], 1e-10)
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -507,61 +527,86 @@ def test_integrate_matches_array_reference_at_zero_tolerance(model):
         _assert_same_flow(model, REFERENCE_STARTS[model], 0.0, atol=0.0)
 
 
+@pytest.mark.parametrize("name", FUZZ_MODELS)
+def test_rhs_matches_array_reference_on_fuzz_points(name):
+    # the reference raises DomainError where its velocity is not finite, as
+    # rhs does; every other outcome is compared bit for bit
+    model = FUZZ_MODELS[name]
+
+    def reference(model, theta):
+        return check_finite(_reference_rhs(model, theta), "flow velocity", theta)
+
+    with np.errstate(all="ignore"):
+        for theta in fuzz_points(name):
+            assert _outcome(rhs, model, theta) == _outcome(reference, model, theta), theta
+
+
+@pytest.mark.parametrize("name", FUZZ_MODELS)
+def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
+    # eta raises DomainError where its kernel's floats are not finite;
+    # metric passes its kernel's floats on as they are
+    model = FUZZ_MODELS[name]
+    for theta in fuzz_points(name):
+        if not model.in_domain(theta):
+            continue
+        try:
+            eta = np.array(model.eta_kernel(*theta))
+            eta = eta.tobytes() if np.isfinite(eta).all() else DomainError
+        except BetaflowError as exc:
+            eta = type(exc)
+        assert _outcome(lambda m, p: m.eta(p), model, theta) == eta, theta
+        try:
+            d1, d2, d3, o = model.metric_kernel(*theta)
+            metric = np.array([d1, d2, d3, o, o, o]).tobytes()
+        except BetaflowError as exc:
+            metric = type(exc)
+        assert _outcome(lambda m, p: m.metric(p), model, theta) == metric, theta
+
+
 # --- Model calls per flow ---------------------------------------------------
 
-class _CountingModel:
-    """Forwards the model interface to ``model`` and counts the calls the
-    flow makes into it."""
+class _CountingModel(_HookModel):
+    """Counts the calls into the domain check and the two hooks."""
 
     def __init__(self, model):
-        self._model = model
-        self.name = model.name
-        self.calls = dict.fromkeys(("check_domain", "in_domain", "in_domain_true",
-                                    "eta", "metric"), 0)
-
-    def __getattr__(self, attr):
-        return getattr(self._model, attr)
+        super().__init__(model)
+        self.calls = dict.fromkeys(("check_domain", "eta_kernel", "metric_kernel"), 0)
 
     def check_domain(self, theta):
         self.calls["check_domain"] += 1
-        return self._model.check_domain(theta)
+        return super().check_domain(theta)
 
-    def in_domain(self, theta):
-        self.calls["in_domain"] += 1
-        inside = self._model.in_domain(theta)
-        self.calls["in_domain_true"] += inside
-        return inside
+    def eta_kernel(self, a, b, c):
+        self.calls["eta_kernel"] += 1
+        return self._model.eta_kernel(a, b, c)
 
-    def eta(self, theta):
-        self.calls["eta"] += 1
-        return self._model.eta(theta)
-
-    def metric(self, theta):
-        self.calls["metric"] += 1
-        return self._model.metric(theta)
+    def metric_kernel(self, a, b, c):
+        self.calls["metric_kernel"] += 1
+        return self._model.metric_kernel(a, b, c)
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
-    # a short flow that completes: every step runs all six new stages
+    # a short flow that completes: every step runs all six new stages; the
+    # domain is checked once for the start and once in each of the start
+    # sample's eta and metric, never per stage
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 0.05, rtol=1e-10, atol=1e-12)
     assert traj.status == "completed"
     n_rhs = 1 + 6 * (traj.n_accepted + traj.n_rejected)
-    assert counting.calls == {"check_domain": 1, "in_domain": n_rhs,
-                              "in_domain_true": n_rhs, "eta": n_rhs + 1,
-                              "metric": n_rhs + 1}
+    assert counting.calls == {"check_domain": 3, "eta_kernel": n_rhs + 1,
+                              "metric_kernel": n_rhs + 1}
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_diagnostics_reuse_the_last_stage(model):
     # the reference flows stop at the det guard; each in-domain rhs calls
-    # metric and eta once, and the diagnostics add only the start sample's
+    # both hooks once, and the diagnostics add only the start sample's
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
     assert traj.status == "singular"
-    n_rhs = counting.calls["in_domain_true"]
-    assert counting.calls["eta"] == counting.calls["metric"] == n_rhs + 1
+    n_rhs = counting.calls["metric_kernel"] - 1
+    assert counting.calls["eta_kernel"] == n_rhs + 1
     assert n_rhs >= 6 * traj.n_accepted
 
 

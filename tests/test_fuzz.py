@@ -5,7 +5,8 @@ turned into errors, the CLI exits 0, 2 or 3 (and 1 only for a failed
 oracle.
 
 Points are theta = lower + 10^U per coordinate, drawn by Philox: U over
-[-300, 300], which reaches both ends of the float range, and over [-3, 3];
+[-300, 300], which reaches both ends of the float range, over [-3, 3], and
+over [307, log10 of the largest float], where sums of coordinates overflow;
 the exact draw adds (1.7e308, 1, 1), where ln Gamma(a) overflows.
 Targets are eta of those points plus signed 10^U draws.  Defects the draw
 finds are marked ``xfail(strict=True)`` and named in CHANGES.md, never
@@ -13,6 +14,7 @@ filtered out of the draw.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,13 +29,16 @@ from conftest import rounding_floor_ratio
 
 MODELS = {"exact": bf.EXACT_MODEL, "stirling": bf.STIRLING_MODEL}
 N_PER_BAND = 100
+# log10 of the largest float
+TOP = math.log10(sys.float_info.max)
 
 
 def _points(name):
     model = MODELS[name]
     rng = np.random.Generator(np.random.Philox(61 if name == "exact" else 67))
     exponents = np.concatenate([rng.uniform(-300.0, 300.0, (N_PER_BAND, 3)),
-                                rng.uniform(-3.0, 3.0, (N_PER_BAND, 3))])
+                                rng.uniform(-3.0, 3.0, (N_PER_BAND, 3)),
+                                rng.uniform(307.0, TOP, (N_PER_BAND, 3))])
     extra = [(1.7e308, 1.0, 1.0)] if name == "exact" else []
     return [tuple(p) for p in (model.lower + 10.0 ** exponents).tolist()] + extra
 
@@ -150,7 +155,7 @@ def test_invert_eta_of_a_drawn_point_ends_at_the_floor(name):
 def test_invert_eta_from_a_tiny_guess_ends_at_the_floor():
     # guesses of 10^[-120, -40] per coordinate often overflow det G while its
     # cofactors stay finite
-    targets = [bf.EXACT_MODEL.eta(p) for p in _points("exact")[N_PER_BAND:]]
+    targets = [bf.EXACT_MODEL.eta(p) for p in _points("exact")[N_PER_BAND:2 * N_PER_BAND]]
     rng = np.random.Generator(np.random.Philox(73))
     guesses = [tuple(g) for g in (10.0 ** rng.uniform(-120.0, -40.0, (N_PER_BAND, 3))).tolist()]
     _assert_inversions_end_at_the_floor(bf.EXACT_MODEL, targets, guesses)

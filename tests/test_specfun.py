@@ -102,3 +102,51 @@ def test_overflow_at_tiny_arguments_is_domain_error(func, x):
 def test_tiny_arguments_with_finite_results():
     assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-15)
     assert trigamma(1e-150) == pytest.approx(1e300, rel=1e-15)
+
+
+# The series in loop form, as digamma and trigamma evaluated them before
+# their Horner loops were unrolled; the unrolled forms must match it bit
+# for bit and raise exactly where it raises.
+_DIGAMMA_COEF = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+                 -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0, 43867.0 / 14364.0)
+_TRIGAMMA_COEF = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+                  -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0)
+
+
+def _loop_series(x, trigamma_series):
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0 or (trigamma_series and x * x == 0.0):
+        raise DomainError(f"bad argument {x!r}")
+    shift = 0.0
+    while x < 8.0:
+        shift += 1.0 / (x * x) if trigamma_series else 1.0 / x
+        x += 1.0
+    u = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_TRIGAMMA_COEF if trigamma_series else _DIGAMMA_COEF):
+        tail = (tail + c) * u
+    if trigamma_series:
+        value = 1.0 / x + 0.5 * u + tail / x + shift
+    else:
+        value = math.log(x) - 0.5 / x - tail - shift
+    if not math.isfinite(value):
+        raise DomainError(f"overflow at {x!r}")
+    return value
+
+
+def _bits(func, x):
+    try:
+        return func(x).hex()
+    except DomainError:
+        return "DomainError"
+
+
+@pytest.mark.parametrize("func, trigamma_series", [(digamma, False), (trigamma, True)],
+                         ids=["digamma", "trigamma"])
+def test_unrolled_series_match_the_loop_bit_for_bit(func, trigamma_series):
+    rng = np.random.Generator(np.random.Philox(97))
+    xs = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 20_000),
+                         rng.uniform(0.3, 24.0, 20_000)]).tolist()
+    xs += [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-300, 1e-160, 7.999999999999999, 8.0]
+    for x in xs:
+        assert _bits(func, x) == _bits(lambda y: _loop_series(y, trigamma_series), x), x

@@ -164,6 +164,13 @@ def test_dual_potential_spot():
     assert abs(value - 1.6425960226263955) <= 1e-12
 
 
+def test_dual_potential_where_2_times_a_minus_1_overflows():
+    # a / (2 (a-1)) is 1/2 and ln(s-1) - ln(a-1) rounds to 0, so the value
+    # is -5/2 - k
+    value = STIRLING_MODEL.dual_potential((1.7e308, 2.0, 2.0))
+    assert abs(value - (-2.5 - K)) <= 1e-14
+
+
 def test_classify_domain_examples():
     cls = STIRLING_MODEL.classify_domain((5.0, 1.5, 1.5))
     assert cls.label is DomainLabel.ON_D and cls.distance == 0.0
