@@ -23,7 +23,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import invariant_columns
-from .manifold import as_point, check_finite, det3, inside, solve3, solve_det
+from .manifold import as_point, check_finite, det3, inside, solve_det
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -232,37 +232,38 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     full step below sqrt(eps)|theta_i| = 2^-26 |theta_i| in every coordinate
     no longer lowers that residual, the better of the two iterates."""
     target = as_point(target, "target")
-    if guess is not None:
-        theta = model.check_domain(guess)
-    else:
-        theta = model.inversion_start(target)
+    t0, t1, t2 = target.tolist()
+    start = model.inversion_start(target) if guess is None else guess
+    # the one domain check; every backtracked step below stays inside
+    theta = model.check_domain(start).tolist()
     floor = None  # (theta, residual) before a full step below 2^-26 |theta|
     for _ in range(_NEWTON_MAX_ITER):
-        residual = model.eta(theta) - target
-        size = float(np.max(np.abs(residual)))
+        e0, e1, e2 = check_finite(model.eta_kernel(*theta), "eta", theta)
+        r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
+        size = max(abs(r0), abs(r1), abs(r2))
         if size <= _NEWTON_TOL:
-            return theta
+            return np.array(theta)
         if floor is not None and not size < floor[1]:
-            return floor[0]
+            return np.array(floor[0])
         try:
-            step = np.array(solve3(model.metric(theta), -residual))
+            d1, d2, d3, o = model.metric_kernel(*theta)
+            s0, s1, s2 = solve_det(d1, d2, d3, o, o, o, -r0, -r1, -r2)[1:]
         except SingularMatrixError as exc:
-            raise NoConvergenceError(
-                f"Newton Jacobian is singular at {theta.tolist()}"
-            ) from exc
+            raise NoConvergenceError(f"Newton Jacobian is singular at {theta}") from exc
         # An infinite det G (its products overflow) solves to a zero step.
-        if not step.any():
-            raise NoConvergenceError(f"Newton step is zero at {theta.tolist()}")
+        if not (s0 or s1 or s2):
+            raise NoConvergenceError(f"Newton step is zero at {theta}")
+        a, b, c = theta
         lam = 1.0
-        while not model.in_domain(theta + lam * step):
+        while not inside(model.lower, a + lam * s0, b + lam * s1, c + lam * s2):
             lam *= 0.5
             if lam < 2.0 ** -60:
-                raise NoConvergenceError(
-                    f"backtracking stalled at {theta.tolist()}"
-                )
-        small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * np.abs(theta)).all()
+                raise NoConvergenceError(f"backtracking stalled at {theta}")
+        tiny = 2.0 ** -26
+        small = (lam == 1.0 and abs(s0) <= tiny * abs(a) and abs(s1) <= tiny * abs(b)
+                 and abs(s2) <= tiny * abs(c))
         floor = (theta, size) if small else None
-        theta = theta + lam * step
+        theta = [a + lam * s0, b + lam * s1, c + lam * s2]
     raise NoConvergenceError(
         f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps"
     )

@@ -69,11 +69,8 @@ class Model:
     def eta(self, theta) -> np.ndarray:
         """eta at a point of the domain; DomainError where it is not finite
         (a coordinate sum overflowed)."""
-        a, b, c = self.check_domain(theta).tolist()
-        eta = self.eta_kernel(a, b, c)
-        if not (math.isfinite(eta[0]) and math.isfinite(eta[1]) and math.isfinite(eta[2])):
-            raise DomainError(f"eta is not finite at {[a, b, c]}")
-        return np.array(eta)
+        theta = self.check_domain(theta).tolist()
+        return np.array(check_finite(self.eta_kernel(*theta), "eta", theta))
 
     def metric(self, theta) -> Metric3:
         d1, d2, d3, o = self.metric_kernel(*self.check_domain(theta).tolist())
@@ -128,10 +125,15 @@ class Metric3:
 
 
 def check_finite(value, what: str, theta):
-    """``value``, a float or an array, or DomainError where any of it is
-    infinite or NaN: a product it is made of overflowed, or a 0/0."""
+    """``value``, a float, a tuple of floats or an array, or DomainError where
+    any of it is infinite or NaN: a product it is made of overflowed, or a 0/0."""
     # math.isfinite takes a float in a tenth of np.isfinite's time
-    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if isinstance(value, float):
+        finite = math.isfinite(value)
+    elif isinstance(value, tuple):
+        finite = all(map(math.isfinite, value))
+    else:
+        finite = np.isfinite(value).all()
     if not finite:
         raise DomainError(f"{what} is not finite at {np.asarray(theta).tolist()}")
     return value
@@ -152,16 +154,10 @@ def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     return Metric3(*_inverse(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23, tol)[1:])
 
 
-def solve3(m: Metric3, v) -> tuple[float, float, float]:
-    """m^{-1} v, rounded exactly as ``invert3(m, tol=0.0).matvec(v)``: singular
-    only where det is exactly 0."""
-    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
-    return solve_det(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23, v0, v1, v2)[1:]
-
-
 def solve_det(d1, d2, d3, o12, o13, o23, v0, v1, v2) -> tuple[float, ...]:
-    """``solve3`` on the six entries of m and three floats of v, with det m
-    first: (det, x0, x1, x2)."""
+    """m^{-1} v on the six entries of m and three floats of v, with det m
+    first: (det, x0, x1, x2).  Rounded exactly as
+    ``invert3(m, tol=0.0).matvec(v)``: singular only where det is exactly 0."""
     det, i1, i2, i3, i12, i13, i23 = _inverse(d1, d2, d3, o12, o13, o23, 0.0)
     return (
         det,

@@ -32,6 +32,9 @@ _LN_2 = math.log(2.0)
 # Minimum of ln(u) + 1/(2u) over u > 0, attained at u = 1/2.
 _PHI_MIN = 1.0 - _LN_2
 
+# |F| / sigma below which ``_refine`` takes F(sigma) as zero: 8 eps.
+_F_FLOOR = 8.0 * 2.0 ** -52
+
 
 def _den(a: float, b: float, c: float) -> float:
     return (
@@ -78,6 +81,16 @@ class StirlingModel(Model):
                + (0.5 - c) * math.log(c - 1.0))
             + self.k
         )
+        if not math.isfinite(value):
+            # (s - 1/2) ln(s-1) and (1/2 - a) ln(a-1) overflow apart; for the
+            # largest coordinate a their sum is
+            # (s - 1/2) ln((s-1)/(a-1)) + (b + c) ln(a-1)
+            a, b, c = sorted((a, b, c), reverse=True)
+            value = (
+                (s - 0.5) * math.log1p((b + c) / (a - 1.0)) + (b + c) * math.log(a - 1.0)
+                + ((0.5 - b) * math.log(b - 1.0) + (0.5 - c) * math.log(c - 1.0))
+                + self.k
+            )
         return check_finite(value, "potential", theta)
 
     def eta_kernel(self, a, b, c):
@@ -269,11 +282,15 @@ def _root_free(p, q, low, high) -> bool:
 def _refine(at, p, q):
     """The root of F between p and q, where F is monotone and changes sign:
     Newton's method on F' = d0 + d1, bisecting whenever a step leaves the
-    bracket."""
-    if q[1] == 0.0:
-        return q
+    bracket.  It returns the first point where |F| <= 8 eps sigma, F's
+    rounding floor: F = 2 - sigma + sum_i u_i is summed from terms as large
+    as sigma, so below a few ulps of sigma its sign is rounding noise, and a
+    Newton step taken there bounces about the root and can fall out of the
+    bracket into a long bisection."""
     x = p if abs(p[1]) < abs(q[1]) else q
     for _ in range(100):
+        if abs(x[1]) <= _F_FLOOR * x[0]:
+            return x
         slope = x[2] + x[3]
         sigma = x[0] - x[1] / slope if slope else math.nan
         if not p[0] < sigma < q[0]:
@@ -281,7 +298,7 @@ def _refine(at, p, q):
             if not p[0] < sigma < q[0]:
                 break
         y = at(sigma)
-        if y[1] == 0.0 or abs(sigma - x[0]) <= 4e-16 * sigma:
+        if abs(sigma - x[0]) <= 4e-16 * sigma:
             return y
         if (y[1] < 0.0) == (p[1] < 0.0):
             p = y

@@ -34,7 +34,8 @@ from betaflow import (
 from betaflow.flow import _A, _E
 from betaflow.manifold import Model, check_finite
 from conftest import linearization_residual, rounding_floor_ratio
-from test_fuzz import MODELS as FUZZ_MODELS, _points as fuzz_points
+from test_fuzz import MODELS as FUZZ_MODELS, _points as fuzz_points, _targets as fuzz_targets
+from test_fuzz import _tiny_guesses
 
 
 def test_rhs_stirling_spot():
@@ -561,6 +562,79 @@ def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
         except BetaflowError as exc:
             metric = type(exc)
         assert _outcome(lambda m, p: m.metric(p), model, theta) == metric, theta
+
+
+# --- Equality oracle: the Newton inversion on floats against numpy arrays ---
+
+def _reference_invert_eta(model, target, guess=None):
+    """The Newton loop on numpy arrays, every residual and Jacobian taken
+    through the checked ``eta`` and ``metric``; ``invert_eta`` must match it
+    bit for bit, and raise the same error with the same message."""
+    target = as_point(target, "target")
+    if guess is not None:
+        theta = model.check_domain(guess)
+    else:
+        theta = model.inversion_start(target)
+    floor = None
+    for _ in range(betaflow.flow._NEWTON_MAX_ITER):
+        residual = model.eta(theta) - target
+        size = float(np.max(np.abs(residual)))
+        if size <= 1e-12:
+            return theta
+        if floor is not None and not size < floor[1]:
+            return floor[0]
+        try:
+            step = invert3(model.metric(theta), tol=0.0).matvec(-residual)
+        except SingularMatrixError as exc:
+            raise NoConvergenceError(
+                f"Newton Jacobian is singular at {theta.tolist()}"
+            ) from exc
+        if not step.any():
+            raise NoConvergenceError(f"Newton step is zero at {theta.tolist()}")
+        lam = 1.0
+        while not model.in_domain(theta + lam * step):
+            lam *= 0.5
+            if lam < 2.0 ** -60:
+                raise NoConvergenceError(f"backtracking stalled at {theta.tolist()}")
+        small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * np.abs(theta)).all()
+        floor = (theta, size) if small else None
+        theta = theta + lam * step
+    raise NoConvergenceError(
+        f"eta inversion did not converge in {betaflow.flow._NEWTON_MAX_ITER} steps"
+    )
+
+
+def _inversion_outcome(invert, model, target, guess):
+    """The result's bytes, or the type and message of the error raised."""
+    try:
+        return np.asarray(invert(model, target, guess)).tobytes()
+    except BetaflowError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_inversions(model, targets, guesses):
+    for target, guess in zip(targets, guesses):
+        want = _inversion_outcome(_reference_invert_eta, model, target, guess)
+        assert _inversion_outcome(invert_eta, model, target, guess) == want, (target, guess)
+
+
+def test_invert_eta_matches_array_reference_on_seeded_targets():
+    # theta -> eta -> invert_eta, one exact point of (0, 6]^3 to four
+    # Stirling points of (1, 6]^3
+    rng = np.random.Generator(np.random.Philox(79))
+    for model, n in ((EXACT_MODEL, 150), (STIRLING_MODEL, 600)):
+        targets = [model.eta(p) for p in rng.uniform(model.lower, 6.0, (n, 3))]
+        _assert_same_inversions(model, targets, [None] * n)
+
+
+@pytest.mark.parametrize("name", FUZZ_MODELS)
+def test_invert_eta_matches_array_reference_on_fuzz_targets(name):
+    targets = fuzz_targets(name)
+    _assert_same_inversions(FUZZ_MODELS[name], targets, [None] * len(targets))
+
+
+def test_invert_eta_matches_array_reference_from_tiny_guesses():
+    _assert_same_inversions(EXACT_MODEL, *_tiny_guesses())
 
 
 # --- Model calls per flow ---------------------------------------------------

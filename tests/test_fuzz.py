@@ -152,13 +152,18 @@ def test_invert_eta_of_a_drawn_point_ends_at_the_floor(name):
     _assert_inversions_end_at_the_floor(model, targets, [None] * len(targets))
 
 
-def test_invert_eta_from_a_tiny_guess_ends_at_the_floor():
-    # guesses of 10^[-120, -40] per coordinate often overflow det G while its
-    # cofactors stay finite
+def _tiny_guesses():
+    """Exact targets of the [-3, 3] band, each with a guess of 10^[-120, -40]
+    per coordinate; such guesses often overflow det G while its cofactors
+    stay finite."""
     targets = [bf.EXACT_MODEL.eta(p) for p in _points("exact")[N_PER_BAND:2 * N_PER_BAND]]
     rng = np.random.Generator(np.random.Philox(73))
     guesses = [tuple(g) for g in (10.0 ** rng.uniform(-120.0, -40.0, (N_PER_BAND, 3))).tolist()]
-    _assert_inversions_end_at_the_floor(bf.EXACT_MODEL, targets, guesses)
+    return targets, guesses
+
+
+def test_invert_eta_from_a_tiny_guess_ends_at_the_floor():
+    _assert_inversions_end_at_the_floor(bf.EXACT_MODEL, *_tiny_guesses())
 
 
 @pytest.mark.parametrize("name", MODELS)

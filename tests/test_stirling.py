@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from betaflow import (
     det3,
     invert3,
 )
+import betaflow.stirling
 from betaflow.stirling import _PHI_MIN, _preimages, _solve_u
 from conftest import rounding_floor_ratio
 
@@ -46,6 +49,21 @@ def test_eta_spots():
         math.log(8.0 / 3.0) - 1.0 / 6.0,
     ]
     assert np.max(np.abs(e - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [
+    (1.7e308, 2.0, 2.0), (2.0, 1.7e308, 2.0), (2.0, 2.5, 1.7e308),
+    (1e306, 3.0, 1.5), (2.7e305, 2.0, 2.0), (1.7e308, 1.0000001, 1.5),
+])
+def test_potential_where_its_largest_terms_overflow(theta):
+    # (s - 1/2) ln(s-1) and (1/2 - a) ln(a-1) each leave the float range;
+    # the sum of all terms, taken with every digit of s, does not
+    with mpmath.workdps(700):
+        a, b, c = map(mpmath.mpf, theta)
+        s = a + b + c
+        want = ((s - 0.5) * mpmath.log(s - 1)
+                + sum((0.5 - x) * mpmath.log(x - 1) for x in (a, b, c)) + K)
+        assert abs(STIRLING_MODEL.potential(theta) - want) <= 1e-15 * abs(want)
 
 
 def test_metric_spots():
@@ -229,6 +247,42 @@ def test_inversion_start_overflow_is_domain_error():
     # the lower bound exp(800 + 1 - ln 2) of sigma exceeds the float range
     with pytest.raises(DomainError, match="overflows"):
         invert_eta(STIRLING_MODEL, (800.0, 0.0, 0.0))
+
+
+def test_refine_stops_at_the_rounding_floor_of_f(monkeypatch):
+    # Each _refine gets an `at` that counts its evaluations.  A refine that
+    # kept stepping below F's rounding noise took up to 62 of them on this
+    # draw, most in a bisection after a step left the bracket.
+    calls, roots = [], []
+    refine = betaflow.stirling._refine
+
+    def counted(at, p, q):
+        n = [0]
+
+        def counting(sigma):
+            n[0] += 1
+            return at(sigma)
+
+        root = refine(counting, p, q)
+        calls.append(n[0])
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(betaflow.stirling, "_refine", counted)
+    rng = np.random.Generator(np.random.Philox(101))
+    points = np.concatenate([1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (400, 3)),
+                             rng.uniform(1.0, 6.0, (400, 3))])
+    eps = sys.float_info.epsilon
+    for theta in points:
+        start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
+        if theta.min() >= 1.5 and den(*theta) < 0.0:
+            # every alpha_i >= 3/2 and den < 0: the sheet the start takes first
+            assert np.max(np.abs(start - theta)) <= 1e-9 * np.max(theta), theta
+    assert len(calls) >= len(points) and max(calls) <= 24
+    for sigma, f, d0, d1, _ in roots:
+        # F sums terms as large as sigma, and where |F'| > 1 the slope of the
+        # u_i(sigma) scales the rounding of ln(sigma) in them
+        assert abs(f) <= 8.0 * eps * sigma * max(1.0, abs(d0 + d1)), (sigma, f)
 
 
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
