@@ -43,6 +43,11 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The entries as names for the written-out step, whose sums keep the zero
+# entries of the last row and of _E.
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 @dataclass
@@ -88,7 +93,7 @@ def _velocity(model, a, b, c):
         raise DomainError(f"{[a, b, c]!r} lies outside the {model.name} domain")
     d1, d2, d3, o = model.metric_kernel(a, b, c)
     eta = model.eta_kernel(a, b, c)
-    det, v0, v1, v2 = solve_det(d1, d2, d3, o, o, o, *eta)
+    det, v0, v1, v2 = solve_det(d1, d2, d3, o, *eta)
     return (-v0, -v1, -v2), eta, det
 
 
@@ -101,13 +106,19 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
               atol: float = 1e-12, max_step: float | None = None) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) solution of the gradient flow.
 
-    Each accepted step records t, theta, eta and det G; the ``hamiltonian``
-    and ``lax_dev`` columns follow from the eta column after the loop.
-    Stops early with status "singular" when |det G| < 1e-12 at an
-    accepted sample or when step-size collapse is driven by metric
-    degeneracy, and with status "left_domain" when it is driven by the
-    domain boundary; raises StepFailureError when the step size underflows
-    for plain accuracy reasons or at non-finite stage points, and
+    Each step is written out on floats: its six new stage points and its
+    error estimate are sums over the Dormand-Prince tableau, added left to
+    right in the tableau's order, zero entries included.  Each accepted
+    step records t, theta, eta and det G; the ``hamiltonian`` and
+    ``lax_dev`` columns follow from the eta column after the loop.
+
+    Stops early with status "singular" when |det G| < 1e-12 at an accepted
+    sample.  When the step size underflows, the last rejected step decides:
+    "singular" if a stage met a metric whose det is exactly 0, "left_domain"
+    if a finite stage point left the domain, and StepFailureError if the
+    step failed the error test or a stage point was not finite.  A Stirling
+    flow that runs into the degeneracy surface V (den = 0) ends in that
+    error: there every step fails the error test.  Raises
     SingularMatrixError when det G at the start is below 1e-12 or not finite.
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
@@ -147,23 +158,67 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 status = underflow_status
                 break
             failed, shrink = None, 0.5
-            k = [k1]
+            y0, y1, y2 = y
+            k10, k11, k12 = k1
+            # Each sum adds its terms left to right in its row's order, as a
+            # loop from 0.0 does; starting at the first term changes only the
+            # sign of a zero sum, which y + h * sum (y != 0 in the domain)
+            # and the squared error terms do not keep.
             try:
-                for row in _A[1:]:
-                    s0, s1, s2 = _weighted(row, k)
-                    y_new = [y[0] + h * s0, y[1] + h * s1, y[2] + h * s2]
-                    velocity, eta, det = _velocity(model, *y_new)
-                    k.append(velocity)
+                y_new = [y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12)]
+                k20, k21, k22 = _velocity(model, *y_new)[0]
+                y_new = [y0 + h * (_A31 * k10 + _A32 * k20),
+                         y1 + h * (_A31 * k11 + _A32 * k21),
+                         y2 + h * (_A31 * k12 + _A32 * k22)]
+                k30, k31, k32 = _velocity(model, *y_new)[0]
+                y_new = [y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
+                         y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+                         y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)]
+                k40, k41, k42 = _velocity(model, *y_new)[0]
+                y_new = [y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
+                         y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+                         y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)]
+                k50, k51, k52 = _velocity(model, *y_new)[0]
+                y_new = [y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
+                                   + _A65 * k50),
+                         y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                                   + _A65 * k51),
+                         y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
+                                   + _A65 * k52)]
+                k60, k61, k62 = _velocity(model, *y_new)[0]
+                # The last stage point is the step result.
+                y_new = [y0 + h * (_A71 * k10 + _A72 * k20 + _A73 * k30 + _A74 * k40
+                                   + _A75 * k50 + _A76 * k60),
+                         y1 + h * (_A71 * k11 + _A72 * k21 + _A73 * k31 + _A74 * k41
+                                   + _A75 * k51 + _A76 * k61),
+                         y2 + h * (_A71 * k12 + _A72 * k22 + _A73 * k32 + _A74 * k42
+                                   + _A75 * k52 + _A76 * k62)]
+                k7, eta, det = _velocity(model, *y_new)
             except DomainError:
                 # A non-finite stage point is a plain step failure.
                 failed = "left_domain" if all(map(math.isfinite, y_new)) else None
             except SingularMatrixError:
                 failed = "singular"
             else:
-                # The last stage point is the step result y_new.
-                err_vec = [h * e for e in _weighted(_E, k)]
-                if all(map(math.isfinite, y_new + err_vec)):
-                    err = _error_norm(err_vec, y, y_new, rtol, atol)
+                k70, k71, k72 = k7
+                e0 = h * (_E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40 + _E5 * k50
+                          + _E6 * k60 + _E7 * k70)
+                e1 = h * (_E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41 + _E5 * k51
+                          + _E6 * k61 + _E7 * k71)
+                e2 = h * (_E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42 + _E5 * k52
+                          + _E6 * k62 + _E7 * k72)
+                # y_new passed the domain rule, so it is finite.
+                if math.isfinite(e0) and math.isfinite(e1) and math.isfinite(e2):
+                    # RMS of e over atol + rtol * max(|y|, |y_new|); a zero
+                    # scale gives inf, or NaN for a zero error.
+                    n0, n1, n2 = y_new
+                    s0 = atol + rtol * max(abs(y0), abs(n0))
+                    s1 = atol + rtol * max(abs(y1), abs(n1))
+                    s2 = atol + rtol * max(abs(y2), abs(n2))
+                    q0 = e0 / s0 if s0 else e0 * math.inf
+                    q1 = e1 / s1 if s1 else e1 * math.inf
+                    q2 = e2 / s2 if s2 else e2 * math.inf
+                    err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
                     shrink = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else None
             if shrink is not None:
                 n_rejected += 1
@@ -172,11 +227,11 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 continue
             t += h
             y = y_new
-            k1 = k[6]
+            k1 = k7
             n_accepted += 1
             # The last stage evaluated eta and det G at y_new.
             samples.append((t, y_new, eta, det))
-            if abs(samples[-1][3]) < DET_GUARD:
+            if abs(det) < DET_GUARD:
                 status = "singular"
                 break
             if err == 0.0:
@@ -206,24 +261,6 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     )
 
 
-def _weighted(row, k) -> tuple[float, float, float]:
-    """sum(a * k_i) over the row per coordinate, added left to right."""
-    s0 = s1 = s2 = 0.0
-    for a, (k0, k1, k2) in zip(row, k):
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-    return s0, s1, s2
-
-
-def _error_norm(err_vec, y, y_new, rtol, atol) -> float:
-    """RMS of err_vec over atol + rtol * max(|y|, |y_new|).  A zero scale
-    (atol = 0 and rtol * |y| = 0) gives inf, or NaN for a zero error."""
-    scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-    q0, q1, q2 = (e / s if s else e * math.inf for e, s in zip(err_vec, scale))
-    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
-
-
 def invert_eta(model, target, guess=None) -> np.ndarray:
     """Newton inversion of the dual map from ``guess`` or else
     ``model.inversion_start(target)``, with the metric as the exact Jacobian
@@ -247,7 +284,7 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
             return np.array(floor[0])
         try:
             d1, d2, d3, o = model.metric_kernel(*theta)
-            s0, s1, s2 = solve_det(d1, d2, d3, o, o, o, -r0, -r1, -r2)[1:]
+            s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)[1:]
         except SingularMatrixError as exc:
             raise NoConvergenceError(f"Newton Jacobian is singular at {theta}") from exc
         # An infinite det G (its products overflow) solves to a zero step.

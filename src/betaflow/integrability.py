@@ -148,9 +148,10 @@ def invariant_columns(eta) -> tuple[np.ndarray, np.ndarray]:
     dev = np.full(ham.shape, math.nan)
     if lax_ok[0]:
         corner, zero = np.sqrt(r31), np.zeros_like(r31)
-        # each L flattened; a norm per row adds its squares as the scalar drift does
+        # each L flattened; sqrt of d.d per row is the ddot np.linalg.norm
+        # takes, as the scalar drift does
         L = np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)[lax_ok]
-        dev[lax_ok] = [np.linalg.norm(m - L[0]) for m in L]
+        dev[lax_ok] = [math.sqrt(d.dot(d)) for d in L - L[0]]
     return ham, dev
 
 

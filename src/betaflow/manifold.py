@@ -151,33 +151,36 @@ def invert3(m: Metric3, tol: float | None = None) -> Metric3:
     cube of the largest entry, is invariant under m -> s*m and is compared in
     units of a power of two near that cube, so it cannot overflow.
     """
-    return Metric3(*_inverse(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23, tol)[1:])
-
-
-def solve_det(d1, d2, d3, o12, o13, o23, v0, v1, v2) -> tuple[float, ...]:
-    """m^{-1} v on the six entries of m and three floats of v, with det m
-    first: (det, x0, x1, x2).  Rounded exactly as
-    ``invert3(m, tol=0.0).matvec(v)``: singular only where det is exactly 0."""
-    det, i1, i2, i3, i12, i13, i23 = _inverse(d1, d2, d3, o12, o13, o23, 0.0)
-    return (
-        det,
-        i1 * v0 + i12 * v1 + i13 * v2,
-        i12 * v0 + i2 * v1 + i23 * v2,
-        i13 * v0 + i23 * v1 + i3 * v2,
-    )
-
-
-def _inverse(d1, d2, d3, o12, o13, o23, tol: float | None) -> tuple[float, ...]:
-    """det m, then the six entries of m^{-1} in Metric3 field order."""
-    det, a1, a2, a3, a12, a13, a23 = _adjugate(d1, d2, d3, o12, o13, o23)
+    entries = (m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)
+    det, *adjugate = _adjugate(*entries)
     if tol is None:
-        mant, e = math.frexp(max(abs(d1), abs(d2), abs(d3), abs(o12), abs(o13), abs(o23)))
+        mant, e = math.frexp(max(map(abs, entries)))
         singular = abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3
     else:
         singular = abs(det) <= tol
     if singular:
         raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
-    return det, a1 / det, a2 / det, a3 / det, a12 / det, a13 / det, a23 / det
+    return Metric3(*(a / det for a in adjugate))
+
+
+def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
+    """m^{-1} v for the symmetric m with diagonal (d1, d2, d3) and the one
+    value o off the diagonal, as both models' metrics have, on three floats
+    of v, with det m first: (det, x0, x1, x2).  Rounded exactly as
+    ``invert3(m, tol=0.0).matvec(v)``, cofactors over det and then the
+    products: singular only where det is exactly 0."""
+    oo = o * o
+    ca, cb, cc = d2 * d3 - oo, oo - o * d3, oo - d2 * o
+    det = d1 * ca + o * cb + o * cc
+    if det == 0.0:
+        raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
+    i12, i13, i23 = cb / det, cc / det, (oo - d1 * o) / det
+    return (
+        det,
+        ca / det * v0 + i12 * v1 + i13 * v2,
+        i12 * v0 + (d1 * d3 - oo) / det * v1 + i23 * v2,
+        i13 * v0 + i23 * v1 + (d1 * d2 - oo) / det * v2,
+    )
 
 
 def _adjugate(d1, d2, d3, o12, o13, o23) -> tuple[float, ...]:

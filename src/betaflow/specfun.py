@@ -21,22 +21,11 @@ from .errors import DomainError
 _SHIFT = 8.0
 
 
-def _check_positive(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} requires a finite argument > 0, got {x!r}")
-    return x
-
-
-def _finite(value: float, name: str, x: float) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{name}({x!r}) overflows double precision")
-    return value
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function on x > 0."""
-    x = _check_positive(x, "log_gamma")
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma requires a finite argument > 0, got {x!r}")
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -45,7 +34,9 @@ def log_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function on x > 0."""
-    x0 = x = _check_positive(x, "digamma")
+    x0 = x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"digamma requires a finite argument > 0, got {x!r}")
     shift = 0.0
     while x < _SHIFT:
         shift += 1.0 / x
@@ -55,12 +46,17 @@ def digamma(x: float) -> float:
     tail = ((((((((43867.0 / 14364.0 * u - 3617.0 / 8160.0) * u + 1.0 / 12.0) * u
                 - 691.0 / 32760.0) * u + 1.0 / 132.0) * u - 1.0 / 240.0) * u
              + 1.0 / 252.0) * u - 1.0 / 120.0) * u + 1.0 / 12.0) * u
-    return _finite(math.log(x) - 0.5 / x - tail - shift, "digamma", x0)
+    value = math.log(x) - 0.5 / x - tail - shift
+    if not math.isfinite(value):
+        raise DomainError(f"digamma({x0!r}) overflows double precision")
+    return value
 
 
 def trigamma(x: float) -> float:
     """Derivative of the digamma function on x > 0."""
-    x0 = x = _check_positive(x, "trigamma")
+    x0 = x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"trigamma requires a finite argument > 0, got {x!r}")
     if x * x == 0.0:
         # 1/x^2 would divide by an underflowed zero.
         raise DomainError(f"trigamma({x0!r}) overflows double precision")
@@ -73,4 +69,7 @@ def trigamma(x: float) -> float:
     tail = ((((((((43867.0 / 798.0 * u - 3617.0 / 510.0) * u + 7.0 / 6.0) * u
                 - 691.0 / 2730.0) * u + 5.0 / 66.0) * u - 1.0 / 30.0) * u
              + 1.0 / 42.0) * u - 1.0 / 30.0) * u + 1.0 / 6.0) * u
-    return _finite(1.0 / x + 0.5 * u + tail / x + shift, "trigamma", x0)
+    value = 1.0 / x + 0.5 * u + tail / x + shift
+    if not math.isfinite(value):
+        raise DomainError(f"trigamma({x0!r}) overflows double precision")
+    return value

@@ -507,6 +507,18 @@ def test_integrate_matches_array_reference_near_the_edge(model):
         _assert_same_flow(model, start, 1e-6)
 
 
+@pytest.mark.parametrize("start", [
+    (2.20550570361822, 2.156186956067869, 2.1522011809246444),
+    (2.6073420654507053, 2.5819107642040646, 2.608277530409578),
+    (1.7436347280273594, 1.7266277918757336, 1.744260311149253),
+])
+def test_integrate_matches_array_reference_into_the_degeneracy_surface(start):
+    # Stirling flows that run into V (den = 0): every step near V fails the
+    # error test, and after some sixty rejections the step size underflows
+    # with StepFailureError, whose t and h must match to the last digit
+    _assert_same_flow(STIRLING_MODEL, start, 1e-10)
+
+
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 @pytest.mark.parametrize("hook, past_plane", [
     ("metric_kernel", _past_the_plane),

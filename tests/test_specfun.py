@@ -99,6 +99,38 @@ def test_overflow_at_tiny_arguments_is_domain_error(func, x):
         func(x)
 
 
+_NOT_POSITIVE = "{} requires a finite argument > 0, got {}"
+_OVERFLOWS = "{}({}) overflows double precision"
+
+
+@pytest.mark.parametrize("func", [log_gamma, digamma, trigamma], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x, shown", [
+    (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (np.float64(-1.0), "-1.0"), (0, "0.0"),
+])
+def test_domain_error_messages_quote_the_float_argument(func, x, shown):
+    with pytest.raises(DomainError) as err:
+        func(x)
+    assert str(err.value) == _NOT_POSITIVE.format(func.__name__, shown)
+
+
+@pytest.mark.parametrize("func, x, message", [
+    (log_gamma, 1.7e308, _OVERFLOWS.format("log_gamma", "1.7e+308")),
+    (trigamma, 1e-200, _OVERFLOWS.format("trigamma", "1e-200")),
+    (trigamma, 5e-324, _OVERFLOWS.format("trigamma", "5e-324")),
+    (digamma, 5e-324, _OVERFLOWS.format("digamma", "5e-324")),
+    (log_gamma, 1e-200, None), (log_gamma, 5e-324, None), (digamma, 1e-200, None),
+])
+def test_overflow_messages_quote_the_argument(func, x, message):
+    # None: the value is finite and no error is raised
+    if message is None:
+        assert math.isfinite(func(x))
+        return
+    with pytest.raises(DomainError) as err:
+        func(x)
+    assert str(err.value) == message
+
+
 def test_tiny_arguments_with_finite_results():
     assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-15)
     assert trigamma(1e-150) == pytest.approx(1e300, rel=1e-15)
