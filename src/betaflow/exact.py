@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite, det3
-from .specfun import digamma, log_gamma, trigamma
+from .specfun import _psi_pair, digamma, log_gamma
 
 
 class ExactModel(Model):
@@ -36,9 +36,14 @@ class ExactModel(Model):
         ps = digamma(a + b + c)
         return digamma(a) - ps, digamma(b) - ps, digamma(c) - ps
 
-    def metric_kernel(self, a, b, c):
-        o = -trigamma(a + b + c)
-        return trigamma(a) + o, trigamma(b) + o, trigamma(c) + o, o
+    def eta_metric_kernel(self, a, b, c):
+        # s first: where several arguments overflow, metric raises s's error
+        ps, ts = _psi_pair(a + b + c)
+        pa, ta = _psi_pair(a)
+        pb, tb = _psi_pair(b)
+        pc, tc = _psi_pair(c)
+        o = -ts
+        return pa - ps, pb - ps, pc - ps, ta + o, tb + o, tc + o, o
 
     def det_closed(self, theta) -> float:
         return check_finite(det3(self.metric(theta)), "det G", theta)

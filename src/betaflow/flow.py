@@ -83,18 +83,23 @@ def rhs(model, theta) -> np.ndarray:
     if not model.in_domain(theta):
         raise DomainError(f"{theta!r} lies outside the {model.name} domain")
     a, b, c = np.asarray(theta, dtype=float).tolist()
-    return check_finite(np.array(_velocity(model, a, b, c)[0]), "flow velocity", theta)
+    return check_finite(np.array(_stage(model)(a, b, c)[0]), "flow velocity", theta)
 
 
-def _velocity(model, a, b, c):
-    """The velocity of ``rhs`` at (a, b, c) as three floats, with the eta
-    and det G it used."""
-    if not inside(model.lower, a, b, c):
-        raise DomainError(f"{[a, b, c]!r} lies outside the {model.name} domain")
-    d1, d2, d3, o = model.metric_kernel(a, b, c)
-    eta = model.eta_kernel(a, b, c)
-    det, v0, v1, v2 = solve_det(d1, d2, d3, o, *eta)
-    return (-v0, -v1, -v2), eta, det
+def _stage(model):
+    """The velocity of ``rhs`` on three floats, bound to ``model``'s domain
+    and its ``eta_metric_kernel``: ``stage(a, b, c)`` returns the velocity
+    with the eta and det G it used, from one hook call."""
+    lower, kernel, name, inf = model.lower, model.eta_metric_kernel, model.name, math.inf
+
+    def stage(a, b, c):
+        if not (lower < a < inf and lower < b < inf and lower < c < inf):
+            raise DomainError(f"{[a, b, c]!r} lies outside the {name} domain")
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
+        return (-v0, -v1, -v2), (e0, e1, e2), det
+
+    return stage
 
 
 def eta_closed(eta0, t: float) -> np.ndarray:
@@ -138,8 +143,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     status = "completed"
 
     if t_end > 0.0:
+        stage = _stage(model)
         y = y.tolist()
-        k1 = _velocity(model, *y)[0]
+        k1 = stage(*y)[0]
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
         err_prev = None
@@ -166,26 +172,26 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             # and the squared error terms do not keep.
             try:
                 y_new = [y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12)]
-                k20, k21, k22 = _velocity(model, *y_new)[0]
+                k20, k21, k22 = stage(*y_new)[0]
                 y_new = [y0 + h * (_A31 * k10 + _A32 * k20),
                          y1 + h * (_A31 * k11 + _A32 * k21),
                          y2 + h * (_A31 * k12 + _A32 * k22)]
-                k30, k31, k32 = _velocity(model, *y_new)[0]
+                k30, k31, k32 = stage(*y_new)[0]
                 y_new = [y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
                          y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
                          y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)]
-                k40, k41, k42 = _velocity(model, *y_new)[0]
+                k40, k41, k42 = stage(*y_new)[0]
                 y_new = [y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
                          y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
                          y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)]
-                k50, k51, k52 = _velocity(model, *y_new)[0]
+                k50, k51, k52 = stage(*y_new)[0]
                 y_new = [y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
                                    + _A65 * k50),
                          y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
                                    + _A65 * k51),
                          y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
                                    + _A65 * k52)]
-                k60, k61, k62 = _velocity(model, *y_new)[0]
+                k60, k61, k62 = stage(*y_new)[0]
                 # The last stage point is the step result.
                 y_new = [y0 + h * (_A71 * k10 + _A72 * k20 + _A73 * k30 + _A74 * k40
                                    + _A75 * k50 + _A76 * k60),
@@ -193,7 +199,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                                    + _A75 * k51 + _A76 * k61),
                          y2 + h * (_A71 * k12 + _A72 * k22 + _A73 * k32 + _A74 * k42
                                    + _A75 * k52 + _A76 * k62)]
-                k7, eta, det = _velocity(model, *y_new)
+                k7, eta, det = stage(*y_new)
             except DomainError:
                 # A non-finite stage point is a plain step failure.
                 failed = "left_domain" if all(map(math.isfinite, y_new)) else None
@@ -274,16 +280,26 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     # the one domain check; every backtracked step below stays inside
     theta = model.check_domain(start).tolist()
     floor = None  # (theta, residual) before a full step below 2^-26 |theta|
+    kernel = model.eta_metric_kernel
     for _ in range(_NEWTON_MAX_ITER):
-        e0, e1, e2 = check_finite(model.eta_kernel(*theta), "eta", theta)
+        try:
+            e0, e1, e2, d1, d2, d3, o = kernel(*theta)
+            overflow = None
+        except DomainError as exc:
+            # The exact G overflows below about 1.5e-162, where eta is still
+            # finite: a point on target is returned, and eta's errors come
+            # before G's.
+            (e0, e1, e2), overflow = model.eta_kernel(*theta), exc
+        check_finite((e0, e1, e2), "eta", theta)
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
         size = max(abs(r0), abs(r1), abs(r2))
         if size <= _NEWTON_TOL:
             return np.array(theta)
         if floor is not None and not size < floor[1]:
             return np.array(floor[0])
+        if overflow is not None:
+            raise overflow
         try:
-            d1, d2, d3, o = model.metric_kernel(*theta)
             s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)[1:]
         except SingularMatrixError as exc:
             raise NoConvergenceError(f"Newton Jacobian is singular at {theta}") from exc

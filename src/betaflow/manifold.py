@@ -40,12 +40,16 @@ class Model:
     error message quotes, and provide two float hooks, which run on
     (a, b, c) already in the domain and do not check it again:
 
-    - ``eta_kernel(a, b, c)``: the dual coordinates as three floats;
-    - ``metric_kernel(a, b, c)``: ``(d1, d2, d3, o)``, the diagonal of G
-      and its one off-diagonal value.
+    - ``eta_kernel(a, b, c)``: the dual coordinates as three floats, for
+      ``eta``;
+    - ``eta_metric_kernel(a, b, c)``: ``(e0, e1, e2, d1, d2, d3, o)`` from
+      one pass over the point, the dual coordinates, the diagonal of G and
+      its one off-diagonal value, for ``metric``, the flow and the
+      inversion.
 
     A hook raises ``DomainError`` only where a special function it calls
-    overflows.
+    overflows.  The exact G overflows at tiny coordinates where eta is
+    still finite, so there the second hook raises and the first does not.
     """
 
     def in_domain(self, theta) -> bool:
@@ -73,7 +77,7 @@ class Model:
         return np.array(check_finite(self.eta_kernel(*theta), "eta", theta))
 
     def metric(self, theta) -> Metric3:
-        d1, d2, d3, o = self.metric_kernel(*self.check_domain(theta).tolist())
+        d1, d2, d3, o = self.eta_metric_kernel(*self.check_domain(theta).tolist())[3:]
         return Metric3(d1, d2, d3, o, o, o)
 
 

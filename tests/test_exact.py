@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from betaflow import EXACT_MODEL, DomainError, DomainLabel, det3
+from betaflow import EXACT_MODEL, BetaflowError, DomainError, DomainLabel, det3, trigamma
+from betaflow.manifold import Metric3, check_finite
+from test_fuzz import _points as fuzz_points
 
 mpmath.mp.dps = 40
 
@@ -214,3 +216,34 @@ def test_classify_domain_never_raises_on_points():
     cls = EXACT_MODEL.classify_domain((-0.5, 2.0, 2.0))
     assert cls.label is DomainLabel.OUTSIDE and cls.distance == 0.5
     assert EXACT_MODEL.classify_domain((0.0, 1.0, 1.0)).label is DomainLabel.OUTSIDE
+
+
+def _trigamma_metric(theta):
+    """G = diag trigamma(alpha_i) - trigamma(s) from five trigamma calls."""
+    a, b, c = EXACT_MODEL.check_domain(theta).tolist()
+    o = -trigamma(a + b + c)
+    return Metric3(trigamma(a) + o, trigamma(b) + o, trigamma(c) + o, o, o, o)
+
+
+def _bits_or_error(func, theta):
+    try:
+        value = func(theta)
+    except BetaflowError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Metric3):
+        value = [value.d1, value.d2, value.d3, value.o12, value.o13, value.o23]
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_metric_and_det_closed_match_the_trigamma_formulas_on_fuzz_points():
+    # metric and det_closed take G from the digamma-and-trigamma pairs of
+    # eta_metric_kernel: the same bits as from trigamma alone, or the same
+    # error and message
+    def det_formula(theta):
+        return check_finite(det3(_trigamma_metric(theta)), "det G", theta)
+
+    for theta in fuzz_points("exact"):
+        assert (_bits_or_error(EXACT_MODEL.metric, theta)
+                == _bits_or_error(_trigamma_metric, theta)), theta
+        assert (_bits_or_error(EXACT_MODEL.det_closed, theta)
+                == _bits_or_error(det_formula, theta)), theta

@@ -294,47 +294,54 @@ class _HookModel(Model):
 
 
 class _PlaneModel(_HookModel):
-    """Replaces one hook past the plane a = PLANE, which both reference
-    flows cross before t = 0.2."""
+    """Replaces the eta part or the G part of ``eta_metric_kernel`` past the
+    plane a = PLANE, which both reference flows cross before t = 0.2."""
 
     PLANE = 3.0
 
-    def __init__(self, model, hook, past_plane):
+    def __init__(self, model, part, past_plane):
         super().__init__(model)
-        inner = getattr(model, hook)
+        inner = model.eta_metric_kernel
 
         def replaced(a, b, c):
-            if a >= self.PLANE:
-                return past_plane(model, a, b, c)
-            return inner(a, b, c)
+            values = inner(a, b, c)
+            if a < self.PLANE:
+                return values
+            if part == "eta":
+                return past_plane(model, a, b, c) + values[3:]
+            return values[:3] + past_plane(model, a, b, c)
 
-        setattr(self, hook, replaced)
+        self.eta_metric_kernel = replaced
 
     def eta(self, theta):
-        # no finiteness test, so the flow's stages and the array reference
-        # both see a NaN eta_kernel as a NaN eta
-        return np.array(self.eta_kernel(*self.check_domain(theta).tolist()))
+        # the hook's eta part with no finiteness test, so the flow's stages
+        # and the array reference both see a NaN eta part as a NaN eta
+        return np.array(self.eta_metric_kernel(*self.check_domain(theta).tolist())[:3])
 
 
 def _past_the_plane(model, a, b, c):
     raise DomainError(f"{[a, b, c]} lies past the plane")
 
 
+def _eta_jump(model, a, b, c):
+    return tuple(1e6 * e for e in model.eta_metric_kernel(a, b, c)[:3])
+
+
 REFERENCE_STARTS = {EXACT_MODEL: (2.0, 3.0, 4.0), STIRLING_MODEL: (2.5, 3.0, 2.0)}
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("hook, past_plane, status", [
+@pytest.mark.parametrize("part, past_plane, status", [
     # the domain ends at the plane
-    ("metric_kernel", _past_the_plane, "left_domain"),
+    ("metric", _past_the_plane, "left_domain"),
     # a NaN velocity makes the next stage point NaN: no point left the
     # domain, so that is a plain step failure and the underflow raises
-    ("eta_kernel", lambda model, a, b, c: (math.nan,) * 3, None),
+    ("eta", lambda model, a, b, c: (math.nan,) * 3, None),
     # det G is exactly 0 past the plane, so every stage there is singular
-    ("metric_kernel", lambda model, a, b, c: (0.0,) * 4, "singular"),
+    ("metric", lambda model, a, b, c: (0.0,) * 4, "singular"),
 ], ids=["narrow-domain", "nan-eta", "singular-metric"])
-def test_step_underflow_status_follows_the_failed_stage(model, hook, past_plane, status):
-    wrapped = _PlaneModel(model, hook, past_plane)
+def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane, status):
+    wrapped = _PlaneModel(model, part, past_plane)
     if status is None:
         with pytest.raises(StepFailureError, match="step size underflow"):
             integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
@@ -352,8 +359,7 @@ def test_step_underflow_status_follows_the_failed_stage(model, hook, past_plane,
 def test_step_underflow_after_error_test_rejections_raises(model):
     # eta jumps by a factor 1e6 past the plane: every step that reaches the
     # plane fails the error test, down to the smallest step size
-    wrapped = _PlaneModel(model, "eta_kernel",
-                          lambda inner, a, b, c: tuple(1e6 * e for e in inner.eta_kernel(a, b, c)))
+    wrapped = _PlaneModel(model, "eta", _eta_jump)
     with pytest.raises(StepFailureError, match="step size underflow"):
         integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
 
@@ -520,14 +526,14 @@ def test_integrate_matches_array_reference_into_the_degeneracy_surface(start):
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("hook, past_plane", [
-    ("metric_kernel", _past_the_plane),
-    ("eta_kernel", lambda model, a, b, c: (math.nan,) * 3),
-    ("metric_kernel", lambda model, a, b, c: (0.0,) * 4),
-    ("eta_kernel", lambda inner, a, b, c: tuple(1e6 * e for e in inner.eta_kernel(a, b, c))),
+@pytest.mark.parametrize("part, past_plane", [
+    ("metric", _past_the_plane),
+    ("eta", lambda model, a, b, c: (math.nan,) * 3),
+    ("metric", lambda model, a, b, c: (0.0,) * 4),
+    ("eta", _eta_jump),
 ], ids=["narrow-domain", "nan-eta", "singular-metric", "eta-jump"])
-def test_integrate_matches_array_reference_on_plane_models(model, hook, past_plane):
-    _assert_same_flow(_PlaneModel(model, hook, past_plane), REFERENCE_STARTS[model], 1e-10)
+def test_integrate_matches_array_reference_on_plane_models(model, part, past_plane):
+    _assert_same_flow(_PlaneModel(model, part, past_plane), REFERENCE_STARTS[model], 1e-10)
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -557,7 +563,8 @@ def test_rhs_matches_array_reference_on_fuzz_points(name):
 @pytest.mark.parametrize("name", FUZZ_MODELS)
 def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
     # eta raises DomainError where its kernel's floats are not finite;
-    # metric passes its kernel's floats on as they are
+    # metric passes the G part of eta_metric_kernel on as it is, and the
+    # eta part, where that hook returns, has eta_kernel's bits
     model = FUZZ_MODELS[name]
     for theta in fuzz_points(name):
         if not model.in_domain(theta):
@@ -569,10 +576,14 @@ def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
             eta = type(exc)
         assert _outcome(lambda m, p: m.eta(p), model, theta) == eta, theta
         try:
-            d1, d2, d3, o = model.metric_kernel(*theta)
-            metric = np.array([d1, d2, d3, o, o, o]).tobytes()
+            values = model.eta_metric_kernel(*theta)
         except BetaflowError as exc:
             metric = type(exc)
+        else:
+            d1, d2, d3, o = values[3:]
+            metric = np.array([d1, d2, d3, o, o, o]).tobytes()
+            assert (np.array(values[:3]).tobytes()
+                    == np.array(model.eta_kernel(*theta)).tobytes()), theta
         assert _outcome(lambda m, p: m.metric(p), model, theta) == metric, theta
 
 
@@ -649,6 +660,31 @@ def test_invert_eta_matches_array_reference_from_tiny_guesses():
     _assert_same_inversions(EXACT_MODEL, *_tiny_guesses())
 
 
+@pytest.mark.parametrize("guess", [
+    (1e-170, 2.0, 3.0), (1e-300, 1e-300, 1e-300), (1e-200, 0.5, 0.5),
+])
+def test_invert_eta_returns_a_solved_guess_where_the_metric_overflows(guess):
+    # eta_metric_kernel raises where a coordinate is below 1.5e-162 (G
+    # overflows), but eta alone is finite there and already on target
+    target = EXACT_MODEL.eta(guess)
+    assert invert_eta(EXACT_MODEL, target, guess).tolist() == list(guess)
+    _assert_same_inversions(EXACT_MODEL, [target], [guess])
+
+
+@pytest.mark.parametrize("guess, message", [
+    ((1e308, 1e308, 1e308), "digamma requires a finite argument > 0, got inf"),
+    ((5e-324, 1.0, 1.0), "digamma(5e-324) overflows double precision"),
+    ((1e-170, 2.0, 3.0), "trigamma(1e-170) overflows double precision"),
+])
+def test_invert_eta_raises_the_eta_error_before_the_metric_error(guess, message):
+    # where s or 1/a overflows, eta's error comes before G's; where only G
+    # overflows and eta is off target, G's error is raised
+    with pytest.raises(DomainError) as err:
+        invert_eta(EXACT_MODEL, (-1.0, -2.0, -3.0), guess)
+    assert str(err.value) == message
+    _assert_same_inversions(EXACT_MODEL, [(-1.0, -2.0, -3.0)], [guess])
+
+
 # --- Model calls per flow ---------------------------------------------------
 
 class _CountingModel(_HookModel):
@@ -656,7 +692,7 @@ class _CountingModel(_HookModel):
 
     def __init__(self, model):
         super().__init__(model)
-        self.calls = dict.fromkeys(("check_domain", "eta_kernel", "metric_kernel"), 0)
+        self.calls = dict.fromkeys(("check_domain", "eta_kernel", "eta_metric_kernel"), 0)
 
     def check_domain(self, theta):
         self.calls["check_domain"] += 1
@@ -666,33 +702,34 @@ class _CountingModel(_HookModel):
         self.calls["eta_kernel"] += 1
         return self._model.eta_kernel(a, b, c)
 
-    def metric_kernel(self, a, b, c):
-        self.calls["metric_kernel"] += 1
-        return self._model.metric_kernel(a, b, c)
+    def eta_metric_kernel(self, a, b, c):
+        self.calls["eta_metric_kernel"] += 1
+        return self._model.eta_metric_kernel(a, b, c)
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
-    # a short flow that completes: every step runs all six new stages; the
-    # domain is checked once for the start and once in each of the start
-    # sample's eta and metric, never per stage
+    # a short flow that completes: every step runs all six new stages, each
+    # one eta_metric_kernel call; the domain is checked once for the start
+    # and once in each of the start sample's eta and metric, never per stage
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 0.05, rtol=1e-10, atol=1e-12)
     assert traj.status == "completed"
     n_rhs = 1 + 6 * (traj.n_accepted + traj.n_rejected)
-    assert counting.calls == {"check_domain": 3, "eta_kernel": n_rhs + 1,
-                              "metric_kernel": n_rhs + 1}
+    assert counting.calls == {"check_domain": 3, "eta_kernel": 1,
+                              "eta_metric_kernel": n_rhs + 1}
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_diagnostics_reuse_the_last_stage(model):
     # the reference flows stop at the det guard; each in-domain rhs calls
-    # both hooks once, and the diagnostics add only the start sample's
+    # eta_metric_kernel once, and the diagnostics add only the start
+    # sample's eta and metric
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
     assert traj.status == "singular"
-    n_rhs = counting.calls["metric_kernel"] - 1
-    assert counting.calls["eta_kernel"] == n_rhs + 1
+    n_rhs = counting.calls["eta_metric_kernel"] - 1
+    assert counting.calls["eta_kernel"] == 1
     assert n_rhs >= 6 * traj.n_accepted
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from betaflow import DomainError, digamma, log_gamma, trigamma
+from betaflow.specfun import _psi_pair
 
 mpmath.mp.dps = 40
 
@@ -182,3 +183,39 @@ def test_unrolled_series_match_the_loop_bit_for_bit(func, trigamma_series):
     xs += [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-300, 1e-160, 7.999999999999999, 8.0]
     for x in xs:
         assert _bits(func, x) == _bits(lambda y: _loop_series(y, trigamma_series), x), x
+
+
+def _trigamma_reference(x):
+    """trigamma(x) from the loop form as hex, or the type and message of
+    the error trigamma raises."""
+    try:
+        return _loop_series(x, True).hex()
+    except DomainError:
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            return DomainError, _NOT_POSITIVE.format("trigamma", repr(x))
+        return DomainError, _OVERFLOWS.format("trigamma", repr(x))
+
+
+def test_psi_pair_is_digamma_and_trigamma_bit_for_bit():
+    # one shift loop for both: digamma's bits where it returns, and
+    # trigamma's error where trigamma raises, as metric raised it
+    rng = np.random.Generator(np.random.Philox(103))
+    xs = (10.0 ** rng.uniform(-320.0, 308.0, 20_000)).tolist()
+    xs += [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1.5e-162, 7.5e-155, 1.7e308]
+    raised = 0
+    for x in xs:
+        want = _trigamma_reference(x)
+        try:
+            psi, psi1 = _psi_pair(x)
+        except DomainError as exc:
+            raised += 1
+            assert (type(exc), str(exc)) == want, x
+            with pytest.raises(DomainError) as err:
+                trigamma(x)
+            assert str(err.value) == str(exc)
+            continue
+        assert (psi.hex(), psi1.hex()) == (digamma(x).hex(), want), x
+        assert psi1.hex() == trigamma(x).hex()
+    # the draw reaches both sides of trigamma's overflow at 1.5e-162
+    assert 0 < raised < len(xs) // 2

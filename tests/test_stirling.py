@@ -66,6 +66,32 @@ def test_potential_where_its_largest_terms_overflow(theta):
         assert abs(STIRLING_MODEL.potential(theta) - want) <= 1e-15 * abs(want)
 
 
+def test_potential_is_held_to_mpmath():
+    # one form, grouped for the largest coordinate a: within 4 eps of the
+    # sum of its terms' magnitudes, |(s - 1/2) ln((s-1)/(a-1))|
+    # + |(b + c) ln(a-1)| + sum over b, c of |(1/2 - x) ln(x-1)| + |k|,
+    # which is rounding wherever those terms do not cancel
+    rng = np.random.Generator(np.random.Philox(109))
+    exponents = np.concatenate([rng.uniform(-15.0, 307.0, (200, 3)),
+                                rng.uniform(-3.0, 3.0, (200, 3))])
+    points = [tuple(p) for p in (1.0 + 10.0 ** exponents).tolist()]
+    spots = [(1e305, 2.0, 2.0), (1e10, 2.0, 2.0), (2.0, 1e10, 2.0), (2.0, 3.0, 4.0)]
+    with mpmath.workdps(700):
+        for theta in points + spots:
+            a, b, c = sorted(map(mpmath.mpf, theta), reverse=True)
+            s = a + b + c
+            terms = [(s - 0.5) * mpmath.log((s - 1) / (a - 1)), (b + c) * mpmath.log(a - 1),
+                     (0.5 - b) * mpmath.log(b - 1), (0.5 - c) * mpmath.log(c - 1), K]
+            scale = sum(abs(t) for t in terms)
+            err = abs(STIRLING_MODEL.potential(theta) - sum(terms))
+            assert err <= 4 * 2.0 ** -52 * scale, theta
+    # where one coordinate dominates nothing cancels: Phi_S rounds to
+    # 2809.3159363863265 at (1e305, 2, 2) and to 92.26552665395248 at (1e10, 2, 2)
+    for theta, want in (((1e305, 2.0, 2.0), 2809.3159363863265),
+                        ((1e10, 2.0, 2.0), 92.26552665395248)):
+        assert STIRLING_MODEL.potential(theta) == pytest.approx(want, rel=1e-15)
+
+
 def test_metric_spots():
     m = STIRLING_MODEL.metric((2.0, 2.0, 2.0))
     assert m.d1 == m.d2 == m.d3 == -0.3
