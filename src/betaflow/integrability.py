@@ -147,12 +147,18 @@ def invariant_columns(eta) -> tuple[np.ndarray, np.ndarray]:
     lax_ok = ham_ok & np.isfinite(r31) & (r31 >= 0.0)
     dev = np.full(ham.shape, math.nan)
     if lax_ok[0]:
-        corner, zero = np.sqrt(r31), np.zeros_like(r31)
-        # each L flattened; sqrt of d.d per row is the ddot np.linalg.norm
-        # takes, as the scalar drift does
-        L = np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)[lax_ok]
+        # sqrt of d.d per row is the ddot np.linalg.norm takes, as the
+        # scalar drift does
+        L = _lax_rows(r21, r32, r31)[lax_ok]
         dev[lax_ok] = [math.sqrt(d.dot(d)) for d in L - L[0]]
     return ham, dev
+
+
+def _lax_rows(r21, r32, r31) -> np.ndarray:
+    """Each row's L flattened, from the ratios eta2/eta1, eta3/eta2 and
+    eta3/eta1, as ``lax_pair`` builds it."""
+    corner, zero = np.sqrt(r31), np.zeros_like(r31)
+    return np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,20 +172,28 @@ class LaxDiagnostics:
 
 def lax_residual(trajectory, ell: float = 1.0) -> LaxDiagnostics:
     """Conservation check along a trajectory: drift of L from its initial
-    value, trace-vs-Hamiltonian deviation, and commutator norm (the latter
-    is identically zero because L's support lies where N acts as ell*I)."""
+    value (the largest entry of the ``lax_dev`` column), trace-vs-Hamiltonian
+    deviation, and commutator norm (the latter is identically zero because
+    L's support lies where N acts as ell*I).  Each is the largest over the
+    samples, as ``max`` takes it; where L is undefined on some sample
+    (``lax_dev`` is NaN there), raises what ``lax_pair`` raises on the first."""
     n = trajectory.n_samples
     if n == 0:
         raise EmptyTrajectoryError("trajectory has no samples")
-    pairs = [lax_pair(trajectory.eta[i], ell) for i in range(n)]
-    ref = pairs[0].L
-    drift = max(float(np.linalg.norm(p.L - ref)) for p in pairs)
-    trace_dev = max(
-        abs(p.trace() - trajectory.hamiltonian[i]) for i, p in enumerate(pairs)
-    )
-    comm = max(float(np.linalg.norm(p.commutator())) for p in pairs)
+    undefined = np.isnan(trajectory.lax_dev)
+    if undefined.any():
+        lax_pair(trajectory.eta[int(undefined.argmax())], ell)
+    e1, e2, e3 = trajectory.eta.T
+    r21, r32 = e2 / e1, e3 / e2
+    L = _lax_rows(r21, r32, e3 / e1).reshape(n, 3, 3)
+    N = np.array([ell, 0.0, ell])
+    with np.errstate(all="ignore"):
+        trace_dev = np.abs(r21 + r32 - trajectory.hamiltonian)
+        # L N - N L for the diagonal N, entry by entry; each entry is 0 or NaN
+        comm = L * N - N[:, None] * L
+        comm_norm = np.sqrt(np.einsum("nij,nij->n", comm, comm))
     return LaxDiagnostics(
-        frobenius_drift=drift,
-        trace_deviation=trace_dev,
-        commutator_norm=comm,
+        frobenius_drift=float(trajectory.lax_dev.max()),
+        trace_deviation=max(trace_dev.tolist()),
+        commutator_norm=max(comm_norm.tolist()),
     )

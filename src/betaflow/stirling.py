@@ -20,20 +20,19 @@ of the closed-form inverse and determinant.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite
+from .manifold import (DomainClass, DomainLabel, Metric3, Model, as_point, check_finite,
+                       solve_det)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
 
 # Minimum of ln(u) + 1/(2u) over u > 0, attained at u = 1/2.
 _PHI_MIN = 1.0 - _LN_2
-
-# |F| / sigma below which ``_refine`` takes F(sigma) as zero: 8 eps.
-_F_FLOOR = 8.0 * 2.0 ** -52
 
 
 def _den(a: float, b: float, c: float) -> float:
@@ -167,6 +166,9 @@ _PATTERNS = (
     (-1, -1, -1),
 )
 
+# The floats theta = u + 1 of each branch that lie in the domain 1 < theta < inf.
+_BRANCH_THETA = {0: (1.5, sys.float_info.max), -1: (math.nextafter(1.0, 2.0), 1.5)}
+
 
 def _preimages(target):
     """Preimages of the dual map, each as a start point theta = u + 1.
@@ -178,8 +180,10 @@ def _preimages(target):
     which fixes u_i(sigma) on either branch of ``_solve_u``; the point is a
     preimage where F(sigma) = sum_i u_i(sigma) + 2 - sigma vanishes.  The
     dual map folds across the degeneracy surface V, so one target can have
-    preimages on several sheets.  Yields the roots of F pattern by pattern
-    (``_PATTERNS``), each pattern's in increasing sigma.
+    preimages on several sheets.  Yields one preimage per root of F,
+    pattern by pattern (``_PATTERNS``) and each pattern's in increasing
+    sigma, each taken by Newton's method in theta inside the cell that
+    isolates its root (``_refine``) to where ``invert_eta`` stops.
     """
     t = [float(x) for x in target]
     try:
@@ -190,8 +194,8 @@ def _preimages(target):
     for pattern in _PATTERNS:
         hi = _sigma_hi(t, pattern)
         if hi > lo:
-            for point in _roots(t, pattern, lo, hi):
-                yield np.array([u + 1.0 for u in point[4]])
+            for theta in _roots(t, pattern, lo, hi):
+                yield np.array(theta)
 
 
 def _sigma_hi(t, pattern) -> float:
@@ -217,33 +221,37 @@ def _sigma_hi(t, pattern) -> float:
 
 
 def _roots(t, pattern, lo, hi):
-    """Roots of F on [lo, hi] for one branch pattern, in increasing order.
+    """The preimage of each root of F on [lo, hi] for one branch pattern,
+    in increasing sigma, from ``_refine`` on the cell that isolates it.
 
-    Each evaluated point is (sigma, F, d0, d1, u): d0 = sum of u_i' over
-    branch 0 minus 1, nonincreasing in sigma because those u_i(sigma) are
-    concave, and d1 = sum of u_i' over branch -1, nondecreasing because those
-    are convex (sigma(u) = e^t u e^{1/(2u)} is convex).  So on a cell [p, q]
-    F' lies in [q.d0 + p.d1, p.d0 + q.d1].  A cell where F' keeps its sign
-    holds at most one root, bracketed by a sign change of F; a cell with
-    ends of one sign that F cannot cross within those slopes holds none;
-    any other cell is split at its geometric midpoint.  Near the fold, the
+    Each evaluated point is (sigma, F, d0, d1, u, g), with g_i = u_i':
+    d0 = sum of u_i' over branch 0 minus 1, nonincreasing in sigma because
+    those u_i(sigma) are concave, and d1 = sum of u_i' over branch -1,
+    nondecreasing because those are convex (sigma(u) = e^t u e^{1/(2u)} is
+    convex).  So on a cell [p, q] F' lies in [q.d0 + p.d1, p.d0 + q.d1].
+    A cell where F' keeps its sign holds at most one root, bracketed by a
+    sign change of F; a cell with ends of one sign that F cannot cross
+    within those slopes holds none; any other cell is split at its
+    geometric midpoint.  Near the fold, the
     roots come in close pairs around an extremum of F, which the split on
     the sign of F' separates.
     """
     def at(sigma):
         ls = math.log(sigma)
-        f, d0, d1, us = 2.0 - sigma, -1.0, 0.0, []
+        f, d0, d1, us, gs = 2.0 - sigma, -1.0, 0.0, [], []
         for x, k in zip(t, pattern):
             u = _solve_u(ls - x, k)
-            us.append(u)
-            f += u
             # u' = 2u^2 / ((2u - 1) sigma), infinite at the branch point.
             w = sigma - 0.5 * sigma / u
+            g = u / w if w else (math.inf if k == 0 else -math.inf)
+            us.append(u)
+            gs.append(g)
+            f += u
             if k == 0:
-                d0 += u / w if w else math.inf
+                d0 += g
             else:
-                d1 += u / w if w else -math.inf
-        return sigma, f, d0, d1, us
+                d1 += g
+        return sigma, f, d0, d1, us, gs
 
     stack = [(at(lo), at(hi))]
     while stack:
@@ -254,7 +262,7 @@ def _roots(t, pattern, lo, hi):
         # so no cell splits without end.
         if not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
             if crosses:
-                yield _refine(at, p, q)
+                yield _refine(at, t, pattern, p, q)
         elif crosses or not _root_free(p, q, low, high):
             m = at(math.sqrt(p[0]) * math.sqrt(q[0]))
             stack += [(m, q), (p, m)]
@@ -271,33 +279,66 @@ def _root_free(p, q, low, high) -> bool:
     return not reach_p + reach_q <= q[0] - p[0]
 
 
-def _refine(at, p, q):
-    """The root of F between p and q, where F is monotone and changes sign:
-    Newton's method on F' = d0 + d1, bisecting whenever a step leaves the
-    bracket.  It returns the first point where |F| <= 8 eps sigma, F's
-    rounding floor: F = 2 - sigma + sum_i u_i is summed from terms as large
-    as sigma, so below a few ulps of sigma its sign is rounding noise, and a
-    Newton step taken there bounces about the root and can fall out of the
-    bracket into a long bisection."""
-    x = p if abs(p[1]) < abs(q[1]) else q
+def _refine(at, t, pattern, p, q):
+    """The preimage theta = u + 1 whose sigma is the root of F in the cell
+    [p, q], where F is monotone and changes sign.
+
+    Newton's method on eta(theta) = t, one ``eta_metric_kernel`` call and
+    one ``solve_det`` per step, from the cell end of smaller |F| with its
+    u_i moved along their slopes g_i to Newton's estimate of the root in
+    sigma.  A point outside the domain as floats, outside the cell in
+    sigma = sum(theta) - 1 or off ``pattern``'s branches, or a singular
+    Jacobian, gives way to one bisection of the cell at its geometric
+    midpoint, and Newton starts again from the nearer end.  F has one root
+    in the cell, so a point that passes these checks with eta(theta) = t
+    is the cell's preimage.
+
+    Returns, unevaluated, the point a step below 2^-26 u_i in every
+    coordinate reaches: eta's curvature scales as 1/u_i, so that point is
+    at the rounding floor, where ``invert_eta`` stops.  A stop at a
+    residual of 1e-12 leaves theta 1e-8 off the root where G is near
+    singular, and ``invert_eta``'s floor rule, which compares the largest
+    residual components, can stop short of the floor of a smaller one.
+    Falls back to the nearer end's u + 1 once the cell cannot narrow.
+    """
+    t0, t1, t2 = t
+    (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
+    # the small step of invert_eta's floor rule, sqrt of the float epsilon
+    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, 2.0 ** -26
+    theta = None
     for _ in range(100):
-        if abs(x[1]) <= _F_FLOOR * x[0]:
-            return x
-        slope = x[2] + x[3]
-        sigma = x[0] - x[1] / slope if slope else math.nan
-        if not p[0] < sigma < q[0]:
-            sigma = 0.5 * p[0] + 0.5 * q[0]
+        if theta is None:
+            x = p if abs(p[1]) < abs(q[1]) else q
+            slope = x[2] + x[3]
+            ds = -x[1] / slope if slope else 0.0
+            theta = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
+            small = False
+        a, b, c = theta
+        step = None
+        if l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2 and p[0] <= a + b + c - 1.0 <= q[0]:
+            if small:
+                return theta
+            e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+            try:
+                step = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
+            except SingularMatrixError:
+                pass
+        if step is None:
+            sigma = math.sqrt(p[0]) * math.sqrt(q[0])
             if not p[0] < sigma < q[0]:
                 break
-        y = at(sigma)
-        if abs(sigma - x[0]) <= 4e-16 * sigma:
-            return y
-        if (y[1] < 0.0) == (p[1] < 0.0):
-            p = y
-        else:
-            q = y
-        x = y
-    return x
+            m = at(sigma)
+            if (m[1] < 0.0) == (p[1] < 0.0):
+                p = m
+            else:
+                q = m
+            theta = None
+            continue
+        s0, s1, s2 = step
+        small = (abs(s0) <= tiny * (a - 1.0) and abs(s1) <= tiny * (b - 1.0)
+                 and abs(s2) <= tiny * (c - 1.0))
+        theta = [a + s0, b + s1, c + s2]
+    return [u + 1.0 for u in x[4]]
 
 
 def _solve_u(r: float, branch: int = 0) -> float:
@@ -312,11 +353,12 @@ def _solve_u(r: float, branch: int = 0) -> float:
     p = 1 from the asymptotes u = e^r - 1/2 (branch 0) and
     W = -L1 - L2 - L2/L1 with L1 = r + ln 2, L2 = ln(L1) (branch -1).  On
     a dense sweep of r up to the top of each branch it stops after at most
-    three steps.  On the calls that Stirling inversions make (perfbench
-    ``invert``, 30 s runs at seeds 7-9: 24 489 calls) it takes 2.16 steps
-    on average: from the series start 0, 1, 2 or 3 steps in 2%, 3%, 23%
-    and 24% of calls, from the branch-0 asymptote 2 steps in 43% (and 1
-    step in 28 calls), and from the branch -1 asymptote 1 to 3 steps in 3%.
+    three steps.  On the calls that Stirling inversions make, all from the
+    cell search of ``_roots`` and the bisections of ``_refine`` (perfbench
+    ``invert``, 30 s runs at seeds 7-9: 12 723 calls), it takes 2.10 steps
+    on average: from the series start 0, 1, 2 or 3 steps in 5%, 3%, 18%
+    and 22% of calls, from the branch-0 asymptote 2 steps in 49% (and 1
+    step in 10 calls), and from the branch -1 asymptote 1 to 3 steps in 3%.
     """
     r = float(r)  # a numpy scalar would slow every operation below
     p = math.sqrt(max(0.0, -2.0 * math.expm1(_PHI_MIN - r)))

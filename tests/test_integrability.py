@@ -256,6 +256,55 @@ def test_lax_residual_empty_trajectory():
         lax_residual(SimpleNamespace(n_samples=0))
 
 
+def _reference_lax_residual(trajectory, ell=1.0):
+    """lax_residual as one LaxPair per sample: three values, or the type and
+    message of the error raised."""
+    try:
+        pairs = [lax_pair(row, ell) for row in trajectory.eta]
+    except (DegenerateEtaError, NegativeRatioError) as exc:
+        return type(exc), str(exc)
+    with np.errstate(all="ignore"):
+        drift = max(float(np.linalg.norm(p.L - pairs[0].L)) for p in pairs)
+        trace_dev = max(abs(p.trace() - h) for p, h in zip(pairs, trajectory.hamiltonian))
+        comm = max(float(np.linalg.norm(p.commutator())) for p in pairs)
+    return np.array([drift, trace_dev, comm]).tobytes()
+
+
+def _lax_outcome(trajectory, ell=1.0):
+    try:
+        diag = lax_residual(trajectory, ell)
+    except (DegenerateEtaError, NegativeRatioError) as exc:
+        return type(exc), str(exc)
+    return np.array([diag.frobenius_drift, diag.trace_deviation,
+                     diag.commutator_norm]).tobytes()
+
+
+def test_lax_residual_matches_one_lax_pair_per_sample(exact_trajectory,
+                                                      stirling_trajectory):
+    # The reference flows, and blocks of 8 drawn eta rows as trajectories:
+    # row 0 fails in some, a later row in others, and in the last blocks
+    # every L is defined (eta1 and eta3 of one sign) and one H in five is
+    # NaN, so the trace deviation is NaN at some samples.  Each with ells
+    # whose products with L overflow or are NaN.
+    rng = np.random.Generator(np.random.Philox(101))
+    defined = rng.choice([-1.0, 1.0], (400, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (400, 3))
+    defined[:, 2] = np.copysign(defined[:, 2], defined[:, 0])
+    trajectories = [exact_trajectory, stirling_trajectory]
+    for block in np.concatenate([_drawn_eta(97, 800), defined]).reshape(-1, 8, 3):
+        ham, dev = invariant_columns(block)
+        if not np.isnan(dev).any():
+            ham[rng.random(8) < 0.2] = math.nan
+        trajectories.append(SimpleNamespace(n_samples=8, eta=block, hamiltonian=ham,
+                                            lax_dev=dev))
+    raised = 0
+    for traj in trajectories:
+        for ell in (1.0, -0.7, 1e308, math.inf, math.nan):
+            want = _reference_lax_residual(traj, ell)
+            assert _lax_outcome(traj, ell) == want, (traj.eta, ell)
+            raised += isinstance(want, tuple)
+    assert raised == 5 * 100
+
+
 def test_lax_residual_on_reference_flows(exact_trajectory, stirling_trajectory):
     for traj in (exact_trajectory, stirling_trajectory):
         diag = lax_residual(traj)

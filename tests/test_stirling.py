@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -16,7 +15,7 @@ from betaflow import (
     invert3,
 )
 import betaflow.stirling
-from betaflow.stirling import _PHI_MIN, _preimages, _solve_u
+from betaflow.stirling import _PATTERNS, _PHI_MIN, _preimages, _solve_u
 from conftest import rounding_floor_ratio
 
 K = -math.log(2.0 * math.pi) - 2.0
@@ -275,40 +274,49 @@ def test_inversion_start_overflow_is_domain_error():
         invert_eta(STIRLING_MODEL, (800.0, 0.0, 0.0))
 
 
-def test_refine_stops_at_the_rounding_floor_of_f(monkeypatch):
-    # Each _refine gets an `at` that counts its evaluations.  A refine that
-    # kept stepping below F's rounding noise took up to 62 of them on this
-    # draw, most in a bisection after a step left the bracket.
-    calls, roots = [], []
-    refine = betaflow.stirling._refine
+def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
+    # Each _refine gets an `at` that counts its evaluations, and the kernel
+    # calls it makes are counted too.  Every root must already be at the
+    # floor that invert_eta stops at.
+    counts, roots = [], []
+    refine, kernel = betaflow.stirling._refine, STIRLING_MODEL.eta_metric_kernel
+    kernel_calls = [0]
 
-    def counted(at, p, q):
-        n = [0]
+    def counting_kernel(*theta):
+        kernel_calls[0] += 1
+        return kernel(*theta)
+
+    def counted(at, t, pattern, p, q):
+        n, k = [0], kernel_calls[0]
 
         def counting(sigma):
             n[0] += 1
             return at(sigma)
 
-        root = refine(counting, p, q)
-        calls.append(n[0])
-        roots.append(root)
+        root = refine(counting, t, pattern, p, q)
+        counts.append((n[0], kernel_calls[0] - k))
+        roots.append((root, t))
         return root
 
     monkeypatch.setattr(betaflow.stirling, "_refine", counted)
+    monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", counting_kernel)
     rng = np.random.Generator(np.random.Philox(101))
     points = np.concatenate([1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (400, 3)),
                              rng.uniform(1.0, 6.0, (400, 3))])
-    eps = sys.float_info.epsilon
     for theta in points:
         start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
         if theta.min() >= 1.5 and den(*theta) < 0.0:
             # every alpha_i >= 3/2 and den < 0: the sheet the start takes first
             assert np.max(np.abs(start - theta)) <= 1e-9 * np.max(theta), theta
-    assert len(calls) >= len(points) and max(calls) <= 24
-    for sigma, f, d0, d1, _ in roots:
-        # F sums terms as large as sigma, and where |F'| > 1 the slope of the
-        # u_i(sigma) scales the rounding of ln(sigma) in them
-        assert abs(f) <= 8.0 * eps * sigma * max(1.0, abs(d0 + d1)), (sigma, f)
+    # the largest counts this draw takes; most roots take no bisection and
+    # three or four Newton steps
+    assert len(counts) >= len(points)
+    assert max(n for n, _ in counts) <= 15
+    assert max(k for _, k in counts) <= 10
+    monkeypatch.undo()
+    for root, t in roots:
+        # residual <= 1e-12, or at the rounding floor
+        assert rounding_floor_ratio(STIRLING_MODEL, root, t) <= 1.0, (root, t)
 
 
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
@@ -387,6 +395,53 @@ def test_preimages_of_a_mixed_sheet():
     assert len(found) == 2
     assert np.max(np.abs(found[0] - [1.01, 1.02, 40.0])) <= 1e-9 * 40.0
     assert np.max(np.abs(found[1] - [1.0106, 1.0228, 1.2175])) <= 1e-4
+
+
+def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
+    # _refine records the branch pattern each root was searched on
+    searched = []
+    refine = betaflow.stirling._refine
+
+    def recording(at, t, pattern, p, q):
+        root = refine(at, t, pattern, p, q)
+        searched.append((pattern, root))
+        return root
+
+    monkeypatch.setattr(betaflow.stirling, "_refine", recording)
+    rng = np.random.Generator(np.random.Philox(103))
+    points = np.concatenate([1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (300, 3)),
+                             rng.uniform(1.0, 6.0, (300, 3))])
+    # the fold, close-pair and mixed-sheet pins above
+    pins = np.array([(100.0, 100.0, 100.0), (2.62, 4.89, 2.85), (1.01, 1.02, 40.0)])
+    roots = 0
+    for theta in np.concatenate([points, pins]):
+        target = STIRLING_MODEL.eta(theta)
+        searched.clear()
+        found = [x.tolist() for x in _preimages(target)]
+        assert found == [root for _, root in searched]
+        order = []
+        for pattern, root in searched:
+            # theta_i = u_i + 1 >= 3/2 on branch 0 and <= 3/2 on branch -1
+            assert all(x >= 1.5 if k == 0 else x <= 1.5 for x, k in zip(root, pattern)), root
+            assert rounding_floor_ratio(STIRLING_MODEL, root, target) <= 1.0, (root, theta)
+            order.append((_PATTERNS.index(pattern), sum(root) - 1.0))
+        # pattern by pattern, each pattern's in increasing sigma
+        assert order == sorted(set(order)), theta
+        roots += len(found)
+    assert roots > len(points) + len(pins)
+
+
+def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
+    # From perfbench `invert` at seed 323: the (0, 0, 0) pattern has no
+    # root, so the start is the (0, 0, -1) preimage.  There one ulp of c
+    # moves eta_3 by 7.2e-10, so it ends at the rounding floor.
+    theta = (1.45227617741424, 3.529910622678493, 1.0003936484813494)
+    target = STIRLING_MODEL.eta(theta)
+    back = invert_eta(STIRLING_MODEL, target)
+    assert np.max(np.abs(back - [2.70009, 5.61962, 1.000393])) <= 1e-5
+    assert back[0] >= 1.5 and back[1] >= 1.5 and back[2] <= 1.5
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) > 1e-12
+    assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
 
 
 @pytest.mark.parametrize("target", [
