@@ -30,17 +30,10 @@ from .integrability import (
     to_canonical,
 )
 from .manifold import DomainClass, DomainLabel, Metric3, as_point, det3, invert3
-from .scan import (
-    SUITE_NAMES,
-    CheckRecord,
-    FlaggedCell,
-    Region,
-    SuiteReport,
-    run_suite,
-    scan_degeneracy,
-)
+from .scan import FlaggedCell, Region, scan_degeneracy
 from .specfun import digamma, log_gamma, trigamma
 from .stirling import STIRLING_MODEL, StirlingModel
+from .suites import SUITE_NAMES, CheckRecord, SuiteReport, run_suite
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .exact import EXACT_MODEL
 from .flow import Trajectory, integrate
 from .integrability import hamiltonian
 from .manifold import invert3
-from .scan import SUITE_NAMES, Region, run_suite, scan_degeneracy
+from .scan import Region, scan_degeneracy
 from .stirling import STIRLING_MODEL
+from .suites import SUITE_NAMES, run_suite
 
 _MODELS = {"exact": EXACT_MODEL, "stirling": STIRLING_MODEL}
 
@@ -48,10 +50,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except BetaflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (BetaflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -223,18 +222,8 @@ def _cmd_scan(args) -> int:
             "tol": args.tol,
             "n_cells": total,
             "n_flagged": len(cells),
-            "flagged": [
-                {
-                    "index": list(cell.index),
-                    "lo": list(cell.lo),
-                    "hi": list(cell.hi),
-                    "label": cell.label.value,
-                    "distance": cell.distance,
-                    "min_abs_det": cell.min_abs_det,
-                    "sign_change": cell.sign_change,
-                }
-                for cell in cells
-            ],
+            # the label is a str enum, so it serializes as its value
+            "flagged": [asdict(cell) for cell in cells],
         },
         indent=2,
     )

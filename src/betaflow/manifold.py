@@ -63,12 +63,12 @@ class Model:
         p = np.asarray(theta, dtype=float)
         if p.shape == (3,) and inside(self.lower, *p.tolist()):
             return p
+        # Past the fast path a finite point of shape (3,) has a coordinate
+        # at or below the bound.
         p = as_point(theta, "theta")
-        if not (p > self.lower).all():
-            raise DomainError(
-                f"{self.name} model needs {self.domain_description}, got {p.tolist()}"
-            )
-        return p
+        raise DomainError(
+            f"{self.name} model needs {self.domain_description}, got {p.tolist()}"
+        )
 
     def eta(self, theta) -> np.ndarray:
         """eta at a point of the domain; DomainError where it is not finite

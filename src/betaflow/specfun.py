@@ -34,21 +34,18 @@ def log_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function on x > 0."""
-    x0 = x = float(x)
+    x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"digamma requires a finite argument > 0, got {x!r}")
-    shift = 0.0
-    while x < _SHIFT:
-        shift += 1.0 / x
-        x += 1.0
-    u = 1.0 / (x * x)
-    # ln x - 1/(2x) - sum d_k / x^(2k), d_k = B_{2k} / (2k), by Horner in u
-    tail = ((((((((43867.0 / 14364.0 * u - 3617.0 / 8160.0) * u + 1.0 / 12.0) * u
-                - 691.0 / 32760.0) * u + 1.0 / 132.0) * u - 1.0 / 240.0) * u
-             + 1.0 / 252.0) * u - 1.0 / 120.0) * u + 1.0 / 12.0) * u
-    value = math.log(x) - 0.5 / x - tail - shift
+    if x >= 2.0 ** -56:
+        return _psi_pair(x)[0]
+    # Below 2^-56, x + 1 rounds to 1 and the shift loop's sum rounds to 1/x,
+    # so the loop ends at psi(8) - 1/x, which rounds to -1/x: half an ulp of
+    # 1/x > 2^56 is 8 > psi(8).  _psi_pair would raise trigamma's error
+    # where x * x underflows, and only this branch can overflow.
+    value = -1.0 / x
     if not math.isfinite(value):
-        raise DomainError(f"digamma({x0!r}) overflows double precision")
+        raise DomainError(f"digamma({x!r}) overflows double precision")
     return value
 
 

@@ -62,6 +62,21 @@ def det_kernel(a, b, c):
     return -0.125 * _den(a, b, c) / divisor + 0.0
 
 
+def inverse_kernel(a, b, c, ra, rb, rc):
+    """Unchecked entries (d1, d2, d3, o12, o13, o23) of G^-1 on floats or
+    same-shape arrays.  The squares ra, rb, rc of a-1, b-1, c-1 come in as
+    given, so a caller picks how they round (``_square`` or a product)."""
+    den = _den(a, b, c)
+    return (
+        -2.0 * ra * (4 * a * b * c - 6 * a * b - 6 * c * a + 9 * a - b - c + 3) / den,
+        -2.0 * rb * (4 * a * b * c - 6 * a * b - 6 * b * c + 9 * b - a - c + 3) / den,
+        -2.0 * rc * (4 * a * b * c - 6 * c * a - 6 * b * c + 9 * c - a - b + 3) / den,
+        -4.0 * (2.0 * c - 3.0) * ra * rb / den,
+        -4.0 * (2.0 * b - 3.0) * ra * rc / den,
+        -4.0 * (2.0 * a - 3.0) * rb * rc / den,
+    )
+
+
 class StirlingModel(Model):
     """Pure function bundle over points with a, b, c > 1."""
 
@@ -106,15 +121,8 @@ class StirlingModel(Model):
             raise SingularMatrixError(
                 f"metric is degenerate at {(a, b, c)}: denominator {den!r}"
             )
-        ra, rb, rc = _square(a - 1.0), _square(b - 1.0), _square(c - 1.0)
-        inverse = Metric3(
-            d1=-2.0 * ra * (4 * a * b * c - 6 * a * b - 6 * c * a + 9 * a - b - c + 3) / den,
-            d2=-2.0 * rb * (4 * a * b * c - 6 * a * b - 6 * b * c + 9 * b - a - c + 3) / den,
-            d3=-2.0 * rc * (4 * a * b * c - 6 * c * a - 6 * b * c + 9 * c - a - b + 3) / den,
-            o12=-4.0 * (2.0 * c - 3.0) * ra * rb / den,
-            o13=-4.0 * (2.0 * b - 3.0) * ra * rc / den,
-            o23=-4.0 * (2.0 * a - 3.0) * rb * rc / den,
-        )
+        inverse = Metric3(*inverse_kernel(
+            a, b, c, _square(a - 1.0), _square(b - 1.0), _square(c - 1.0)))
         check_finite(inverse.as_array(), "metric inverse", theta)
         return inverse
 

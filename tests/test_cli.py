@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from betaflow import EXACT_MODEL, integrate
+from betaflow import EXACT_MODEL, Region, integrate, scan_degeneracy
 from betaflow.cli import CSV_COLUMNS, main, read_trajectory_csv
 
 INFO_FIELDS = {
@@ -172,6 +172,37 @@ def test_scan_stdout_json(capsys):
     for cell in report["flagged"]:
         assert set(cell) == {"index", "lo", "hi", "label", "distance",
                              "min_abs_det", "sign_change"}
+
+
+def test_scan_json_is_the_hand_built_report(capsys):
+    assert main(["scan", "--region", "1.2:5,1.2:5,1.2:5", "--resolution", "16"]) == 0
+    out = capsys.readouterr().out
+    box = (1.2, 5.0)
+    cells = scan_degeneracy(Region(box, box, box, 16, 16, 16))
+    want = json.dumps(
+        {
+            "region": {"a": list(box), "b": list(box), "c": list(box)},
+            "resolution": 16,
+            "tol": 1e-9,
+            "n_cells": 15 ** 3,
+            "n_flagged": len(cells),
+            "flagged": [
+                {
+                    "index": list(cell.index),
+                    "lo": list(cell.lo),
+                    "hi": list(cell.hi),
+                    "label": cell.label.value,
+                    "distance": cell.distance,
+                    "min_abs_det": cell.min_abs_det,
+                    "sign_change": cell.sign_change,
+                }
+                for cell in cells
+            ],
+        },
+        indent=2,
+    )
+    assert len(cells) == 500
+    assert out == want + "\n"
 
 
 def test_scan_out_file(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from betaflow import (
+    EXACT_MODEL,
     STIRLING_MODEL,
     DomainError,
     DomainLabel,
@@ -14,6 +16,7 @@ from betaflow import (
     run_suite,
     scan_degeneracy,
 )
+from conftest import linearization_residual
 
 
 def region(a, b, c, n=8):
@@ -171,9 +174,80 @@ def test_suite_report_serialization_deterministic():
 
 
 def test_suite_report_json_fields():
-    import json
-
     report = json.loads(run_suite("legendre", seed=2).to_json())
     assert set(report) == {"suite", "seed", "passed", "checks"}
     for check in report["checks"]:
         assert set(check) == {"name", "passed", "residual", "tolerance"}
+
+
+def reference_inverse_residual() -> float:
+    """The inverse suite's grid check as it ran per point: the checked
+    det_closed skip, metric and metric_inverse_closed, and one 3x3 product."""
+    axis = np.linspace(1.2, 5.0, 20)
+    eye = np.eye(3)
+    worst = 0.0
+    for a in axis:
+        for b in axis:
+            for c in axis:
+                p = (a, b, c)
+                if abs(STIRLING_MODEL.det_closed(p)) < 1e-6:
+                    continue
+                g = STIRLING_MODEL.metric(p).as_array()
+                inv = STIRLING_MODEL.metric_inverse_closed(p).as_array()
+                worst = max(worst, float(np.max(np.abs(g @ inv - eye))))
+    return worst
+
+
+def reference_legendre_residuals(seed: int) -> list[float]:
+    """The Legendre suite's seeded gaps as they ran, one draw and three
+    checked calls per point."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = []
+    for model, lo, hi in ((EXACT_MODEL, 0.5, 5.0), (STIRLING_MODEL, 1.2, 5.0)):
+        residual = 0.0
+        for _ in range(100):
+            p = rng.uniform(lo, hi, size=3)
+            gap = abs(
+                model.dual_potential(p) + model.potential(p)
+                - float(np.dot(p, model.eta(p)))
+            )
+            residual = max(residual, gap)
+        out.append(residual)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_array_suites_match_their_per_point_loops_bit_for_bit(
+        seed, exact_trajectory, stirling_trajectory):
+    got = {c.name: c.residual.hex() for suite in ("linearization", "inverse", "legendre")
+           for c in run_suite(suite, seed).checks}
+    assert got["grid-identity"] == reference_inverse_residual().hex()
+    # conftest's loop is the linearization suite's loop, on the same flows
+    assert got["exact-linearization"] == linearization_residual(exact_trajectory).hex()
+    assert got["stirling-linearization"] == linearization_residual(stirling_trajectory).hex()
+    want = [r.hex() for r in reference_legendre_residuals(seed)]
+    assert [got["exact-legendre"], got["stirling-legendre"]] == want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_report_json_is_the_hand_built_dict(seed):
+    for name in ("all",) + SUITE_NAMES:
+        report = run_suite(name, seed)
+        want = json.dumps(
+            {
+                "suite": report.suite,
+                "seed": report.seed,
+                "passed": report.passed,
+                "checks": [
+                    {
+                        "name": c.name,
+                        "passed": c.passed,
+                        "residual": c.residual,
+                        "tolerance": c.tolerance,
+                    }
+                    for c in report.checks
+                ],
+            },
+            indent=2,
+        )
+        assert report.to_json() == want, name

@@ -185,16 +185,17 @@ def test_unrolled_series_match_the_loop_bit_for_bit(func, trigamma_series):
         assert _bits(func, x) == _bits(lambda y: _loop_series(y, trigamma_series), x), x
 
 
-def _trigamma_reference(x):
-    """trigamma(x) from the loop form as hex, or the type and message of
-    the error trigamma raises."""
+def _reference(name, x):
+    """digamma(x) or trigamma(x) from the loop form as hex, or the type and
+    message of the error the named function raises.  The digamma loop is
+    the shift loop digamma ran on its own before it took _psi_pair's."""
     try:
-        return _loop_series(x, True).hex()
+        return _loop_series(x, name == "trigamma").hex()
     except DomainError:
         x = float(x)
         if not 0.0 < x < math.inf:
-            return DomainError, _NOT_POSITIVE.format("trigamma", repr(x))
-        return DomainError, _OVERFLOWS.format("trigamma", repr(x))
+            return DomainError, _NOT_POSITIVE.format(name, repr(x))
+        return DomainError, _OVERFLOWS.format(name, repr(x))
 
 
 def test_psi_pair_is_digamma_and_trigamma_bit_for_bit():
@@ -205,7 +206,7 @@ def test_psi_pair_is_digamma_and_trigamma_bit_for_bit():
     xs += [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1.5e-162, 7.5e-155, 1.7e308]
     raised = 0
     for x in xs:
-        want = _trigamma_reference(x)
+        want = _reference("trigamma", x)
         try:
             psi, psi1 = _psi_pair(x)
         except DomainError as exc:
@@ -215,7 +216,30 @@ def test_psi_pair_is_digamma_and_trigamma_bit_for_bit():
                 trigamma(x)
             assert str(err.value) == str(exc)
             continue
-        assert (psi.hex(), psi1.hex()) == (digamma(x).hex(), want), x
+        assert (psi.hex(), psi1.hex()) == (_reference("digamma", x), want), x
         assert psi1.hex() == trigamma(x).hex()
     # the draw reaches both sides of trigamma's overflow at 1.5e-162
     assert 0 < raised < len(xs) // 2
+
+
+def test_digamma_is_the_shift_loop_bit_for_bit():
+    # digamma takes _psi_pair's series above 2^-56 and -1/x below, where
+    # x + 1 rounds to 1; both give the loop's bits and its errors
+    rng = np.random.Generator(np.random.Philox(7))
+    with np.errstate(over="ignore"):
+        xs = (10.0 ** rng.uniform(-324.0, 308.3, 50_000)).tolist()
+    xs += (2.0 ** rng.uniform(-60.0, -52.0, 10_000)).tolist()
+    for step in range(-64, 65):
+        xs.append(2.0 ** -56 + step * 2.0 ** -109)
+    xs += [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-320,
+           5.56e-309, 5.57e-309, 2.2250738585072014e-308, 7.999999999999999, 8.0]
+    raised = 0
+    for x in xs:
+        try:
+            got = digamma(x).hex()
+        except DomainError as exc:
+            raised += 1
+            got = type(exc), str(exc)
+        assert got == _reference("digamma", x), x
+    # the draw reaches both sides of digamma's overflow near 5.56e-309
+    assert 0 < raised < len(xs) // 20
