@@ -13,8 +13,13 @@ D = {b = c = 3/2} and on the surface V where the cubic polynomial
 
     den(a, b, c) = 4abc - 8(ab + bc + ca) + 15(a + b + c) - 27
 
-vanishes, and is indefinite elsewhere.  den is also the shared denominator
-of the closed-form inverse and determinant.
+vanishes.  den is also the shared denominator of the closed-form inverse
+and determinant.  G is diagonal plus rank one, D + 11^T/(s-1) with
+D_i = -(u_i - 1/2)/u_i^2 and u_i = alpha_i - 1, so by interlacing it has
+#{u_i > 1/2} - [kappa < 0] negative eigenvalues, where
+kappa = den / (8 (s-1) prod_i (u_i - 1/2)): it is positive definite on
+(1, 3/2)^3, negative definite where every u_i > 1/2 and den > 0, as at
+(5, 6, 7), and indefinite at the other regular points.
 """
 
 from __future__ import annotations
@@ -44,28 +49,19 @@ def _den(a: float, b: float, c: float) -> float:
     )
 
 
-def _square(u: float) -> float:
-    """u ** 2 through libm pow, as numpy's scalar power takes it (an ulp off
-    u * u at some u), and inf where the square leaves the float range."""
-    try:
-        return u ** 2
-    except OverflowError:
-        return math.inf
-
-
 def det_kernel(a, b, c):
     """Unchecked det G = -den / (8 (a-1)^2 (b-1)^2 (c-1)^2 (s-1)) on floats
-    or same-shape arrays.  Squares are products, as a scalar ``** 2`` goes
-    to libm pow, which can be an ulp off the exact square taken on arrays."""
+    or same-shape arrays."""
     ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
     divisor = ua * ua * (ub * ub) * (uc * uc) * (a + b + c - 1.0)
     return -0.125 * _den(a, b, c) / divisor + 0.0
 
 
-def inverse_kernel(a, b, c, ra, rb, rc):
+def inverse_kernel(a, b, c):
     """Unchecked entries (d1, d2, d3, o12, o13, o23) of G^-1 on floats or
-    same-shape arrays.  The squares ra, rb, rc of a-1, b-1, c-1 come in as
-    given, so a caller picks how they round (``_square`` or a product)."""
+    same-shape arrays."""
+    ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
+    ra, rb, rc = ua * ua, ub * ub, uc * uc
     den = _den(a, b, c)
     return (
         -2.0 * ra * (4 * a * b * c - 6 * a * b - 6 * c * a + 9 * a - b - c + 3) / den,
@@ -107,8 +103,8 @@ class StirlingModel(Model):
         ls, o = math.log(sigma), 1.0 / sigma
         ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
         return (ls - math.log(ua) - 0.5 / ua, ls - math.log(ub) - 0.5 / ub,
-                ls - math.log(uc) - 0.5 / uc, o - (a - 1.5) / _square(ua),
-                o - (b - 1.5) / _square(ub), o - (c - 1.5) / _square(uc), o)
+                ls - math.log(uc) - 0.5 / uc, o - (a - 1.5) / (ua * ua),
+                o - (b - 1.5) / (ub * ub), o - (c - 1.5) / (uc * uc), o)
 
     def det_closed(self, theta) -> float:
         # on Python floats an overflow gives inf or NaN and no warning
@@ -121,8 +117,7 @@ class StirlingModel(Model):
             raise SingularMatrixError(
                 f"metric is degenerate at {(a, b, c)}: denominator {den!r}"
             )
-        inverse = Metric3(*inverse_kernel(
-            a, b, c, _square(a - 1.0), _square(b - 1.0), _square(c - 1.0)))
+        inverse = Metric3(*inverse_kernel(a, b, c))
         check_finite(inverse.as_array(), "metric inverse", theta)
         return inverse
 
@@ -307,7 +302,9 @@ def _refine(at, t, pattern, p, q):
     residual of 1e-12 leaves theta 1e-8 off the root where G is near
     singular, and ``invert_eta``'s floor rule, which compares the largest
     residual components, can stop short of the floor of a smaller one.
-    Falls back to the nearer end's u + 1 once the cell cannot narrow.
+    Falls back to the nearer end's u + 1 once the cell cannot narrow, or
+    at once where some u_i + 1 rounds to 1 at both ends: u_i is monotone
+    in sigma, so then no float point of the cell is in the domain.
     """
     t0, t1, t2 = t
     (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
@@ -317,6 +314,8 @@ def _refine(at, t, pattern, p, q):
     for _ in range(100):
         if theta is None:
             x = p if abs(p[1]) < abs(q[1]) else q
+            if any(u + 1.0 == 1.0 == v + 1.0 for u, v in zip(p[4], q[4])):
+                break
             slope = x[2] + x[3]
             ds = -x[1] / slope if slope else 0.0
             theta = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]

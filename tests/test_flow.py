@@ -757,7 +757,7 @@ def _numpy_metric(model, theta):
         o = -trigamma(p.sum())
         return Metric3(trigamma(p[0]) + o, trigamma(p[1]) + o, trigamma(p[2]) + o, o, o, o)
     o = 1.0 / (p.sum() - 1.0)
-    d = [o - (x - 1.5) / (x - 1.0) ** 2 for x in p]
+    d = [o - (x - 1.5) / ((x - 1.0) * (x - 1.0)) for x in p]
     return Metric3(d[0], d[1], d[2], o, o, o)
 
 

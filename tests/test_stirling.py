@@ -108,6 +108,28 @@ def test_metric_indefinite():
     assert eig[0] < 0.0 < eig[-1]
 
 
+def test_metric_signature_is_the_rank_one_closed_form():
+    # G = D + 11^T/(s-1), D_i = -(u_i - 1/2)/u_i^2: a positive rank-one update
+    # removes a negative eigenvalue of D exactly where
+    # kappa = den / (8 (s-1) prod(u_i - 1/2)) < 0 (Golub 1973).  Points next to
+    # the branch point u_i = 1/2 or with a near-zero eigenvalue are skipped.
+    rng = np.random.Generator(np.random.Philox(3))
+    seen = []
+    for theta in 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, size=(5000, 3)):
+        u = theta - 1.0
+        if np.min(np.abs(u - 0.5)) < 1e-9:
+            continue
+        eig = np.linalg.eigvalsh(STIRLING_MODEL.metric(theta).as_array())
+        if np.min(np.abs(eig)) < 1e-12 * np.max(np.abs(eig)):
+            continue
+        kappa = den(*theta) / (8.0 * (theta.sum() - 1.0) * np.prod(u - 0.5))
+        negative = int(np.sum(u > 0.5)) - int(kappa < 0.0)
+        assert int(np.sum(eig < 0.0)) == negative, theta
+        seen.append(negative)
+    assert len(seen) >= 4900 and seen.count(0) > 100 and seen.count(3) > 100
+    assert np.all(np.linalg.eigvalsh(STIRLING_MODEL.metric((5.0, 6.0, 7.0)).as_array()) < 0.0)
+
+
 def test_eta_jacobian_is_symmetric_and_equals_metric():
     rng = np.random.Generator(np.random.Philox(5))
     h = 1e-5
@@ -319,6 +341,23 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
         assert rounding_floor_ratio(STIRLING_MODEL, root, t) <= 1.0, (root, t)
 
 
+def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(monkeypatch):
+    # The preimage's u_3 is below the float spacing at 1, so theta_3 rounds
+    # to 1 at both ends of the root's cell.  Bisecting that cell to its end
+    # took 171 _solve_u calls; the cell search alone takes 9.
+    calls = [0]
+
+    def counting(r, branch=0):
+        calls[0] += 1
+        return _solve_u(r, branch)
+
+    monkeypatch.setattr(betaflow.stirling, "_solve_u", counting)
+    target = (0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209)
+    with pytest.raises(DomainError, match="needs a, b, c > 1"):
+        invert_eta(STIRLING_MODEL, target)
+    assert calls[0] <= 9
+
+
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
     # the root, about exp(r) - 1/2, nears the largest float
     for r in np.linspace(709.1, 709.78, 41):
@@ -442,6 +481,31 @@ def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
     assert back[0] >= 1.5 and back[1] >= 1.5 and back[2] <= 1.5
     assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) > 1e-12
     assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
+
+
+# From perfbench `invert` at seed 196 (op 169): c is 1.3e-5 above 1, so one
+# ulp of c moves eta_3 by about 7e-7.  The target's first preimage lies on
+# the other side of the fold, det G < 0 there against det G > 0 at theta.
+NEAR_BOUNDARY_THETA = (3.6912878742227053, 2.560316756765374, 1.0000125959645914)
+
+
+@pytest.mark.xfail(strict=True, reason="inversion_start takes the first preimage,"
+                   " whose rounding floor is above 1e-10 (CHANGES FOUND)")
+def test_invert_eta_meets_the_oracle_gate_next_to_the_boundary():
+    target = STIRLING_MODEL.eta(NEAR_BOUNDARY_THETA)
+    back = invert_eta(STIRLING_MODEL, target)
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-10
+
+
+def test_first_preimage_next_to_the_boundary_is_at_its_floor_and_the_second_hits():
+    target = STIRLING_MODEL.eta(NEAR_BOUNDARY_THETA)
+    first, second = list(_preimages(target))
+    assert np.max(np.abs(first - [2.452059, 1.500462, 1.0000126])) <= 1e-6
+    assert np.max(np.abs(STIRLING_MODEL.eta(first) - target)) > 1e-10
+    assert rounding_floor_ratio(STIRLING_MODEL, first, target) <= 1.0
+    assert np.max(np.abs(second - NEAR_BOUNDARY_THETA)) <= 1e-14
+    assert np.max(np.abs(STIRLING_MODEL.eta(second) - target)) <= 1e-15
+    assert STIRLING_MODEL.det_closed(first) < 0.0 < STIRLING_MODEL.det_closed(second)
 
 
 @pytest.mark.parametrize("target", [
