@@ -83,21 +83,30 @@ def rhs(model, theta) -> np.ndarray:
     if not model.in_domain(theta):
         raise DomainError(f"{theta!r} lies outside the {model.name} domain")
     a, b, c = np.asarray(theta, dtype=float).tolist()
-    return check_finite(np.array(_stage(model)(a, b, c)[0]), "flow velocity", theta)
+    e0, e1, e2, d1, d2, d3, o = model.eta_metric_kernel(a, b, c)
+    return check_finite(-np.array(solve_det(d1, d2, d3, o, e0, e1, e2)[1:]),
+                        "flow velocity", theta)
 
 
 def _stage(model):
-    """The velocity of ``rhs`` on three floats, bound to ``model``'s domain
-    and its ``eta_metric_kernel``: ``stage(a, b, c)`` returns the velocity
-    with the eta and det G it used, from one hook call."""
+    """The flow in w = 1/(theta - lower), bound to ``model``'s domain and
+    its ``eta_metric_kernel``: ``stage(w0, w1, w2)`` maps w to the point
+    theta = lower + 1/w and returns the velocity w' = w^2 G^{-1} eta there
+    (the chain rule on theta' = -G^{-1} eta), with the eta and det G it
+    used and the point, from one hook call.  A w that is not > 0, or that
+    maps onto lower or to inf, lies outside the domain."""
     lower, kernel, name, inf = model.lower, model.eta_metric_kernel, model.name, math.inf
 
-    def stage(a, b, c):
-        if not (lower < a < inf and lower < b < inf and lower < c < inf):
-            raise DomainError(f"{[a, b, c]!r} lies outside the {name} domain")
-        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-        det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
-        return (-v0, -v1, -v2), (e0, e1, e2), det
+    def stage(w0, w1, w2):
+        # w > 0 first: 1/w would divide by zero at w = 0.
+        if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
+            a, b, c = lower + 1.0 / w0, lower + 1.0 / w1, lower + 1.0 / w2
+            if lower < a < inf and lower < b < inf and lower < c < inf:
+                e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+                det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
+                return ((w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2), (e0, e1, e2), det,
+                        [a, b, c])
+        raise DomainError(f"w = {[w0, w1, w2]!r} maps outside the {name} domain")
 
     return stage
 
@@ -111,11 +120,17 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
               atol: float = 1e-12, max_step: float | None = None) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) solution of the gradient flow.
 
-    Each step is written out on floats: its six new stage points and its
-    error estimate are sums over the Dormand-Prince tableau, added left to
-    right in the tableau's order, zero entries included.  Each accepted
-    step records t, theta, eta and det G; the ``hamiltonian`` and
-    ``lax_dev`` columns follow from the eta column after the loop.
+    The state is w_i = 1/(theta_i - lower), with w' = w^2 G^{-1} eta.  The
+    flow leaves the dual image in finite time t*, where theta runs off to
+    infinity like C/(t* - t); there w has a regular zero, so the steps need
+    not shrink towards a pole.  ``rtol`` and ``atol`` bound the error of w,
+    that is, the relative error of theta - lower.  Each step is written out
+    on floats: its six new stage points and its error estimate are sums
+    over the Dormand-Prince tableau, added left to right in the tableau's
+    order, zero entries included.  The first sample is theta0 as given;
+    each accepted step records t and the theta = lower + 1/w, eta and det G
+    of its last stage.  The ``hamiltonian`` and ``lax_dev`` columns follow
+    from the eta column after the loop.
 
     Stops early with status "singular" when |det G| < 1e-12 at an accepted
     sample.  When the step size underflows, the last rejected step decides:
@@ -144,7 +159,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
 
     if t_end > 0.0:
         stage = _stage(model)
-        y = y.tolist()
+        y = [1.0 / (x - model.lower) for x in y.tolist()]
         k1 = stage(*y)[0]
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
@@ -199,7 +214,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                                    + _A75 * k51 + _A76 * k61),
                          y2 + h * (_A71 * k12 + _A72 * k22 + _A73 * k32 + _A74 * k42
                                    + _A75 * k52 + _A76 * k62)]
-                k7, eta, det = stage(*y_new)
+                k7, eta, det, theta = stage(*y_new)
             except DomainError:
                 # A non-finite stage point is a plain step failure.
                 failed = "left_domain" if all(map(math.isfinite, y_new)) else None
@@ -235,8 +250,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             y = y_new
             k1 = k7
             n_accepted += 1
-            # The last stage evaluated eta and det G at y_new.
-            samples.append((t, y_new, eta, det))
+            # The last stage evaluated theta, eta and det G at y_new.
+            samples.append((t, theta, eta, det))
             if abs(det) < DET_GUARD:
                 status = "singular"
                 break

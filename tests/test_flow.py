@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,6 +138,102 @@ def test_reference_flows_stop_flagged_at_degeneracy(exact_trajectory,
         assert traj.t[-1] < 2.0
         assert abs(traj.det_g[-1]) < 1e-12
         assert np.all(np.abs(traj.det_g[:-1]) >= 1e-12)
+
+
+# --- Closed-form oracles: theta(t) = eta^-1(eta0 e^-t) and the exit time ---
+
+def _mp_eta_and_metric(model, theta):
+    """eta and G at theta in mpmath's working precision."""
+    a = [mpmath.mpf(x) for x in theta]
+    s = sum(a)
+    if model is EXACT_MODEL:
+        eta = [mpmath.digamma(x) - mpmath.digamma(s) for x in a]
+        diag, off = [mpmath.psi(1, x) for x in a], -mpmath.psi(1, s)
+    else:
+        u = [x - 1 for x in a]
+        eta = [mpmath.log(s - 1) - mpmath.log(x) - 1 / (2 * x) for x in u]
+        diag, off = [-(x - mpmath.mpf(0.5)) / x ** 2 for x in u], 1 / (s - 1)
+    metric = mpmath.matrix(3, 3)
+    for i in range(3):
+        for j in range(3):
+            metric[i, j] = off + (diag[i] if i == j else 0)
+    return eta, metric
+
+
+def _escaping_starts(model, lo, hi):
+    """Two seeded starts in [lo, hi]^3 whose flows end at the det guard."""
+    rng = np.random.Generator(np.random.Philox(53 if model is EXACT_MODEL else 59))
+    trajectories = []
+    for start in np.exp(rng.uniform(math.log(lo), math.log(hi), (4, 3))):
+        traj = integrate(model, start, 2.0, rtol=1e-10, atol=1e-12)
+        if traj.status == "singular":
+            trajectories.append(traj)
+    return trajectories[:2]
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_flow_samples_are_the_closed_form_preimages(model, exact_trajectory,
+                                                    stirling_trajectory):
+    # From each of seven seeded sample rows and the last one, mpmath solves
+    # eta(theta) = eta0 e^-t at 30 digits; the sample is that root to 1e-6
+    # relative in theta - lower (worst measured: 7.3e-10 exact and 5.9e-8
+    # Stirling integrating in w, 2.6e-9 and 7.6e-8 integrating in theta, at
+    # a last row, where det G is near the guard).  On the Stirling model the
+    # root has the sample's branch pattern (u_i above 1/2 or not), and the
+    # sign of det G at the start: a flow cannot cross det G = 0.
+    reference = exact_trajectory if model is EXACT_MODEL else stirling_trajectory
+    box = (0.3, 8.0) if model is EXACT_MODEL else (1.2, 6.0)
+    trajectories = [reference] + _escaping_starts(model, *box)
+    assert len(trajectories) == 3
+    rng = np.random.Generator(np.random.Philox(97))
+    with mpmath.workdps(30):
+        for traj in trajectories:
+            eta0 = _mp_eta_and_metric(model, traj.theta[0])[0]
+            rows = set(rng.integers(1, traj.n_samples, 7).tolist()) | {traj.n_samples - 1}
+            for i in sorted(rows):
+                target = [e * mpmath.exp(-mpmath.mpf(traj.t[i])) for e in eta0]
+                root = mpmath.findroot(
+                    lambda *x: [e - g for e, g in zip(_mp_eta_and_metric(model, x)[0],
+                                                      target)],
+                    [mpmath.mpf(x) for x in traj.theta[i]],
+                    J=lambda *x: _mp_eta_and_metric(model, x)[1])
+                gap = max(abs((x - r) / (r - model.lower))
+                          for x, r in zip(traj.theta[i], root))
+                assert gap <= 1e-6, (traj.theta[0], i, float(gap))
+                if model is STIRLING_MODEL:
+                    assert ([x - 1.0 > 0.5 for x in traj.theta[i]]
+                            == [r - 1 > 0.5 for r in root]), (traj.theta[0], i)
+                    det = mpmath.det(_mp_eta_and_metric(model, root)[1])
+                    assert (det > 0) == (traj.det_g[i] > 0) == (traj.det_g[0] > 0), i
+
+
+@pytest.mark.parametrize("model, start, band", [
+    (EXACT_MODEL, (2.0, 3.0, 4.0), 5e-3),
+    (STIRLING_MODEL, (2.5, 3.0, 2.0), 1e-4),
+    (EXACT_MODEL, (20.0, 30.0, 40.0), 5e-2),
+], ids=["exact", "stirling", "exact-x10"])
+def test_escaping_flow_stops_just_before_the_exit_time(model, start, band):
+    # t* is where eta0 e^-t leaves the dual image: the root of
+    # sum exp(eta0_i e^-t) = 1 on the exact model, and of
+    # sum exp(-eta0_i e^-t) = 1 over the coordinates on branch 0
+    # (u_i >= 1/2) at the escape on the Stirling model.  The det guard stops
+    # the flow before t*, by a gap that grows with the scale of the start
+    # (measured 3.6e-3, 3.1e-5 and 3.3e-2 of t*).  Starts of scale 200 and
+    # up are left out: there the absolute DET_GUARD stops the flow at 0.6 of
+    # t* or at the start (ROADMAP item 2).
+    traj = integrate(model, start, 2.0, rtol=1e-10, atol=1e-12)
+    assert traj.status == "singular"
+    with mpmath.workdps(30):
+        if model is EXACT_MODEL:
+            coeffs = [mpmath.mpf(e) for e in traj.eta[0]]
+        else:
+            coeffs = [-mpmath.mpf(e) for e, x in zip(traj.eta[0], traj.theta[-1])
+                      if x - 1.0 >= 0.5]
+        t_star = mpmath.findroot(
+            lambda t: sum(mpmath.exp(c * mpmath.exp(-t)) for c in coeffs) - 1,
+            mpmath.mpf(traj.t[-1]))
+        gap = float((t_star - traj.t[-1]) / t_star)
+    assert 0.0 < gap <= band, (float(t_star), traj.t[-1])
 
 
 def test_linearization_on_reference_flows(exact_trajectory, stirling_trajectory):
@@ -395,9 +492,21 @@ def _reference_diagnostics(model, theta, ref_lax):
     return eta, ham, det, dev
 
 
+def _reference_stage(model, w):
+    """The w-velocity w^2 G^{-1} eta at theta = lower + 1/w, through
+    ``_reference_rhs``, and theta; a w that is not > 0, or whose theta is
+    outside the domain, raises ``integrate``'s DomainError."""
+    if (w > 0.0).all():
+        theta = model.lower + 1.0 / w
+        if model.in_domain(theta):
+            return -(w * w) * _reference_rhs(model, theta), theta
+    raise DomainError(f"w = {w.tolist()!r} maps outside the {model.name} domain")
+
+
 def _reference_integrate(model, theta0, t_end, rtol, atol):
-    """The Dormand-Prince loop on numpy arrays, every stage and diagnostic
-    recomputed through the model; ``integrate`` must match it bit for bit."""
+    """The Dormand-Prince loop in w = 1/(theta - lower) on numpy arrays,
+    every stage and diagnostic recomputed through the model; ``integrate``
+    must match it bit for bit."""
     y = model.check_domain(theta0)
     try:
         ref_lax = lax_pair(model.eta(y)).L
@@ -410,7 +519,8 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
         )
     n_accepted = n_rejected = 0
     status = "completed"
-    k1 = _reference_rhs(model, y)
+    y = 1.0 / (y - model.lower)
+    k1 = _reference_stage(model, y)[0]
     h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
     t = 0.0
     err_prev = None
@@ -427,7 +537,8 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
             k = [k1]
             for row in _A[1:]:
                 point = y + h * sum(a * ki for a, ki in zip(row, k))
-                k.append(_reference_rhs(model, point))
+                ki, theta = _reference_stage(model, point)
+                k.append(ki)
         except DomainError:
             failed = "left_domain" if np.isfinite(point).all() else None
         except SingularMatrixError:
@@ -448,8 +559,8 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
         y = y_new
         k1 = k[6]
         n_accepted += 1
-        diag = _reference_diagnostics(model, y, ref_lax)
-        samples.append((t, y, *diag))
+        diag = _reference_diagnostics(model, theta, ref_lax)
+        samples.append((t, theta, *diag))
         if abs(diag[2]) < DET_GUARD:
             status = "singular"
             break

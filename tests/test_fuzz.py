@@ -7,10 +7,12 @@ oracle.
 Points are theta = lower + 10^U per coordinate, drawn by Philox: U over
 [-300, 300], which reaches both ends of the float range, over [-3, 3], and
 over [307, log10 of the largest float], where sums of coordinates overflow;
-the exact draw adds (1.7e308, 1, 1), where ln Gamma(a) overflows.
-Targets are eta of those points plus signed 10^U draws.  Defects the draw
-finds are marked ``xfail(strict=True)`` and named in CHANGES.md, never
-filtered out of the draw.
+the exact draw adds (1.7e308, 1, 1), where ln Gamma(a) overflows.  Flow
+starts add draws with one coordinate at lower + 10^U, U over [-300, 300],
+and the next float above lower.  Targets are eta of those points plus
+signed 10^U draws.  Defects the draw finds are marked
+``xfail(strict=True)`` and named in CHANGES.md, never filtered out of the
+draw.
 """
 
 import json
@@ -244,9 +246,25 @@ for start in starts:
 """
 
 
+def _flow_starts(name):
+    """Starts with one coordinate at lower + 10^U, U over [-300, 300], and
+    the others at lower + 10^[-1, 1], so that many pass the start's det
+    guard and the flow's state w = 1/(theta - lower) begins near either end
+    of the float range; then the next float above lower and 1e300 as one
+    coordinate each."""
+    model = MODELS[name]
+    rng = np.random.Generator(np.random.Philox(73 if name == "exact" else 79))
+    exponents = rng.uniform(-1.0, 1.0, (40, 3))
+    exponents[np.arange(40), rng.integers(0, 3, 40)] = rng.uniform(-300.0, 300.0, 40)
+    starts = [tuple(p) for p in (model.lower + 10.0 ** exponents).tolist()]
+    return starts + [(math.nextafter(model.lower, 2.0), 2.0, 3.0), (2.5, 3.0, 1e300)]
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_integrate_and_cli_flow_finish_within_the_contract(name, tmp_path):
-    starts = _points(name)[::5]
+    # never a ZeroDivisionError or OverflowError (the child exits non-zero)
+    # nor an inf theta sample ("non-finite")
+    starts = _points(name)[::5] + _flow_starts(name)
     src = os.path.dirname(os.path.dirname(bf.__file__))
     done = subprocess.run(
         [sys.executable, "-W", "error", "-c", _FLOW_CHILD],
