@@ -190,7 +190,8 @@ def _cmd_flow(args) -> int:
         emit_svg(trajectory, args.svg)
     print(f"status={trajectory.status} samples={trajectory.n_samples}"
           f" t_final={float(trajectory.t[-1])!r}"
-          f" accepted={trajectory.n_accepted} rejected={trajectory.n_rejected}")
+          f" accepted={trajectory.n_accepted} rejected={trajectory.n_rejected}"
+          f" rhs={trajectory.n_rhs}")
     return 0
 
 

@@ -31,23 +31,57 @@ DET_GUARD = 1e-12
 # invert_eta's residual goal and Newton step budget.
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100
 
-# Dormand-Prince 5(4) tableau; the last stage evaluates at the step result,
-# so its slope is reused as stage one of the next step.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# DOP853, the Dormand-Prince 8(5,3) pair, with the coefficients of Hairer's
+# dop853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5 and II.10).  Each
+# row lists the nonzero entries of one stage as (column, coefficient): rows
+# 2 to 12 of A, then the weights b, whose stage point is the step result and
+# whose slope is the next step's first stage.
+_ROWS = (
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+     (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+     (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+     (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)),
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# The entries as names for the written-out step, whose sums keep the zero
-# entries of the last row and of _E.
-((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
+# The weights (column, e5, e3) of the fifth- and third-order error estimates;
+# e3 is b less dop853's bhh, whose weights sit on stages 1, 9 and 12.
+_E = (
+    (0, 1.312004499419488073250102996e-2, -1.898007540724076157147023288757e-1),
+    (5, -1.225156446376204440720569753, 4.45031289275240888144113950566),
+    (6, -4.957589496572501915214079952e-1, 1.89151789931450038304281599044),
+    (7, 1.664377182454986536961530415, -5.8012039600105847814672114227),
+    (8, -3.503288487499736816886487290e-1, -4.22682321323791962932445679177e-1),
+    (9, 3.341791187130174790297318841e-1, -1.52160949662516078556178806805e-1),
+    (10, 8.192320648511571246570742613e-2, 2.01365400804030348374776537501e-1),
+    (11, -2.235530786388629525884427845e-2, 2.26517921983608258118062039631e-2),
+)
 
 
 @dataclass
@@ -65,6 +99,7 @@ class Trajectory:
     atol: float
     n_accepted: int
     n_rejected: int
+    n_rhs: int
     status: str
 
     @property
@@ -118,19 +153,23 @@ def eta_closed(eta0, t: float) -> np.ndarray:
 
 def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
               atol: float = 1e-12, max_step: float | None = None) -> Trajectory:
-    """Adaptive embedded Runge-Kutta 5(4) solution of the gradient flow.
+    """Adaptive Dormand-Prince 8(5,3) (DOP853) solution of the gradient flow.
 
     The state is w_i = 1/(theta_i - lower), with w' = w^2 G^{-1} eta.  The
     flow leaves the dual image in finite time t*, where theta runs off to
     infinity like C/(t* - t); there w has a regular zero, so the steps need
     not shrink towards a pole.  ``rtol`` and ``atol`` bound the error of w,
-    that is, the relative error of theta - lower.  Each step is written out
-    on floats: its six new stage points and its error estimate are sums
-    over the Dormand-Prince tableau, added left to right in the tableau's
-    order, zero entries included.  The first sample is theta0 as given;
-    each accepted step records t and the theta = lower + 1/w, eta and det G
-    of its last stage.  The ``hamiltonian`` and ``lax_dev`` columns follow
-    from the eta column after the loop.
+    that is, the relative error of theta - lower.  Each step runs on floats:
+    its twelve stage points are sums over the nonzero tableau entries, added
+    left to right in the tableau's order, and its error is Hairer's combined
+    estimate h |e5|^2 / sqrt(3 (|e5|^2 + 0.01 |e3|^2)), each component over
+    atol + rtol max(|w|, |w_new|).  The step size follows Gustafsson's
+    predictive controller.  The first sample is theta0 as given; each
+    accepted step records t and the theta = lower + 1/w, eta and det G of
+    its last stage, the step result, whose slope starts the next step.  The
+    ``hamiltonian`` and ``lax_dev`` columns follow from the eta column after
+    the loop.  ``n_rhs`` counts the stage evaluations tried, the start's and
+    those of rejected steps included.
 
     Stops early with status "singular" when |det G| < 1e-12 at an accepted
     sample.  When the step size underflows, the last rejected step decides:
@@ -153,17 +192,18 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             f"metric is numerically singular at the start point {y.tolist()}"
         )
 
-    n_accepted = 0
-    n_rejected = 0
+    n_accepted = n_rejected = n_rhs = 0
     status = "completed"
 
     if t_end > 0.0:
         stage = _stage(model)
         y = [1.0 / (x - model.lower) for x in y.tolist()]
         k1 = stage(*y)[0]
+        n_rhs = 1
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
-        err_prev = None
+        err_prev = h_prev = None
+        rejected = False
         # Every rejection sets the status a step underflow ends in (None: raise).
         underflow_status = None
         while t < t_end:
@@ -180,75 +220,61 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 break
             failed, shrink = None, 0.5
             y0, y1, y2 = y
-            k10, k11, k12 = k1
-            # Each sum adds its terms left to right in its row's order, as a
-            # loop from 0.0 does; starting at the first term changes only the
-            # sign of a zero sum, which y + h * sum (y != 0 in the domain)
-            # and the squared error terms do not keep.
+            k = [k1]
+            # Each stage point sums its row's nonzero entries left to right.
             try:
-                y_new = [y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12)]
-                k20, k21, k22 = stage(*y_new)[0]
-                y_new = [y0 + h * (_A31 * k10 + _A32 * k20),
-                         y1 + h * (_A31 * k11 + _A32 * k21),
-                         y2 + h * (_A31 * k12 + _A32 * k22)]
-                k30, k31, k32 = stage(*y_new)[0]
-                y_new = [y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-                         y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-                         y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)]
-                k40, k41, k42 = stage(*y_new)[0]
-                y_new = [y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-                         y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-                         y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)]
-                k50, k51, k52 = stage(*y_new)[0]
-                y_new = [y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
-                                   + _A65 * k50),
-                         y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
-                                   + _A65 * k51),
-                         y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
-                                   + _A65 * k52)]
-                k60, k61, k62 = stage(*y_new)[0]
-                # The last stage point is the step result.
-                y_new = [y0 + h * (_A71 * k10 + _A72 * k20 + _A73 * k30 + _A74 * k40
-                                   + _A75 * k50 + _A76 * k60),
-                         y1 + h * (_A71 * k11 + _A72 * k21 + _A73 * k31 + _A74 * k41
-                                   + _A75 * k51 + _A76 * k61),
-                         y2 + h * (_A71 * k12 + _A72 * k22 + _A73 * k32 + _A74 * k42
-                                   + _A75 * k52 + _A76 * k62)]
-                k7, eta, det, theta = stage(*y_new)
+                for row in _ROWS:
+                    s0 = s1 = s2 = 0.0
+                    for j, a in row:
+                        kj0, kj1, kj2 = k[j]
+                        s0 += a * kj0
+                        s1 += a * kj1
+                        s2 += a * kj2
+                    y_new = [y0 + h * s0, y1 + h * s1, y2 + h * s2]
+                    n_rhs += 1
+                    last = stage(*y_new)
+                    k.append(last[0])
             except DomainError:
                 # A non-finite stage point is a plain step failure.
                 failed = "left_domain" if all(map(math.isfinite, y_new)) else None
             except SingularMatrixError:
                 failed = "singular"
             else:
-                k70, k71, k72 = k7
-                e0 = h * (_E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40 + _E5 * k50
-                          + _E6 * k60 + _E7 * k70)
-                e1 = h * (_E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41 + _E5 * k51
-                          + _E6 * k61 + _E7 * k71)
-                e2 = h * (_E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42 + _E5 * k52
-                          + _E6 * k62 + _E7 * k72)
-                # y_new passed the domain rule, so it is finite.
-                if math.isfinite(e0) and math.isfinite(e1) and math.isfinite(e2):
-                    # RMS of e over atol + rtol * max(|y|, |y_new|); a zero
-                    # scale gives inf, or NaN for a zero error.
-                    n0, n1, n2 = y_new
-                    s0 = atol + rtol * max(abs(y0), abs(n0))
-                    s1 = atol + rtol * max(abs(y1), abs(n1))
-                    s2 = atol + rtol * max(abs(y2), abs(n2))
-                    q0 = e0 / s0 if s0 else e0 * math.inf
-                    q1 = e1 / s1 if s1 else e1 * math.inf
-                    q2 = e2 / s2 if s2 else e2 * math.inf
-                    err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
-                    shrink = max(0.2, 0.9 * err ** -0.2) if err > 1.0 else None
+                # e5 and e3 for each component, then their squared norms over
+                # atol + rtol * max(|y|, |y_new|); a zero scale gives inf, or
+                # NaN for a zero error.
+                e50 = e51 = e52 = e30 = e31 = e32 = 0.0
+                for j, c5, c3 in _E:
+                    kj0, kj1, kj2 = k[j]
+                    e50 += c5 * kj0
+                    e51 += c5 * kj1
+                    e52 += c5 * kj2
+                    e30 += c3 * kj0
+                    e31 += c3 * kj1
+                    e32 += c3 * kj2
+                n5 = n3 = 0.0
+                for e5, e3, w, w_new in zip((e50, e51, e52), (e30, e31, e32), y, y_new):
+                    sc = atol + rtol * max(abs(w), abs(w_new))
+                    q5 = e5 / sc if sc else e5 * math.inf
+                    q3 = e3 / sc if sc else e3 * math.inf
+                    n5 += q5 * q5
+                    n3 += q3 * q3
+                den = (n5 + 0.01 * n3) * 3
+                # A zero den is a zero error; inf or NaN fails the step.
+                if 0.0 < den < math.inf:
+                    err = h * n5 / math.sqrt(den)
+                    shrink = max(1 / 3, 0.9 * err ** -0.125) if err > 1.0 else None
+                elif den == 0.0:
+                    err, shrink = 0.0, None
             if shrink is not None:
                 n_rejected += 1
                 underflow_status = failed
+                rejected = True
                 h *= shrink
                 continue
             t += h
             y = y_new
-            k1 = k7
+            k1, eta, det, theta = last
             n_accepted += 1
             # The last stage evaluated theta, eta and det G at y_new.
             samples.append((t, theta, eta, det))
@@ -256,12 +282,15 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 status = "singular"
                 break
             if err == 0.0:
-                fac = 5.0
-            elif err_prev is None:
-                fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+                fac = 6.0
             else:
-                fac = min(5.0, max(0.2, 0.9 * err ** -0.14 * err_prev ** 0.08))
-            err_prev = err
+                fac = 0.9 * err ** -0.125
+                # Gustafsson's prediction from the last accepted step.
+                if err_prev:
+                    fac *= h / h_prev * (err_prev / err) ** 0.125
+            # At most 1 straight after a rejection.
+            fac = min(1.0 if rejected else 6.0, max(1 / 3, fac))
+            err_prev, h_prev, rejected = err, h, False
             h *= fac
 
     eta = np.array([s[2] for s in samples])
@@ -278,6 +307,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         atol=atol,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
+        n_rhs=n_rhs,
         status=status,
     )
 

@@ -83,9 +83,12 @@ def test_flow_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "flow.csv"
     assert main(["flow", "--model", "exact", "--start", "2,3,4",
                  "--t-end", "0.05", "--out", str(out)]) == 0
-    capsys.readouterr()
+    summary = capsys.readouterr().out
     parsed = read_trajectory_csv(out)
     traj = integrate(EXACT_MODEL, (2.0, 3.0, 4.0), 0.05)
+    # the work count ends the line, after the status=... samples=N prefix
+    assert summary.startswith(f"status=completed samples={traj.n_samples} ")
+    assert summary.endswith(f" rhs={traj.n_rhs}\n")
     columns = {
         "t": traj.t,
         "a": traj.theta[:, 0], "b": traj.theta[:, 1], "c": traj.theta[:, 2],
