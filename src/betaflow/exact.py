@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite, det3
-from .specfun import _psi_pair, digamma, log_gamma
+from .specfun import _psi_pair, log_gamma
 
 
 class ExactModel(Model):
@@ -32,12 +32,7 @@ class ExactModel(Model):
         a, b, c = self.check_domain(theta).tolist()
         return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
 
-    def eta_kernel(self, a, b, c):
-        ps = digamma(a + b + c)
-        return digamma(a) - ps, digamma(b) - ps, digamma(c) - ps
-
     def eta_metric_kernel(self, a, b, c):
-        # s first: where several arguments overflow, metric raises s's error
         ps, ts = _psi_pair(a + b + c)
         pa, ta = _psi_pair(a)
         pb, tb = _psi_pair(b)

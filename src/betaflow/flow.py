@@ -129,8 +129,10 @@ def _stage(model):
     theta = lower + 1/w and returns the velocity w' = w^2 G^{-1} eta there
     (the chain rule on theta' = -G^{-1} eta), with the eta and det G it
     used and the point, from one hook call.  A w that is not > 0, or that
-    maps onto lower or to inf, lies outside the domain."""
+    maps onto lower or to inf, lies outside the domain, as does a point
+    where G is not finite."""
     lower, kernel, name, inf = model.lower, model.eta_metric_kernel, model.name, math.inf
+    finite = math.isfinite
 
     def stage(w0, w1, w2):
         # w > 0 first: 1/w would divide by zero at w = 0.
@@ -138,9 +140,10 @@ def _stage(model):
             a, b, c = lower + 1.0 / w0, lower + 1.0 / w1, lower + 1.0 / w2
             if lower < a < inf and lower < b < inf and lower < c < inf:
                 e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-                det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
-                return ((w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2), (e0, e1, e2), det,
-                        [a, b, c])
+                if finite(d1) and finite(d2) and finite(d3) and finite(o):
+                    det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
+                    return ((w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2), (e0, e1, e2), det,
+                            [a, b, c])
         raise DomainError(f"w = {[w0, w1, w2]!r} maps outside the {name} domain")
 
     return stage
@@ -152,7 +155,7 @@ def eta_closed(eta0, t: float) -> np.ndarray:
 
 
 def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
-              atol: float = 1e-12, max_step: float | None = None) -> Trajectory:
+              atol: float = 1e-12) -> Trajectory:
     """Adaptive Dormand-Prince 8(5,3) (DOP853) solution of the gradient flow.
 
     The state is w_i = 1/(theta_i - lower), with w' = w^2 G^{-1} eta.  The
@@ -182,8 +185,6 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
-    if max_step is not None and not max_step > 0.0:
-        raise DomainError(f"max_step must be > 0, got {max_step!r}")
     y = model.check_domain(theta0)
     samples = [(0.0, y, model.eta(y), det3(model.metric(y)))]
     # A det that overflows in the metric's products (inf or NaN) fails too.
@@ -208,8 +209,6 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         underflow_status = None
         while t < t_end:
             h = min(h, t_end - t)
-            if max_step is not None:
-                h = min(h, max_step)
             # A non-finite start velocity makes h NaN or 0, and fails here.
             if not h >= 1e-13 * max(1.0, t):
                 if underflow_status is None:
@@ -316,34 +315,25 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     """Newton inversion of the dual map from ``guess`` or else
     ``model.inversion_start(target)``, with the metric as the exact Jacobian
     and step halving whenever a full step would exit the domain.  Returns
-    once max|eta(theta) - target| <= 1e-12, or at the rounding floor: when a
-    full step below sqrt(eps)|theta_i| = 2^-26 |theta_i| in every coordinate
-    no longer lowers that residual, the better of the two iterates."""
+    once max|eta(theta) - target| <= 1e-12, or, unevaluated, the point a
+    full step below sqrt(eps) (theta_i - lower) in every coordinate reaches:
+    eta's curvature scales as 1/(theta_i - lower), so that point is at the
+    rounding floor (the step test of Dennis and Schnabel, Numerical Methods
+    for Unconstrained Optimization and Nonlinear Equations, ch. 7)."""
     target = as_point(target, "target")
     t0, t1, t2 = target.tolist()
     start = model.inversion_start(target) if guess is None else guess
     # the one domain check; every backtracked step below stays inside
     theta = model.check_domain(start).tolist()
-    floor = None  # (theta, residual) before a full step below 2^-26 |theta|
-    kernel = model.eta_metric_kernel
+    lower, kernel, tiny = model.lower, model.eta_metric_kernel, 2.0 ** -26
     for _ in range(_NEWTON_MAX_ITER):
-        try:
-            e0, e1, e2, d1, d2, d3, o = kernel(*theta)
-            overflow = None
-        except DomainError as exc:
-            # The exact G overflows below about 1.5e-162, where eta is still
-            # finite: a point on target is returned, and eta's errors come
-            # before G's.
-            (e0, e1, e2), overflow = model.eta_kernel(*theta), exc
+        e0, e1, e2, d1, d2, d3, o = kernel(*theta)
         check_finite((e0, e1, e2), "eta", theta)
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
-        size = max(abs(r0), abs(r1), abs(r2))
-        if size <= _NEWTON_TOL:
+        # A start already on target is returned where G overflows.
+        if max(abs(r0), abs(r1), abs(r2)) <= _NEWTON_TOL:
             return np.array(theta)
-        if floor is not None and not size < floor[1]:
-            return np.array(floor[0])
-        if overflow is not None:
-            raise overflow
+        check_finite((d1, d2, d3, o), "metric", theta)
         try:
             s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)[1:]
         except SingularMatrixError as exc:
@@ -353,15 +343,14 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
             raise NoConvergenceError(f"Newton step is zero at {theta}")
         a, b, c = theta
         lam = 1.0
-        while not inside(model.lower, a + lam * s0, b + lam * s1, c + lam * s2):
+        while not inside(lower, a + lam * s0, b + lam * s1, c + lam * s2):
             lam *= 0.5
             if lam < 2.0 ** -60:
                 raise NoConvergenceError(f"backtracking stalled at {theta}")
-        tiny = 2.0 ** -26
-        small = (lam == 1.0 and abs(s0) <= tiny * abs(a) and abs(s1) <= tiny * abs(b)
-                 and abs(s2) <= tiny * abs(c))
-        floor = (theta, size) if small else None
         theta = [a + lam * s0, b + lam * s1, c + lam * s2]
+        if (lam == 1.0 and abs(s0) <= tiny * (a - lower) and abs(s1) <= tiny * (b - lower)
+                and abs(s2) <= tiny * (c - lower)):
+            return np.array(theta)
     raise NoConvergenceError(
         f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps"
     )

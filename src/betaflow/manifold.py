@@ -37,19 +37,16 @@ class Model:
     """The domain rule both models share, and their checked ``eta`` and
     ``metric``.  A point is three finite coordinates, each above ``lower``.
     Subclasses set ``lower``, ``name`` and ``domain_description``, which the
-    error message quotes, and provide two float hooks, which run on
-    (a, b, c) already in the domain and do not check it again:
-
-    - ``eta_kernel(a, b, c)``: the dual coordinates as three floats, for
-      ``eta``;
-    - ``eta_metric_kernel(a, b, c)``: ``(e0, e1, e2, d1, d2, d3, o)`` from
-      one pass over the point, the dual coordinates, the diagonal of G and
-      its one off-diagonal value, for ``metric``, the flow and the
-      inversion.
-
-    A hook raises ``DomainError`` only where a special function it calls
-    overflows.  The exact G overflows at tiny coordinates where eta is
-    still finite, so there the second hook raises and the first does not.
+    error message quotes, and provide one float hook,
+    ``eta_metric_kernel(a, b, c)``, which returns
+    ``(e0, e1, e2, d1, d2, d3, o)`` from one pass over a point already in
+    the domain: the dual coordinates, the diagonal of G and its one
+    off-diagonal value.  The hook checks nothing and raises nothing: a
+    value that overflows comes back as inf or NaN.  Its checked callers,
+    ``eta``, ``metric``, ``rhs`` and ``invert_eta``, raise ``DomainError``
+    where a value they use is not finite.  The exact G overflows at tiny
+    coordinates where eta is still finite, so there ``eta`` returns and
+    ``metric`` raises.
     """
 
     def in_domain(self, theta) -> bool:
@@ -72,12 +69,14 @@ class Model:
 
     def eta(self, theta) -> np.ndarray:
         """eta at a point of the domain; DomainError where it is not finite
-        (a coordinate sum overflowed)."""
+        (a coordinate sum overflowed, or 1/a did)."""
         theta = self.check_domain(theta).tolist()
-        return np.array(check_finite(self.eta_kernel(*theta), "eta", theta))
+        return np.array(check_finite(self.eta_metric_kernel(*theta)[:3], "eta", theta))
 
     def metric(self, theta) -> Metric3:
-        d1, d2, d3, o = self.eta_metric_kernel(*self.check_domain(theta).tolist())[3:]
+        """G at a point of the domain; DomainError where it is not finite."""
+        theta = self.check_domain(theta).tolist()
+        d1, d2, d3, o = check_finite(self.eta_metric_kernel(*theta)[3:], "metric", theta)
         return Metric3(d1, d2, d3, o, o, o)
 
 

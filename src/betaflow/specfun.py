@@ -34,36 +34,38 @@ def log_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function on x > 0."""
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"digamma requires a finite argument > 0, got {x!r}")
-    if x >= 2.0 ** -56:
-        return _psi_pair(x)[0]
-    # Below 2^-56, x + 1 rounds to 1 and the shift loop's sum rounds to 1/x,
-    # so the loop ends at psi(8) - 1/x, which rounds to -1/x: half an ulp of
-    # 1/x > 2^56 is 8 > psi(8).  _psi_pair would raise trigamma's error
-    # where x * x underflows, and only this branch can overflow.
-    value = -1.0 / x
-    if not math.isfinite(value):
-        raise DomainError(f"digamma({x!r}) overflows double precision")
-    return value
+    return _checked(x, "digamma", 0)
 
 
 def trigamma(x: float) -> float:
     """Derivative of the digamma function on x > 0."""
-    return _psi_pair(x)[1]
+    return _checked(x, "trigamma", 1)
+
+
+def _checked(x, name: str, index: int) -> float:
+    """``_psi_pair(x)[index]``, or DomainError for an argument outside
+    (0, inf) or a value that overflows."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires a finite argument > 0, got {x!r}")
+    value = _psi_pair(x)[index]
+    if not math.isfinite(value):
+        raise DomainError(f"{name}({x!r}) overflows double precision")
+    return value
 
 
 def _psi_pair(x: float) -> tuple[float, float]:
-    """(digamma(x), trigamma(x)) from one shift loop, bit for bit, with
-    trigamma's errors.  Digamma overflows only where 1/x does, and there
-    x * x is already 0, so trigamma's test covers it."""
-    x0 = x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"trigamma requires a finite argument > 0, got {x!r}")
+    """(digamma(x), trigamma(x)) from one shift loop, on a float x > 0 or
+    x = inf, with no checks: a value that overflows comes back as inf, and
+    trigamma(inf) as NaN, so that a coordinate sum that overflowed cannot
+    give a finite metric."""
     if x * x == 0.0:
-        # 1/x^2 would divide by an underflowed zero.
-        raise DomainError(f"trigamma({x0!r}) overflows double precision")
+        # 1/x^2 would divide by an underflowed zero.  Below 2^-56, x + 1
+        # rounds to 1 and the loop's sum rounds to 1/x, so digamma is -1/x:
+        # half an ulp of 1/x > 2^56 is 8 > psi(8).
+        return -1.0 / x, math.inf
+    if x == math.inf:
+        return x, math.nan
     shift = shift2 = 0.0
     while x < _SHIFT:
         shift += 1.0 / x
@@ -79,6 +81,4 @@ def _psi_pair(x: float) -> tuple[float, float]:
                  - 691.0 / 2730.0) * u + 5.0 / 66.0) * u - 1.0 / 30.0) * u
               + 1.0 / 42.0) * u - 1.0 / 30.0) * u + 1.0 / 6.0) * u
     value = 1.0 / x + 0.5 * u + tail2 / x + shift2
-    if not math.isfinite(value):
-        raise DomainError(f"trigamma({x0!r}) overflows double precision")
     return math.log(x) - 0.5 / x - tail - shift, value

@@ -95,9 +95,6 @@ class StirlingModel(Model):
         )
         return check_finite(value, "potential", theta)
 
-    def eta_kernel(self, a, b, c):
-        return self.eta_metric_kernel(a, b, c)[:3]
-
     def eta_metric_kernel(self, a, b, c):
         sigma = a + b + c - 1.0
         ls, o = math.log(sigma), 1.0 / sigma
@@ -298,17 +295,16 @@ def _refine(at, t, pattern, p, q):
 
     Returns, unevaluated, the point a step below 2^-26 u_i in every
     coordinate reaches: eta's curvature scales as 1/u_i, so that point is
-    at the rounding floor, where ``invert_eta`` stops.  A stop at a
-    residual of 1e-12 leaves theta 1e-8 off the root where G is near
-    singular, and ``invert_eta``'s floor rule, which compares the largest
-    residual components, can stop short of the floor of a smaller one.
+    at the rounding floor.  ``invert_eta`` stops by the same rule, so it
+    usually returns that point after one hook call.  A stop at a residual
+    of 1e-12 would leave theta 1e-8 off the root where G is near singular.
     Falls back to the nearer end's u + 1 once the cell cannot narrow, or
     at once where some u_i + 1 rounds to 1 at both ends: u_i is monotone
     in sigma, so then no float point of the cell is in the domain.
     """
     t0, t1, t2 = t
     (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
-    # the small step of invert_eta's floor rule, sqrt of the float epsilon
+    # invert_eta's small step, sqrt of the float epsilon
     kernel, tiny = STIRLING_MODEL.eta_metric_kernel, 2.0 ** -26
     theta = None
     for _ in range(100):

@@ -91,7 +91,7 @@ def _suite_hamiltonian(seed: int) -> list[CheckRecord]:
         ("exact", EXACT_MODEL, ((2.0, 2.0, 2.0), (7.0, 7.0, 7.0))),
         ("stirling", STIRLING_MODEL, ((2.0, 2.0, 2.0), (4.0, 4.0, 4.0))),
     ):
-        residual = max(abs(hamiltonian(model.eta_kernel(*p)) - 2.0) for p in points)
+        residual = max(abs(hamiltonian(model.eta_metric_kernel(*p)[:3]) - 2.0) for p in points)
         out.append(_record(f"{tag}-symmetric", residual, 1e-12))
     return out
 
@@ -150,7 +150,7 @@ def _suite_legendre(seed: int) -> list[CheckRecord]:
         ("stirling", STIRLING_MODEL, 1.2, 5.0),
     ):
         gaps = [abs(model.dual_potential(p) + model.potential(p)
-                    - float(np.dot(p, model.eta_kernel(*p))))
+                    - float(np.dot(p, model.eta_metric_kernel(*p)[:3])))
                 for p in rng.uniform(lo, hi, size=(100, 3)).tolist()]
         out.append(_record(f"{tag}-legendre", max(gaps), 1e-9))
     point = (2.0, 2.0, 2.0)

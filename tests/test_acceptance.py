@@ -193,10 +193,14 @@ def test_criterion_10_canonical_structure():
 
     antisym_dev = abs(bf.poisson_bracket(f, g, at) + bf.poisson_bracket(g, f, at))
 
-    traj = bf.integrate(bf.EXACT_MODEL, (2.0, 3.0, 4.0), 0.08,
-                        rtol=1e-10, atol=1e-12, max_step=0.002)
-    states = np.array([bf.to_canonical(e).as_array() for e in traj.eta])
-    t = traj.t
+    # samples every 0.002 up to t = 0.08, each the end of a flow from the last
+    theta, etas = (2.0, 3.0, 4.0), [bf.EXACT_MODEL.eta((2.0, 3.0, 4.0))]
+    for _ in range(40):
+        traj = bf.integrate(bf.EXACT_MODEL, theta, 0.002, rtol=1e-10, atol=1e-12)
+        theta = traj.theta_end
+        etas.append(traj.eta[-1])
+    states = np.array([bf.to_canonical(e).as_array() for e in etas])
+    t = 0.002 * np.arange(41)
     fd_rel = 0.0
     for i in range(1, len(t) - 1):
         h1 = t[i] - t[i - 1]

@@ -219,10 +219,14 @@ def test_classify_domain_never_raises_on_points():
 
 
 def _trigamma_metric(theta):
-    """G = diag trigamma(alpha_i) - trigamma(s) from five trigamma calls."""
+    """G = diag trigamma(alpha_i) - trigamma(s) from five trigamma calls, or
+    metric's error where one of them raises."""
     a, b, c = EXACT_MODEL.check_domain(theta).tolist()
-    o = -trigamma(a + b + c)
-    return Metric3(trigamma(a) + o, trigamma(b) + o, trigamma(c) + o, o, o, o)
+    try:
+        o = -trigamma(a + b + c)
+        return Metric3(trigamma(a) + o, trigamma(b) + o, trigamma(c) + o, o, o, o)
+    except DomainError:
+        raise DomainError(f"metric is not finite at {[a, b, c]}") from None
 
 
 def _bits_or_error(func, theta):
@@ -237,8 +241,8 @@ def _bits_or_error(func, theta):
 
 def test_metric_and_det_closed_match_the_trigamma_formulas_on_fuzz_points():
     # metric and det_closed take G from the digamma-and-trigamma pairs of
-    # eta_metric_kernel: the same bits as from trigamma alone, or the same
-    # error and message
+    # eta_metric_kernel: the same bits as from trigamma alone, or metric's
+    # DomainError where trigamma raises
     def det_formula(theta):
         return check_finite(det3(_trigamma_metric(theta)), "det G", theta)
 
@@ -247,3 +251,13 @@ def test_metric_and_det_closed_match_the_trigamma_formulas_on_fuzz_points():
                 == _bits_or_error(_trigamma_metric, theta)), theta
         assert (_bits_or_error(EXACT_MODEL.det_closed, theta)
                 == _bits_or_error(det_formula, theta)), theta
+
+
+@pytest.mark.parametrize("theta", [(1e308, 1e308, 1e308), (1.7e308, 1.7e308, 1.0)])
+def test_metric_raises_where_the_coordinate_sum_overflows(theta):
+    # s = inf: psi'(inf) is NaN, not the series' 0, which would give a
+    # finite G with o = 0
+    with pytest.raises(DomainError, match=r"^metric is not finite at "):
+        EXACT_MODEL.metric(theta)
+    with pytest.raises(DomainError, match=r"^eta is not finite at "):
+        EXACT_MODEL.eta(theta)

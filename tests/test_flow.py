@@ -34,6 +34,7 @@ from betaflow import (
 )
 from betaflow.flow import _E, _ROWS
 from betaflow.manifold import Model, check_finite
+from betaflow.stirling import det_kernel
 from conftest import linearization_residual, rounding_floor_ratio
 from test_fuzz import MODELS as FUZZ_MODELS, _points as fuzz_points, _targets as fuzz_targets
 from test_fuzz import _tiny_guesses
@@ -79,8 +80,6 @@ def test_integrate_t_end_zero():
 @pytest.mark.parametrize("kwargs", [
     {"t_end": -0.5},
     {"t_end": math.inf},
-    {"t_end": 1.0, "max_step": 0.0},
-    {"t_end": 1.0, "max_step": -1.0},
 ])
 def test_integrate_rejects_bad_arguments(kwargs):
     with pytest.raises(DomainError):
@@ -261,11 +260,6 @@ def test_semigroup_property():
         assert np.max(np.abs(second.theta_end - full.theta_end)) <= 1e-7
 
 
-def test_max_step_honored():
-    traj = integrate(EXACT_MODEL, (2.0, 3.0, 4.0), 0.05, max_step=0.003)
-    assert np.all(np.diff(traj.t) <= 0.003 + 1e-12)
-
-
 def test_invert_eta_spec_roundtrips():
     theta = invert_eta(STIRLING_MODEL, [math.log(5.0) - 0.5] * 3,
                        guess=(3.0, 3.2, 2.5))
@@ -329,13 +323,11 @@ def test_invert_eta_near_the_stirling_boundary_stops_at_the_rounding_floor():
     assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="the floor rule compares residuals by their"
-                   " largest component, so it keeps this guess (CHANGES FOUND)")
 def test_invert_eta_from_a_guess_short_of_the_floor_reaches_it():
     # the guess is short of the floor in eta_2 and eta_3, whose floors are far
     # below eta_1's; the next full step lowers those two but raises eta_1
-    # within its own floor, so the largest component grows and the guess is
-    # returned unchanged, at 9.87 times the floor
+    # within its own floor, so a stop rule that compares the largest residual
+    # components would keep the guess, at 9.87 times the floor
     target = STIRLING_MODEL.eta((1.0012761420282155, 2.234130123822429, 1.326522913613314))
     guess = (1.001271040236109, 9.367968342264263, 7.728650446704136)
     back = invert_eta(STIRLING_MODEL, target, guess=guess)
@@ -445,12 +437,15 @@ REFERENCE_STARTS = {EXACT_MODEL: (2.0, 3.0, 4.0), STIRLING_MODEL: (2.5, 3.0, 2.0
 @pytest.mark.parametrize("part, past_plane, status", [
     # the domain ends at the plane
     ("metric", _past_the_plane, "left_domain"),
+    # G overflows past the plane, as the exact G does below 1.5e-162: the
+    # stage takes such a point as outside the domain
+    ("metric", lambda model, a, b, c: (math.inf,) * 4, "left_domain"),
     # a NaN velocity makes the next stage point NaN: no point left the
     # domain, so that is a plain step failure and the underflow raises
     ("eta", lambda model, a, b, c: (math.nan,) * 3, None),
     # det G is exactly 0 past the plane, so every stage there is singular
     ("metric", lambda model, a, b, c: (0.0,) * 4, "singular"),
-], ids=["narrow-domain", "nan-eta", "singular-metric"])
+], ids=["narrow-domain", "overflowing-metric", "nan-eta", "singular-metric"])
 def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane, status):
     wrapped = _PlaneModel(model, part, past_plane)
     if status is None:
@@ -716,10 +711,11 @@ def test_integrate_matches_array_reference_into_the_degeneracy_surface(start):
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 @pytest.mark.parametrize("part, past_plane", [
     ("metric", _past_the_plane),
+    ("metric", lambda model, a, b, c: (math.inf,) * 4),
     ("eta", lambda model, a, b, c: (math.nan,) * 3),
     ("metric", lambda model, a, b, c: (0.0,) * 4),
     ("eta", _eta_jump),
-], ids=["narrow-domain", "nan-eta", "singular-metric", "eta-jump"])
+], ids=["narrow-domain", "overflowing-metric", "nan-eta", "singular-metric", "eta-jump"])
 def test_integrate_matches_array_reference_on_plane_models(model, part, past_plane):
     _assert_same_flow(_PlaneModel(model, part, past_plane), REFERENCE_STARTS[model], 1e-10)
 
@@ -750,28 +746,19 @@ def test_rhs_matches_array_reference_on_fuzz_points(name):
 
 @pytest.mark.parametrize("name", FUZZ_MODELS)
 def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
-    # eta raises DomainError where its kernel's floats are not finite;
-    # metric passes the G part of eta_metric_kernel on as it is, and the
-    # eta part, where that hook returns, has eta_kernel's bits
+    # eta and metric pass their part of eta_metric_kernel on as it is, or
+    # raise DomainError where a float of that part is not finite
     model = FUZZ_MODELS[name]
     for theta in fuzz_points(name):
         if not model.in_domain(theta):
             continue
-        try:
-            eta = np.array(model.eta_kernel(*theta))
-            eta = eta.tobytes() if np.isfinite(eta).all() else DomainError
-        except BetaflowError as exc:
-            eta = type(exc)
+        values = model.eta_metric_kernel(*theta)
+        eta = np.array(values[:3])
+        eta = eta.tobytes() if np.isfinite(eta).all() else DomainError
         assert _outcome(lambda m, p: m.eta(p), model, theta) == eta, theta
-        try:
-            values = model.eta_metric_kernel(*theta)
-        except BetaflowError as exc:
-            metric = type(exc)
-        else:
-            d1, d2, d3, o = values[3:]
-            metric = np.array([d1, d2, d3, o, o, o]).tobytes()
-            assert (np.array(values[:3]).tobytes()
-                    == np.array(model.eta_kernel(*theta)).tobytes()), theta
+        d1, d2, d3, o = values[3:]
+        metric = np.array([d1, d2, d3, o, o, o])
+        metric = metric.tobytes() if np.isfinite(metric).all() else DomainError
         assert _outcome(lambda m, p: m.metric(p), model, theta) == metric, theta
 
 
@@ -786,14 +773,10 @@ def _reference_invert_eta(model, target, guess=None):
         theta = model.check_domain(guess)
     else:
         theta = model.inversion_start(target)
-    floor = None
     for _ in range(betaflow.flow._NEWTON_MAX_ITER):
         residual = model.eta(theta) - target
-        size = float(np.max(np.abs(residual)))
-        if size <= 1e-12:
+        if float(np.max(np.abs(residual))) <= 1e-12:
             return theta
-        if floor is not None and not size < floor[1]:
-            return floor[0]
         try:
             step = invert3(model.metric(theta), tol=0.0).matvec(-residual)
         except SingularMatrixError as exc:
@@ -807,9 +790,11 @@ def _reference_invert_eta(model, target, guess=None):
             lam *= 0.5
             if lam < 2.0 ** -60:
                 raise NoConvergenceError(f"backtracking stalled at {theta.tolist()}")
-        small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * np.abs(theta)).all()
-        floor = (theta, size) if small else None
+        small = lam == 1.0 and (np.abs(step) <= 2.0 ** -26 * (theta - model.lower)).all()
         theta = theta + lam * step
+        if small:
+            # a full step below 2^-26 (theta - lower) reaches the rounding floor
+            return theta
     raise NoConvergenceError(
         f"eta inversion did not converge in {betaflow.flow._NEWTON_MAX_ITER} steps"
     )
@@ -852,17 +837,17 @@ def test_invert_eta_matches_array_reference_from_tiny_guesses():
     (1e-170, 2.0, 3.0), (1e-300, 1e-300, 1e-300), (1e-200, 0.5, 0.5),
 ])
 def test_invert_eta_returns_a_solved_guess_where_the_metric_overflows(guess):
-    # eta_metric_kernel raises where a coordinate is below 1.5e-162 (G
-    # overflows), but eta alone is finite there and already on target
+    # G overflows where a coordinate is below 1.5e-162, but eta is finite
+    # there and already on target
     target = EXACT_MODEL.eta(guess)
     assert invert_eta(EXACT_MODEL, target, guess).tolist() == list(guess)
     _assert_same_inversions(EXACT_MODEL, [target], [guess])
 
 
 @pytest.mark.parametrize("guess, message", [
-    ((1e308, 1e308, 1e308), "digamma requires a finite argument > 0, got inf"),
-    ((5e-324, 1.0, 1.0), "digamma(5e-324) overflows double precision"),
-    ((1e-170, 2.0, 3.0), "trigamma(1e-170) overflows double precision"),
+    ((1e308, 1e308, 1e308), "eta is not finite at [1e+308, 1e+308, 1e+308]"),
+    ((5e-324, 1.0, 1.0), "eta is not finite at [5e-324, 1.0, 1.0]"),
+    ((1e-170, 2.0, 3.0), "metric is not finite at [1e-170, 2.0, 3.0]"),
 ])
 def test_invert_eta_raises_the_eta_error_before_the_metric_error(guess, message):
     # where s or 1/a overflows, eta's error comes before G's; where only G
@@ -876,19 +861,15 @@ def test_invert_eta_raises_the_eta_error_before_the_metric_error(guess, message)
 # --- Model calls per flow ---------------------------------------------------
 
 class _CountingModel(_HookModel):
-    """Counts the calls into the domain check and the two hooks."""
+    """Counts the calls into the domain check and the hook."""
 
     def __init__(self, model):
         super().__init__(model)
-        self.calls = dict.fromkeys(("check_domain", "eta_kernel", "eta_metric_kernel"), 0)
+        self.calls = dict.fromkeys(("check_domain", "eta_metric_kernel"), 0)
 
     def check_domain(self, theta):
         self.calls["check_domain"] += 1
         return super().check_domain(theta)
-
-    def eta_kernel(self, a, b, c):
-        self.calls["eta_kernel"] += 1
-        return self._model.eta_kernel(a, b, c)
 
     def eta_metric_kernel(self, a, b, c):
         self.calls["eta_metric_kernel"] += 1
@@ -898,14 +879,14 @@ class _CountingModel(_HookModel):
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
     # a short flow that completes: each stage evaluation is one
-    # eta_metric_kernel call; the domain is checked once for the start and
-    # once in each of the start sample's eta and metric, never per stage
+    # eta_metric_kernel call, and so are the start sample's eta and metric;
+    # the domain is checked once for the start and once in each of those
+    # two, never per stage
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 0.05, rtol=1e-10, atol=1e-12)
     assert traj.status == "completed"
     assert traj.n_rhs > 1
-    assert counting.calls == {"check_domain": 3, "eta_kernel": 1,
-                              "eta_metric_kernel": traj.n_rhs + 1}
+    assert counting.calls == {"check_domain": 3, "eta_metric_kernel": traj.n_rhs + 2}
 
 
 def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_trajectory):
@@ -918,14 +899,14 @@ def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_traje
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_diagnostics_reuse_the_last_stage(model):
-    # the reference flows stop at the det guard; each in-domain rhs calls
+    # the reference flows stop at the det guard; each stage evaluation calls
     # eta_metric_kernel once, and the diagnostics add only the start
     # sample's eta and metric
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
     assert traj.status == "singular"
-    n_rhs = counting.calls["eta_metric_kernel"] - 1
-    assert counting.calls["eta_kernel"] == 1
+    n_rhs = counting.calls["eta_metric_kernel"] - 2
+    assert n_rhs == traj.n_rhs
     assert n_rhs >= 6 * traj.n_accepted
 
 
@@ -964,6 +945,14 @@ def _numpy_rhs(model, theta):
     return velocity
 
 
+def _numpy_det(model, theta):
+    if model is EXACT_MODEL:
+        value = det3(_numpy_metric(model, theta))
+    else:
+        value = det_kernel(*_numpy_point(model, theta).tolist())
+    return check_finite(value, "det G", theta)
+
+
 def _outcome(func, model, theta):
     """The result's bytes, or the type of the BetaflowError raised."""
     try:
@@ -992,3 +981,27 @@ def test_model_formulas_match_numpy_bit_for_bit(model, exponents):
                                (lambda m, p: m.metric(p), _numpy_metric),
                                (rhs, _numpy_rhs)):
                 assert _outcome(func, model, theta) == _outcome(want, model, theta), theta
+
+
+@pytest.mark.parametrize("name", FUZZ_MODELS)
+def test_checked_calls_keep_the_formulas_outcomes_on_fuzz_points(name):
+    # eta_metric_kernel returns seven floats and raises nothing; eta, metric,
+    # det_closed and rhs give the numpy formulas' bits, or the same error
+    # type where digamma or trigamma raises or a value is not finite
+    model = FUZZ_MODELS[name]
+    calls = ((lambda m, p: m.eta(p), lambda m, p: check_finite(_numpy_eta(m, p), "eta", p)),
+             (lambda m, p: m.metric(p), _numpy_metric),
+             (lambda m, p: m.det_closed(p), _numpy_det),
+             (rhs, _numpy_rhs))
+    raised = 0
+    with np.errstate(all="ignore"):
+        for theta in fuzz_points(name):
+            if model.in_domain(theta):
+                values = model.eta_metric_kernel(*theta)
+                assert len(values) == 7 and all(type(v) is float for v in values), theta
+            for func, want in calls:
+                got = _outcome(func, model, theta)
+                assert got == _outcome(want, model, theta), theta
+                raised += got is DomainError
+    # the draw reaches overflows of G, of eta and of coordinate sums
+    assert raised > len(fuzz_points(name)) // 10

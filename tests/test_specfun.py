@@ -199,25 +199,23 @@ def _reference(name, x):
 
 
 def test_psi_pair_is_digamma_and_trigamma_bit_for_bit():
-    # one shift loop for both: digamma's bits where it returns, and
-    # trigamma's error where trigamma raises, as metric raised it
+    # one shift loop for both, with no checks, on x > 0 and x = inf: the
+    # loop form's bits wherever digamma or trigamma returns, and inf or NaN
+    # where it raises; trigamma(inf) is NaN, not the series' 0
     rng = np.random.Generator(np.random.Philox(103))
     xs = (10.0 ** rng.uniform(-320.0, 308.0, 20_000)).tolist()
-    xs += [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1.5e-162, 7.5e-155, 1.7e308]
+    xs += [5e-324, 1.5e-162, 7.5e-155, 1.7e308, math.inf]
     raised = 0
     for x in xs:
-        want = _reference("trigamma", x)
-        try:
-            psi, psi1 = _psi_pair(x)
-        except DomainError as exc:
-            raised += 1
-            assert (type(exc), str(exc)) == want, x
-            with pytest.raises(DomainError) as err:
-                trigamma(x)
-            assert str(err.value) == str(exc)
-            continue
-        assert (psi.hex(), psi1.hex()) == (_reference("digamma", x), want), x
-        assert psi1.hex() == trigamma(x).hex()
+        for value, name in zip(_psi_pair(x), ("digamma", "trigamma")):
+            want = _reference(name, x)
+            if isinstance(want, str):
+                assert value.hex() == want, (name, x)
+            else:
+                raised += 1
+                assert not math.isfinite(value), (name, x)
+    psi, psi1 = _psi_pair(math.inf)
+    assert psi == math.inf and math.isnan(psi1)
     # the draw reaches both sides of trigamma's overflow at 1.5e-162
     assert 0 < raised < len(xs) // 2
 
