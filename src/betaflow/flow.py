@@ -84,6 +84,52 @@ _E = (
 )
 
 
+def _sum(weights, c):
+    """Component c of sum(a * k_j) over (j, a) in weights, left to right."""
+    return " + ".join(f"{a!r} * k{j}_{c}" for j, a in weights)
+
+
+def _step_source():
+    """Source of ``_step(stage, h, y, k0, rtol, atol)``: one DOP853 step from
+    w = y with first slope k0, as straight-line float code with one call of
+    ``stage`` (see ``_stage``) per row of _ROWS.  It returns (n, w, last,
+    failed, n5, n3): the n stages tried and the last stage point w.  If all
+    returned, ``last`` is the twelfth's tuple, ``failed`` None, and n5 and
+    n3 the squared norms of e5 and e3 over atol + rtol max(|y|, |w|) (a
+    zero scale gives inf, or NaN for a zero error).  If stage n raised,
+    ``last``, n5 and n3 are None and ``failed`` is the status a step
+    underflow ends in: "singular", "left_domain" at a finite w, else None."""
+    lines = ["def _step(stage, h, y, k0, rtol, atol):",
+             "    (y_0, y_1, y_2), (k0_0, k0_1, k0_2) = y, k0",
+             "    try:"]
+    for n, row in enumerate(_ROWS, start=1):
+        lines.append(f"        n = {n}")
+        lines += [f"        p_{c} = y_{c} + h * ({_sum(row, c)})" for c in range(3)]
+        slope = "last" if n == len(_ROWS) else f"k{n}_0, k{n}_1, k{n}_2" + ", _" * 7
+        lines.append(f"        {slope} = stage(p_0, p_1, p_2)")
+    lines += ["    except DomainError:",
+              "        finite = math.isfinite(p_0) and math.isfinite(p_1) and math.isfinite(p_2)",
+              "        failed = 'left_domain' if finite else None",
+              "        return n, (p_0, p_1, p_2), None, failed, None, None",
+              "    except SingularMatrixError:",
+              "        return n, (p_0, p_1, p_2), None, 'singular', None, None"]
+    for c in range(3):
+        lines += [f"    e5_{c} = {_sum([(j, e5) for j, e5, _ in _E], c)}",
+                  f"    e3_{c} = {_sum([(j, e3) for j, _, e3 in _E], c)}",
+                  f"    s_{c} = atol + rtol * max(abs(y_{c}), abs(p_{c}))",
+                  f"    q5_{c}, q3_{c} = (e5_{c} / s_{c}, e3_{c} / s_{c}) if s_{c} else"
+                  f" (e5_{c} * math.inf, e3_{c} * math.inf)"]
+    lines += ["    n5 = q5_0 * q5_0 + q5_1 * q5_1 + q5_2 * q5_2",
+              "    n3 = q3_0 * q3_0 + q3_1 * q3_1 + q3_2 * q3_2",
+              "    return n, (p_0, p_1, p_2), last, None, n5, n3", ""]
+    return "\n".join(lines)
+
+
+# Compiled once, into this module's namespace: defines _step.
+_STEP_SOURCE = _step_source()
+exec(compile(_STEP_SOURCE, "<betaflow.flow._step>", "exec"), globals())
+
+
 @dataclass
 class Trajectory:
     """Time-ordered flow samples with per-sample diagnostics."""
@@ -126,11 +172,11 @@ def rhs(model, theta) -> np.ndarray:
 def _stage(model):
     """The flow in w = 1/(theta - lower), bound to ``model``'s domain and
     its ``eta_metric_kernel``: ``stage(w0, w1, w2)`` maps w to the point
-    theta = lower + 1/w and returns the velocity w' = w^2 G^{-1} eta there
-    (the chain rule on theta' = -G^{-1} eta), with the eta and det G it
-    used and the point, from one hook call.  A w that is not > 0, or that
-    maps onto lower or to inf, lies outside the domain, as does a point
-    where G is not finite."""
+    theta = lower + 1/w and returns, from one hook call, the flat tuple of
+    the velocity w' = w^2 G^{-1} eta there (the chain rule on
+    theta' = -G^{-1} eta), the eta and det G it used, and the point.  A w
+    that is not > 0, or that maps onto lower or to inf, lies outside the
+    domain, as does a point where G is not finite."""
     lower, kernel, name, inf = model.lower, model.eta_metric_kernel, model.name, math.inf
     finite = math.isfinite
 
@@ -142,8 +188,7 @@ def _stage(model):
                 e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
                 if finite(d1) and finite(d2) and finite(d3) and finite(o):
                     det, v0, v1, v2 = solve_det(d1, d2, d3, o, e0, e1, e2)
-                    return ((w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2), (e0, e1, e2), det,
-                            [a, b, c])
+                    return w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2, e0, e1, e2, det, a, b, c
         raise DomainError(f"w = {[w0, w1, w2]!r} maps outside the {name} domain")
 
     return stage
@@ -162,11 +207,13 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     flow leaves the dual image in finite time t*, where theta runs off to
     infinity like C/(t* - t); there w has a regular zero, so the steps need
     not shrink towards a pole.  ``rtol`` and ``atol`` bound the error of w,
-    that is, the relative error of theta - lower.  Each step runs on floats:
-    its twelve stage points are sums over the nonzero tableau entries, added
-    left to right in the tableau's order, and its error is Hairer's combined
-    estimate h |e5|^2 / sqrt(3 (|e5|^2 + 0.01 |e3|^2)), each component over
-    atol + rtol max(|w|, |w_new|).  The step size follows Gustafsson's
+    that is, the relative error of theta - lower; each must be finite and
+    >= 0, as must t_end, or DomainError is raised.  Each step is one call of
+    ``_step``, compiled at import from the tableau (``_STEP_SOURCE``), and
+    its error is Hairer's combined estimate h |e5|^2 / sqrt(3 (|e5|^2 +
+    0.01 |e3|^2)), each component over atol + rtol max(|w|, |w_new|).  Its
+    twelve stage points are sums over the nonzero tableau entries, added
+    left to right in the tableau's order.  The step size follows Gustafsson's
     predictive controller.  The first sample is theta0 as given; each
     accepted step records t and the theta = lower + 1/w, eta and det G of
     its last stage, the step result, whose slope starts the next step.  The
@@ -183,8 +230,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     error: there every step fails the error test.  Raises
     SingularMatrixError when det G at the start is below 1e-12 or not finite.
     """
-    if not (t_end >= 0.0 and math.isfinite(t_end)):
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
+    for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
     y = model.check_domain(theta0)
     samples = [(0.0, y, model.eta(y), det3(model.metric(y)))]
     # A det that overflows in the metric's products (inf or NaN) fails too.
@@ -198,8 +246,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
 
     if t_end > 0.0:
         stage = _stage(model)
-        y = [1.0 / (x - model.lower) for x in y.tolist()]
-        k1 = stage(*y)[0]
+        y = tuple(1.0 / (x - model.lower) for x in y.tolist())
+        k1 = stage(*y)[:3]
         n_rhs = 1
         h = 1e-2 / (1.0 + float(np.max(np.abs(k1))))
         t = 0.0
@@ -217,47 +265,10 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                     )
                 status = underflow_status
                 break
-            failed, shrink = None, 0.5
-            y0, y1, y2 = y
-            k = [k1]
-            # Each stage point sums its row's nonzero entries left to right.
-            try:
-                for row in _ROWS:
-                    s0 = s1 = s2 = 0.0
-                    for j, a in row:
-                        kj0, kj1, kj2 = k[j]
-                        s0 += a * kj0
-                        s1 += a * kj1
-                        s2 += a * kj2
-                    y_new = [y0 + h * s0, y1 + h * s1, y2 + h * s2]
-                    n_rhs += 1
-                    last = stage(*y_new)
-                    k.append(last[0])
-            except DomainError:
-                # A non-finite stage point is a plain step failure.
-                failed = "left_domain" if all(map(math.isfinite, y_new)) else None
-            except SingularMatrixError:
-                failed = "singular"
-            else:
-                # e5 and e3 for each component, then their squared norms over
-                # atol + rtol * max(|y|, |y_new|); a zero scale gives inf, or
-                # NaN for a zero error.
-                e50 = e51 = e52 = e30 = e31 = e32 = 0.0
-                for j, c5, c3 in _E:
-                    kj0, kj1, kj2 = k[j]
-                    e50 += c5 * kj0
-                    e51 += c5 * kj1
-                    e52 += c5 * kj2
-                    e30 += c3 * kj0
-                    e31 += c3 * kj1
-                    e32 += c3 * kj2
-                n5 = n3 = 0.0
-                for e5, e3, w, w_new in zip((e50, e51, e52), (e30, e31, e32), y, y_new):
-                    sc = atol + rtol * max(abs(w), abs(w_new))
-                    q5 = e5 / sc if sc else e5 * math.inf
-                    q3 = e3 / sc if sc else e3 * math.inf
-                    n5 += q5 * q5
-                    n3 += q3 * q3
+            n, y_new, last, failed, n5, n3 = _step(stage, h, y, k1, rtol, atol)
+            n_rhs += n
+            shrink = 0.5
+            if last is not None:
                 den = (n5 + 0.01 * n3) * 3
                 # A zero den is a zero error; inf or NaN fails the step.
                 if 0.0 < den < math.inf:
@@ -272,11 +283,10 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 h *= shrink
                 continue
             t += h
-            y = y_new
-            k1, eta, det, theta = last
+            y, k1, det = y_new, last[:3], last[6]
             n_accepted += 1
-            # The last stage evaluated theta, eta and det G at y_new.
-            samples.append((t, theta, eta, det))
+            # The last stage evaluated eta, det G and theta at y_new.
+            samples.append((t, last[7:], last[3:6], det))
             if abs(det) < DET_GUARD:
                 status = "singular"
                 break

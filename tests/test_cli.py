@@ -137,6 +137,19 @@ def test_flow_singular_start_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+@pytest.mark.parametrize("value", ["-1e-3", "nan", "inf", "-inf"])
+def test_flow_tolerance_that_is_not_finite_and_nonnegative_exits_3(flag, value, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "t.csv"
+    code = main(["flow", "--model", "exact", "--start", "2,3,4", "--t-end", "2",
+                 f"{flag}={value}", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:]} must be finite and >= 0, got {float(value)!r}\n"
+    assert not out.exists()
+
+
 def test_flow_unwritable_output_exits_3(tmp_path, capsys):
     code = main(["flow", "--model", "exact", "--start", "2,3,4",
                  "--t-end", "0", "--out", str(tmp_path / "no" / "dir" / "t.csv")])

@@ -32,7 +32,7 @@ from betaflow import (
     rhs,
     trigamma,
 )
-from betaflow.flow import _E, _ROWS
+from betaflow.flow import _E, _ROWS, _STEP_SOURCE, _step
 from betaflow.manifold import Model, check_finite
 from betaflow.stirling import det_kernel
 from conftest import linearization_residual, rounding_floor_ratio
@@ -84,6 +84,16 @@ def test_integrate_t_end_zero():
 def test_integrate_rejects_bad_arguments(kwargs):
     with pytest.raises(DomainError):
         integrate(EXACT_MODEL, (2.0, 2.0, 2.0), **kwargs)
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf, -math.inf])
+def test_integrate_rejects_tolerances_that_are_not_finite_and_nonnegative(name, value):
+    # a negative or infinite tolerance loosened the error test, and a NaN
+    # one failed every step
+    with pytest.raises(DomainError) as exc:
+        integrate(EXACT_MODEL, (2.0, 3.0, 4.0), 2.0, **{name: value})
+    assert str(exc.value) == f"{name} must be finite and >= 0, got {value!r}"
 
 
 def test_integrate_rejects_singular_start():
@@ -447,7 +457,8 @@ REFERENCE_STARTS = {EXACT_MODEL: (2.0, 3.0, 4.0), STIRLING_MODEL: (2.5, 3.0, 2.0
     ("metric", lambda model, a, b, c: (0.0,) * 4, "singular"),
 ], ids=["narrow-domain", "overflowing-metric", "nan-eta", "singular-metric"])
 def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane, status):
-    wrapped = _PlaneModel(model, part, past_plane)
+    counting = _CountingModel(model)
+    wrapped = _PlaneModel(counting, part, past_plane)
     if status is None:
         with pytest.raises(StepFailureError, match="step size underflow"):
             integrate(wrapped, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
@@ -459,6 +470,9 @@ def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane,
     assert 0.0 < _PlaneModel.PLANE - traj.theta_end[0] <= 1e-9
     assert abs(traj.det_g[-1]) >= 1e-12
     assert traj.t[-1] < 2.0
+    # each stage tried calls the hook once, the failed ones included, and
+    # the start sample's eta and metric add two calls
+    assert counting.calls["eta_metric_kernel"] == traj.n_rhs + 2
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -531,6 +545,124 @@ def test_dop853_literals_satisfy_the_method():
         assert 8.4 <= mpmath.log(abs(err / err2), 2) <= 9.2
         assert 5.6 <= mpmath.log(abs(e5 / e52), 2) <= 6.2
         assert 3.6 <= mpmath.log(abs(e3 / e32), 2) <= 4.2
+
+
+# --- The compiled step against the loop over the tableau -------------------
+
+def _loop_step(stage, h, y, k0, rtol, atol):
+    """``_step`` as loops over _ROWS and _E: each sum starts at 0.0 and adds
+    its terms one at a time in the tableau's order, then the norms over
+    atol + rtol * max(|y|, |w|).  The compiled step must give its bits."""
+    k, n = [k0], 0
+    try:
+        for row in _ROWS:
+            s = [0.0, 0.0, 0.0]
+            for j, a in row:
+                for c in range(3):
+                    s[c] += a * k[j][c]
+            w = tuple(y[c] + h * s[c] for c in range(3))
+            n += 1
+            last = stage(*w)
+            k.append(last[:3])
+    except DomainError:
+        return n, w, None, "left_domain" if all(map(math.isfinite, w)) else None, None, None
+    except SingularMatrixError:
+        return n, w, None, "singular", None, None
+    n5 = n3 = 0.0
+    for c in range(3):
+        e5 = e3 = 0.0
+        for j, c5, c3 in _E:
+            e5 += c5 * k[j][c]
+            e3 += c3 * k[j][c]
+        scale = atol + rtol * max(abs(y[c]), abs(w[c]))
+        q5, q3 = (e5 / scale, e3 / scale) if scale else (e5 * math.inf, e3 * math.inf)
+        n5 += q5 * q5
+        n3 += q3 * q3
+    return n, w, last, None, n5, n3
+
+
+def _synthetic_stage(w0, w1, w2):
+    """A float stage with ``_stage``'s flat tuple: slopes of mixed sizes
+    that each depend on all of w, an eta, a det and theta = 1/w.  A
+    non-finite w raises DomainError, as ``_stage`` does."""
+    if not (math.isfinite(w0) and math.isfinite(w1) and math.isfinite(w2)):
+        raise DomainError(f"w = {[w0, w1, w2]!r} is not finite")
+    return (3.0 * math.sin(1.7 * w0 - 0.3 * w1 + w2), w0 * w2 - 0.7 * w1,
+            math.exp(-w2) / (1.0 + w0 * w1), math.cos(w0), w1 * w1, math.log1p(w2 * w2),
+            w0 * w1 - w2, 1.0 / w0, 1.0 / w1, 1.0 / w2)
+
+
+def _step_cases(seed, n):
+    """n seeded (h, y, k0, rtol, atol): h over [1e-3, 1], y in [0.1, 3]^3,
+    k0 the stage's slope at y, and one in four at zero tolerances."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    for i in range(n):
+        y = tuple(rng.uniform(0.1, 3.0, 3).tolist())
+        tol = (0.0, 0.0) if i % 4 == 3 else (1e-10, 1e-12)
+        yield 10.0 ** rng.uniform(-3.0, 0.0), y, _synthetic_stage(*y)[:3], *tol
+
+
+def _bits(value):
+    """Every float in a nested tuple as its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value
+
+
+def test_step_source_is_straight_line_code_with_every_literal():
+    assert _step.__code__.co_filename == "<betaflow.flow._step>"
+    assert "for " not in _STEP_SOURCE and "while " not in _STEP_SOURCE
+    assert _STEP_SOURCE.count("stage(p_0, p_1, p_2)") == len(_ROWS)
+    literals = {a for row in _ROWS for _, a in row} | {e for _, *es in _E for e in es}
+    for a in literals:
+        assert f"{a!r} * k" in _STEP_SOURCE, a
+
+
+def test_compiled_step_matches_the_tableau_loop_bit_for_bit():
+    # seeded points, where dropping, reordering or regrouping any term of
+    # a stage point or an error sum moves the bits of some result
+    for h, y, k0, rtol, atol in _step_cases(11, 400):
+        want = _loop_step(_synthetic_stage, h, y, k0, rtol, atol)
+        assert want[2] is not None
+        assert _bits(_step(_synthetic_stage, h, y, k0, rtol, atol)) == _bits(want)
+
+
+@pytest.mark.parametrize("error, status", [(DomainError, "left_domain"),
+                                           (SingularMatrixError, "singular")],
+                         ids=["domain", "singular"])
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "non-finite"])
+@pytest.mark.parametrize("fail_at", range(1, 13))
+def test_compiled_step_reports_the_failed_stage(fail_at, finite, error, status):
+    # stage fail_at raises; for a non-finite failing point the stage before
+    # it returns an infinite slope (or k0 is infinite), which every row's
+    # sum takes in
+    def failing(calls):
+        def stage(*w):
+            calls.append(w)
+            if len(calls) == fail_at:
+                raise error(f"injected at stage {fail_at}")
+            slope = _synthetic_stage(*w)
+            if not finite and len(calls) == fail_at - 1:
+                return (math.inf,) + slope[1:]
+            return slope
+        return stage
+
+    for h, y, k0, rtol, atol in _step_cases(13, 8):
+        if not finite and fail_at == 1:
+            k0 = (math.inf,) + k0[1:]
+        got_calls, want_calls = [], []
+        got = _step(failing(got_calls), h, y, k0, rtol, atol)
+        want = _loop_step(failing(want_calls), h, y, k0, rtol, atol)
+        assert _bits(got) == _bits(want)
+        assert _bits(got_calls) == _bits(want_calls)
+        # n is the count integrate adds to n_rhs: the stages tried
+        assert got[0] == len(got_calls) == fail_at
+        assert _bits(got[1]) == _bits(got_calls[-1])
+        assert all(map(math.isfinite, got[1])) == finite
+        expected = status if finite or error is SingularMatrixError else None
+        assert got[2:] == (None, expected, None, None)
 
 
 # --- Equality oracle: the flow on three floats against numpy arrays --------
