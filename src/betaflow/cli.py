@@ -20,7 +20,6 @@ from .errors import BetaflowError, EmptyTrajectoryError
 from .exact import EXACT_MODEL
 from .flow import Trajectory, integrate
 from .integrability import hamiltonian
-from .manifold import invert3
 from .scan import Region, scan_degeneracy
 from .stirling import STIRLING_MODEL
 from .suites import SUITE_NAMES, run_suite
@@ -143,7 +142,7 @@ def _cmd_info(args) -> int:
     model = _MODELS[args.model]
     point = model.check_domain(args.point)
     metric = model.metric(point)
-    inverse = invert3(metric)
+    inverse = model.metric_inverse_closed(point)
     eta = model.eta(point)
     domain_class = model.classify_domain(point)
     report = {

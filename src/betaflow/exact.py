@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite, det3
+from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite
 from .specfun import _psi_pair, log_gamma
 
 
@@ -37,11 +37,7 @@ class ExactModel(Model):
         pa, ta = _psi_pair(a)
         pb, tb = _psi_pair(b)
         pc, tc = _psi_pair(c)
-        o = -ts
-        return pa - ps, pb - ps, pc - ps, ta + o, tb + o, tc + o, o
-
-    def det_closed(self, theta) -> float:
-        return check_finite(det3(self.metric(theta)), "det G", theta)
+        return pa - ps, pb - ps, pc - ps, ta, tb, tc, -ts
 
     def classify_domain(self, theta) -> DomainClass:
         """The metric is positive definite on the whole domain, so a point is

@@ -23,7 +23,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import invariant_columns
-from .manifold import as_point, check_finite, det3, inside, solve_det
+from .manifold import _rank_one, as_point, check_finite, inside, solve_det
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -234,7 +234,10 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         if not (value >= 0.0 and math.isfinite(value)):
             raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
     y = model.check_domain(theta0)
-    samples = [(0.0, y, model.eta(y), det3(model.metric(y)))]
+    theta = y.tolist()
+    parts = model.eta_metric_kernel(*theta)
+    eta = np.array(check_finite(parts[:3], "eta", theta))
+    samples = [(0.0, y, eta, _rank_one(*check_finite(parts[3:], "metric", theta))[0])]
     # A det that overflows in the metric's products (inf or NaN) fails too.
     if not DET_GUARD <= abs(samples[0][3]) < math.inf:
         raise SingularMatrixError(
@@ -261,7 +264,8 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             if not h >= 1e-13 * max(1.0, t):
                 if underflow_status is None:
                     raise StepFailureError(
-                        f"step size underflow at t={t!r} (h={h!r})"
+                        f"step size underflow at t={t!r} (h={h!r},"
+                        f" rtol={rtol!r}, atol={atol!r})"
                     )
                 status = underflow_status
                 break

@@ -34,19 +34,19 @@ def inside(lower: float, a: float, b: float, c: float) -> bool:
 
 
 class Model:
-    """The domain rule both models share, and their checked ``eta`` and
-    ``metric``.  A point is three finite coordinates, each above ``lower``.
-    Subclasses set ``lower``, ``name`` and ``domain_description``, which the
-    error message quotes, and provide one float hook,
-    ``eta_metric_kernel(a, b, c)``, which returns
-    ``(e0, e1, e2, d1, d2, d3, o)`` from one pass over a point already in
-    the domain: the dual coordinates, the diagonal of G and its one
-    off-diagonal value.  The hook checks nothing and raises nothing: a
-    value that overflows comes back as inf or NaN.  Its checked callers,
-    ``eta``, ``metric``, ``rhs`` and ``invert_eta``, raise ``DomainError``
-    where a value they use is not finite.  The exact G overflows at tiny
-    coordinates where eta is still finite, so there ``eta`` returns and
-    ``metric`` raises.
+    """The domain rule both models share, and their checked ``eta``,
+    ``metric``, ``det_closed`` and ``metric_inverse_closed``.  A point is
+    three finite coordinates, each above ``lower``.  Subclasses set
+    ``lower``, ``name`` and ``domain_description``, which the error message
+    quotes, and provide one float hook, ``eta_metric_kernel(a, b, c)``,
+    which returns ``(e0, e1, e2, D1, D2, D3, o)`` from one pass over a point
+    already in the domain: the dual coordinates, then the rank-one parts of
+    the metric, G = diag(D) + o 11^T.  The hook checks nothing and raises
+    nothing: a value that overflows comes back as inf or NaN.  Its checked
+    callers, the methods here, ``rhs`` and ``invert_eta``, raise
+    ``DomainError`` where a value they use is not finite.  The exact G
+    overflows at tiny coordinates where eta is still finite, so there
+    ``eta`` returns and ``metric`` raises.
     """
 
     def in_domain(self, theta) -> bool:
@@ -75,9 +75,28 @@ class Model:
 
     def metric(self, theta) -> Metric3:
         """G at a point of the domain; DomainError where it is not finite."""
+        d1, d2, d3, o = self._metric_parts(theta)
+        return Metric3(d1 + o, d2 + o, d3 + o, o, o, o)
+
+    def det_closed(self, theta) -> float:
+        """det G from the rank-one parts; DomainError where G or det G is
+        not finite."""
+        return check_finite(_rank_one(*self._metric_parts(theta))[0], "det G", theta)
+
+    def metric_inverse_closed(self, theta) -> Metric3:
+        """G^-1 as the rank-one adjugate over det G.  SingularMatrixError
+        only where det G is exactly 0; DomainError where G or an entry of
+        G^-1 is not finite."""
+        det, *adjugate = _rank_one(*self._metric_parts(theta))
+        if det == 0.0:
+            raise SingularMatrixError(f"matrix is singular (det={det!r})")
+        return Metric3(*check_finite(tuple(x / det for x in adjugate), "metric inverse", theta))
+
+    def _metric_parts(self, theta) -> tuple[float, float, float, float]:
+        """(D1, D2, D3, o) at a point of the domain; DomainError where one is
+        not finite."""
         theta = self.check_domain(theta).tolist()
-        d1, d2, d3, o = check_finite(self.eta_metric_kernel(*theta)[3:], "metric", theta)
-        return Metric3(d1, d2, d3, o, o, o)
+        return check_finite(self.eta_metric_kernel(*theta)[3:], "metric", theta)
 
 
 @dataclass(frozen=True)
@@ -110,22 +129,6 @@ class Metric3:
             ]
         )
 
-    def matvec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.array(
-            [
-                self.d1 * v[0] + self.o12 * v[1] + self.o13 * v[2],
-                self.o12 * v[0] + self.d2 * v[1] + self.o23 * v[2],
-                self.o13 * v[0] + self.o23 * v[1] + self.d3 * v[2],
-            ]
-        )
-
-    def leading_minors(self) -> tuple[float, float, float]:
-        """Leading principal minors; all positive iff positive definite."""
-        m1 = self.d1
-        m2 = self.d1 * self.d2 - self.o12 * self.o12
-        return m1, m2, det3(self)
-
 
 def check_finite(value, what: str, theta):
     """``value``, a float, a tuple of floats or an array, or DomainError where
@@ -147,43 +150,52 @@ def det3(m: Metric3) -> float:
     return _adjugate(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)[0]
 
 
-def invert3(m: Metric3, tol: float | None = None) -> Metric3:
+def invert3(m: Metric3) -> Metric3:
     """Adjugate-over-determinant inverse of a symmetric 3x3 matrix.
 
-    ``tol`` is the singularity threshold on |det|; the default, 1e-12 times the
-    cube of the largest entry, is invariant under m -> s*m and is compared in
-    units of a power of two near that cube, so it cannot overflow.
+    Singular where |det| is at most 1e-12 times the cube of the largest
+    entry, a threshold invariant under m -> s*m, compared in units of a
+    power of two near that cube, so it cannot overflow.
     """
     entries = (m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)
     det, *adjugate = _adjugate(*entries)
-    if tol is None:
-        mant, e = math.frexp(max(map(abs, entries)))
-        singular = abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3
-    else:
-        singular = abs(det) <= tol
-    if singular:
+    mant, e = math.frexp(max(map(abs, entries)))
+    if abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3:
         raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
     return Metric3(*(a / det for a in adjugate))
 
 
 def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
-    """m^{-1} v for the symmetric m with diagonal (d1, d2, d3) and the one
-    value o off the diagonal, as both models' metrics have, on three floats
-    of v, with det m first: (det, x0, x1, x2).  Rounded exactly as
-    ``invert3(m, tol=0.0).matvec(v)``, cofactors over det and then the
-    products: singular only where det is exactly 0."""
-    oo = o * o
-    ca, cb, cc = d2 * d3 - oo, oo - o * d3, oo - d2 * o
-    det = d1 * ca + o * cb + o * cc
+    """G^{-1} v for G = diag(d1, d2, d3) + o 11^T, both models' metric, on
+    three floats of v, with det G first: (det, x0, x1, x2).  The rank-one
+    adjugate (``_rank_one``) over det, and then the products: singular only
+    where det is exactly 0."""
+    det, c11, c22, c33, c12, c13, c23 = _rank_one(d1, d2, d3, o)
     if det == 0.0:
-        raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
-    i12, i13, i23 = cb / det, cc / det, (oo - d1 * o) / det
+        raise SingularMatrixError(f"matrix is singular (det={det!r})")
+    i12, i13, i23 = c12 / det, c13 / det, c23 / det
     return (
         det,
-        ca / det * v0 + i12 * v1 + i13 * v2,
-        i12 * v0 + (d1 * d3 - oo) / det * v1 + i23 * v2,
-        i13 * v0 + i23 * v1 + (d1 * d2 - oo) / det * v2,
+        c11 / det * v0 + i12 * v1 + i13 * v2,
+        i12 * v0 + c22 / det * v1 + i23 * v2,
+        i13 * v0 + i23 * v1 + c33 / det * v2,
     )
+
+
+def _rank_one(d1, d2, d3, o):
+    """det G, then the six entries of its adjugate in Metric3 field order,
+    for G = diag(d1, d2, d3) + o 11^T, on floats or same-shape arrays.
+
+    Each off-diagonal cofactor is one product, -o d_k, and det G is the
+    expansion along the first row.  The diagonal cofactors are 2x2 minors
+    of G itself, g_j g_l - o^2 with g = d + o: where one coordinate
+    dominates s, d_i is close to -o, and a minor that holds g_i small
+    keeps its digits, as det G, which holds it too.  It divides by
+    nothing, so it holds where some d_i = 0 (Stirling alpha_i = 3/2).
+    """
+    g1, g2, g3, oo = d1 + o, d2 + o, d3 + o, o * o
+    c11, c12, c13 = g2 * g3 - oo, -o * d3, -o * d2
+    return (g1 * c11 + o * (c12 + c13), c11, g1 * g3 - oo, g1 * g2 - oo, c12, c13, -o * d1)
 
 
 def _adjugate(d1, d2, d3, o12, o13, o23) -> tuple[float, ...]:

@@ -13,9 +13,10 @@ D = {b = c = 3/2} and on the surface V where the cubic polynomial
 
     den(a, b, c) = 4abc - 8(ab + bc + ca) + 15(a + b + c) - 27
 
-vanishes.  den is also the shared denominator of the closed-form inverse
-and determinant.  G is diagonal plus rank one, D + 11^T/(s-1) with
-D_i = -(u_i - 1/2)/u_i^2 and u_i = alpha_i - 1, so by interlacing it has
+vanishes: det G = -den / (8 prod_i u_i^2 (s - 1)), with u_i = alpha_i - 1.
+G is diagonal plus rank one, diag(D) + 11^T/(s-1) with
+D_i = -(u_i - 1/2)/u_i^2, the parts ``eta_metric_kernel`` returns and the
+one adjugate formula of ``manifold`` inverts, so by interlacing it has
 #{u_i > 1/2} - [kappa < 0] negative eigenvalues, where
 kappa = den / (8 (s-1) prod_i (u_i - 1/2)): it is positive definite on
 (1, 3/2)^3, negative definite where every u_i > 1/2 and den > 0, as at
@@ -30,8 +31,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import (DomainClass, DomainLabel, Metric3, Model, as_point, check_finite,
-                       solve_det)
+from .manifold import DomainClass, DomainLabel, Model, as_point, check_finite, solve_det
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -55,22 +55,6 @@ def det_kernel(a, b, c):
     ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
     divisor = ua * ua * (ub * ub) * (uc * uc) * (a + b + c - 1.0)
     return -0.125 * _den(a, b, c) / divisor + 0.0
-
-
-def inverse_kernel(a, b, c):
-    """Unchecked entries (d1, d2, d3, o12, o13, o23) of G^-1 on floats or
-    same-shape arrays."""
-    ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
-    ra, rb, rc = ua * ua, ub * ub, uc * uc
-    den = _den(a, b, c)
-    return (
-        -2.0 * ra * (4 * a * b * c - 6 * a * b - 6 * c * a + 9 * a - b - c + 3) / den,
-        -2.0 * rb * (4 * a * b * c - 6 * a * b - 6 * b * c + 9 * b - a - c + 3) / den,
-        -2.0 * rc * (4 * a * b * c - 6 * c * a - 6 * b * c + 9 * c - a - b + 3) / den,
-        -4.0 * (2.0 * c - 3.0) * ra * rb / den,
-        -4.0 * (2.0 * b - 3.0) * ra * rc / den,
-        -4.0 * (2.0 * a - 3.0) * rb * rc / den,
-    )
 
 
 class StirlingModel(Model):
@@ -100,23 +84,12 @@ class StirlingModel(Model):
         ls, o = math.log(sigma), 1.0 / sigma
         ua, ub, uc = a - 1.0, b - 1.0, c - 1.0
         return (ls - math.log(ua) - 0.5 / ua, ls - math.log(ub) - 0.5 / ub,
-                ls - math.log(uc) - 0.5 / uc, o - (a - 1.5) / (ua * ua),
-                o - (b - 1.5) / (ub * ub), o - (c - 1.5) / (uc * uc), o)
+                ls - math.log(uc) - 0.5 / uc, (1.5 - a) / (ua * ua),
+                (1.5 - b) / (ub * ub), (1.5 - c) / (uc * uc), o)
 
     def det_closed(self, theta) -> float:
         # on Python floats an overflow gives inf or NaN and no warning
         return check_finite(det_kernel(*self.check_domain(theta).tolist()), "det G", theta)
-
-    def metric_inverse_closed(self, theta) -> Metric3:
-        a, b, c = self.check_domain(theta).tolist()
-        den = _den(a, b, c)
-        if abs(den) <= 1e-9:
-            raise SingularMatrixError(
-                f"metric is degenerate at {(a, b, c)}: denominator {den!r}"
-            )
-        inverse = Metric3(*inverse_kernel(a, b, c))
-        check_finite(inverse.as_array(), "metric inverse", theta)
-        return inverse
 
     def dual_potential(self, theta) -> float:
         """Closed form of <theta, eta> - Phi; the two agree to rounding."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import betaflow as bf
+from betaflow import SingularMatrixError
 
 # Both reference flows meet the edge of their dual image before t = 2, so
 # the integrator is expected to stop early with a flagged status; every
@@ -56,3 +57,32 @@ def rounding_floor_ratio(model, theta_hat, target) -> float:
     g = np.abs(model.metric(theta_hat).as_array())
     floor = 2.0 * (g @ ulps + math.ulp(largest_eta_term(model, theta_hat)))
     return float(np.max(residual / floor))
+
+
+def rank_one_adjugate(parts):
+    """det G and the adjugate of G = diag(D) + o 11^T, parts = (D1, D2, D3,
+    o), on numpy arrays: the 2x2 minors of G on the adjugate's diagonal and
+    -o D_k off it, and det G expanded along the first row.  The package's
+    float formula must give these bits."""
+    *d, o = parts
+    d = np.array(d, dtype=float)
+    # overflows give inf or NaN and no warning, as on Python floats
+    with np.errstate(all="ignore"):
+        g, oo, off = d + o, o * o, -o * d
+        adjugate = np.array([[g[1] * g[2] - oo, off[2], off[1]],
+                             [off[2], g[0] * g[2] - oo, off[0]],
+                             [off[1], off[0], g[0] * g[1] - oo]])
+        return g[0] * adjugate[0, 0] + o * (adjugate[0, 1] + adjugate[0, 2]), adjugate
+
+
+def rank_one_solve(parts, v):
+    """det G and G^-1 v from ``rank_one_adjugate``: the adjugate over det G,
+    then the products, summed left to right.  SingularMatrixError where
+    det G is 0."""
+    det, adjugate = rank_one_adjugate(parts)
+    if det == 0.0:
+        raise SingularMatrixError(f"matrix is singular (det={det!r})")
+    v = np.asarray(v, dtype=float)
+    with np.errstate(all="ignore"):
+        inverse = adjugate / det
+        return det, inverse[:, 0] * v[0] + inverse[:, 1] * v[1] + inverse[:, 2] * v[2]

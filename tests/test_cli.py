@@ -44,7 +44,8 @@ def test_info_overflowing_point_is_domain_error(capsys):
 
 
 def test_info_huge_entry_is_singular_not_overflow(capsys):
-    # trigamma(1e-100) = 1e200, whose cube overflows the float range
+    # trigamma(1e200) = 1e-200, so every product of two of the small parts
+    # underflows, and det G with it: metric_inverse_closed finds det G = 0
     assert main(["info", "--model", "exact", "--point", "1e-100,1e200,1e200"]) == 3
     err = capsys.readouterr().err
     assert "error: matrix is singular" in err and "Traceback" not in err
@@ -147,6 +148,18 @@ def test_flow_tolerance_that_is_not_finite_and_nonnegative_exits_3(flag, value, 
     assert code == 3
     err = capsys.readouterr().err
     assert err == f"error: {flag[2:]} must be finite and >= 0, got {float(value)!r}\n"
+    assert not out.exists()
+
+
+def test_flow_zero_tolerances_exit_3_naming_both(tmp_path, capsys):
+    # every error test fails, so the step size underflows at the start
+    out = tmp_path / "t.csv"
+    code = main(["flow", "--model", "exact", "--start", "2,3,4", "--t-end", "2",
+                 "--rtol", "0", "--atol", "0", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size underflow at t=0.0 (h=")
+    assert err.endswith(", rtol=0.0, atol=0.0)\n")
     assert not out.exists()
 
 

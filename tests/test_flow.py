@@ -21,21 +21,20 @@ from betaflow import (
     SingularMatrixError,
     StepFailureError,
     as_point,
-    det3,
     digamma,
     eta_closed,
     hamiltonian,
     integrate,
-    invert3,
     invert_eta,
     lax_pair,
     rhs,
     trigamma,
 )
 from betaflow.flow import _E, _ROWS, _STEP_SOURCE, _step
-from betaflow.manifold import Model, check_finite
+from betaflow.manifold import Model, check_finite, solve_det
 from betaflow.stirling import det_kernel
-from conftest import linearization_residual, rounding_floor_ratio
+from conftest import (linearization_residual, rank_one_adjugate, rank_one_solve,
+                      rounding_floor_ratio)
 from test_fuzz import MODELS as FUZZ_MODELS, _points as fuzz_points, _targets as fuzz_targets
 from test_fuzz import _tiny_guesses
 
@@ -59,6 +58,53 @@ def test_rhs_exact_spot():
 def test_rhs_singular_on_v():
     with pytest.raises(SingularMatrixError):
         rhs(STIRLING_MODEL, (3.0, 3.0, 3.0))
+
+
+def _mp_velocity_and_det(model, theta):
+    """-G^-1 eta and det G at theta in mpmath's working precision."""
+    eta, metric = _mp_eta_and_metric(model, theta)
+    return -mpmath.lu_solve(metric, mpmath.matrix(eta)), mpmath.det(metric)
+
+
+def test_rhs_where_a_rank_one_part_is_zero():
+    # at alpha_1 = 3/2 the Stirling D_1 = 0: the solve divides by no D_i
+    theta = (1.5, 2.0, 3.0)
+    assert STIRLING_MODEL.eta_metric_kernel(*theta)[3] == 0.0
+    with mpmath.workdps(50):
+        velocity, _ = _mp_velocity_and_det(STIRLING_MODEL, theta)
+    got = rhs(STIRLING_MODEL, theta)
+    assert np.isfinite(got).all()
+    assert max(abs(g - v) for g, v in zip(got, velocity)) <= 1e-14 * max(map(abs, velocity))
+
+
+@pytest.mark.parametrize("model, exponents", [
+    (EXACT_MODEL, (-2.0, 2.0)),
+    (STIRLING_MODEL, (-3.0, 1.5)),
+], ids=["exact", "stirling"])
+def test_rhs_and_det_match_mpmath(model, exponents):
+    # 400 seeded points lower + 10^U: the velocity, normwise, and the det G
+    # that the flow's solve returns and det_closed gives, each within 1e-11
+    # of its 50-digit value at the same float point.  Worst measured: the
+    # velocity 7.1e-13 exact and 3.9e-14 Stirling, the solve's det 4.3e-13
+    # and 3.9e-14, Stirling's den-form det_closed 1.8e-13.
+    rng = np.random.Generator(np.random.Philox(11))
+    with mpmath.workdps(50):
+        for theta in model.lower + 10.0 ** rng.uniform(*exponents, (400, 3)):
+            velocity, det = _mp_velocity_and_det(model, theta)
+            got = rhs(model, theta)
+            gap = max(abs(g - v) for g, v in zip(got, velocity))
+            assert gap <= 1e-11 * max(map(abs, velocity)), theta
+            values = model.eta_metric_kernel(*theta.tolist())
+            for got_det in (solve_det(*values[3:], *values[:3])[0], model.det_closed(theta)):
+                assert abs(got_det - det) <= 1e-11 * abs(det), theta
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_step_underflow_names_both_tolerances(model):
+    # rtol = atol = 0 fails every error test, so the first step underflows
+    with pytest.raises(StepFailureError,
+                       match=r"^step size underflow at t=0\.0 \(h=.*, rtol=0\.0, atol=0\.0\)$"):
+        integrate(model, REFERENCE_STARTS[model], 2.0, rtol=0.0, atol=0.0)
 
 
 def test_eta_closed():
@@ -471,8 +517,8 @@ def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane,
     assert abs(traj.det_g[-1]) >= 1e-12
     assert traj.t[-1] < 2.0
     # each stage tried calls the hook once, the failed ones included, and
-    # the start sample's eta and metric add two calls
-    assert counting.calls["eta_metric_kernel"] == traj.n_rhs + 2
+    # the start sample adds one call
+    assert counting.calls["eta_metric_kernel"] == traj.n_rhs + 1
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -667,15 +713,25 @@ def test_compiled_step_reports_the_failed_stage(fail_at, finite, error, status):
 
 # --- Equality oracle: the flow on three floats against numpy arrays --------
 
+def _reference_parts(model, theta):
+    """The hook's seven values at theta, once the checked ``metric`` has
+    tested G for finiteness."""
+    model.metric(theta)
+    return model.eta_metric_kernel(*np.asarray(theta, dtype=float).tolist())
+
+
 def _reference_rhs(model, theta):
+    # eta as the hook gives it: a NaN eta part gives a NaN velocity, as in
+    # rhs and the flow's stages
     if not model.in_domain(theta):
         raise DomainError(f"{theta!r} lies outside the {model.name} domain")
-    return -invert3(model.metric(theta), tol=0.0).matvec(model.eta(theta))
+    values = _reference_parts(model, theta)
+    return -rank_one_solve(values[3:], values[:3])[1]
 
 
 def _reference_diagnostics(model, theta, ref_lax):
     eta = model.eta(theta)
-    det = det3(model.metric(theta))
+    det = rank_one_adjugate(_reference_parts(model, theta)[3:])[0]
     ham = dev = math.nan
     try:
         ham = hamiltonian(eta)
@@ -724,7 +780,8 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
         h = min(h, t_end - t)
         if not h >= 1e-13 * max(1.0, t):
             if underflow_status is None:
-                raise StepFailureError(f"step size underflow at t={t!r} (h={h!r})")
+                raise StepFailureError(f"step size underflow at t={t!r} (h={h!r},"
+                                       f" rtol={rtol!r}, atol={atol!r})")
             status = underflow_status
             break
         failed, shrink = None, 0.5
@@ -878,8 +935,9 @@ def test_rhs_matches_array_reference_on_fuzz_points(name):
 
 @pytest.mark.parametrize("name", FUZZ_MODELS)
 def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
-    # eta and metric pass their part of eta_metric_kernel on as it is, or
-    # raise DomainError where a float of that part is not finite
+    # eta passes its part of eta_metric_kernel on as it is and metric adds
+    # o to each D_i, or each raises DomainError where a float of its part is
+    # not finite
     model = FUZZ_MODELS[name]
     for theta in fuzz_points(name):
         if not model.in_domain(theta):
@@ -889,7 +947,7 @@ def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
         eta = eta.tobytes() if np.isfinite(eta).all() else DomainError
         assert _outcome(lambda m, p: m.eta(p), model, theta) == eta, theta
         d1, d2, d3, o = values[3:]
-        metric = np.array([d1, d2, d3, o, o, o])
+        metric = np.array([d1 + o, d2 + o, d3 + o, o, o, o])
         metric = metric.tobytes() if np.isfinite(metric).all() else DomainError
         assert _outcome(lambda m, p: m.metric(p), model, theta) == metric, theta
 
@@ -910,7 +968,7 @@ def _reference_invert_eta(model, target, guess=None):
         if float(np.max(np.abs(residual))) <= 1e-12:
             return theta
         try:
-            step = invert3(model.metric(theta), tol=0.0).matvec(-residual)
+            step = rank_one_solve(_reference_parts(model, theta)[3:], -residual)[1]
         except SingularMatrixError as exc:
             raise NoConvergenceError(
                 f"Newton Jacobian is singular at {theta.tolist()}"
@@ -1011,14 +1069,13 @@ class _CountingModel(_HookModel):
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
     # a short flow that completes: each stage evaluation is one
-    # eta_metric_kernel call, and so are the start sample's eta and metric;
-    # the domain is checked once for the start and once in each of those
-    # two, never per stage
+    # eta_metric_kernel call, and so is the start sample; the domain is
+    # checked once, for the start, never per stage
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 0.05, rtol=1e-10, atol=1e-12)
     assert traj.status == "completed"
     assert traj.n_rhs > 1
-    assert counting.calls == {"check_domain": 3, "eta_metric_kernel": traj.n_rhs + 2}
+    assert counting.calls == {"check_domain": 1, "eta_metric_kernel": traj.n_rhs + 1}
 
 
 def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_trajectory):
@@ -1032,12 +1089,11 @@ def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_traje
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_flow_diagnostics_reuse_the_last_stage(model):
     # the reference flows stop at the det guard; each stage evaluation calls
-    # eta_metric_kernel once, and the diagnostics add only the start
-    # sample's eta and metric
+    # eta_metric_kernel once, and the diagnostics add only the start sample
     counting = _CountingModel(model)
     traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
     assert traj.status == "singular"
-    n_rhs = counting.calls["eta_metric_kernel"] - 2
+    n_rhs = counting.calls["eta_metric_kernel"] - 1
     assert n_rhs == traj.n_rhs
     assert n_rhs >= 6 * traj.n_accepted
 
@@ -1070,8 +1126,18 @@ def _numpy_metric(model, theta):
     return Metric3(d[0], d[1], d[2], o, o, o)
 
 
+def _numpy_parts(model, theta):
+    """(D1, D2, D3, o) of G = diag(D) + o 11^T: D_i = psi'(alpha_i) and
+    o = -psi'(s) exact, D_i = (3/2 - alpha_i)/(alpha_i - 1)^2 and
+    o = 1/(s - 1) Stirling."""
+    p = _numpy_point(model, theta)
+    if model is EXACT_MODEL:
+        return trigamma(p[0]), trigamma(p[1]), trigamma(p[2]), -trigamma(p.sum())
+    return (*(-(x - 1.5) / ((x - 1.0) * (x - 1.0)) for x in p), 1.0 / (p.sum() - 1.0))
+
+
 def _numpy_rhs(model, theta):
-    velocity = -invert3(_numpy_metric(model, theta), tol=0.0).matvec(_numpy_eta(model, theta))
+    velocity = -rank_one_solve(_numpy_parts(model, theta), _numpy_eta(model, theta))[1]
     if not np.isfinite(velocity).all():
         raise DomainError("velocity is not finite")
     return velocity
@@ -1079,7 +1145,7 @@ def _numpy_rhs(model, theta):
 
 def _numpy_det(model, theta):
     if model is EXACT_MODEL:
-        value = det3(_numpy_metric(model, theta))
+        value = rank_one_adjugate(_numpy_parts(model, theta))[0]
     else:
         value = det_kernel(*_numpy_point(model, theta).tolist())
     return check_finite(value, "det G", theta)

@@ -45,12 +45,6 @@ def test_metric3_from_array_rejects_asymmetry():
         Metric3.from_array(a)
 
 
-def test_metric3_matvec_matches_matmul():
-    m = Metric3(d1=1.0, d2=2.0, d3=3.0, o12=0.1, o13=0.2, o23=0.3)
-    v = np.array([0.5, -1.5, 2.0])
-    assert np.allclose(m.matvec(v), m.as_array() @ v, rtol=0, atol=0)
-
-
 def test_det3_identity():
     assert det3(IDENTITY) == 1.0
 
@@ -114,14 +108,6 @@ def test_invert3_random_well_conditioned():
         assert np.max(np.abs(m.as_array() @ inv.as_array() - eye)) <= 1e-10
         det_m = det3(m)
         assert abs(det3(inv) - 1.0 / det_m) <= 1e-8 / abs(det_m)
-
-
-def test_leading_minors():
-    m = STIRLING_MODEL.metric((2.0, 2.0, 2.0))
-    m1, m2, m3 = m.leading_minors()
-    assert m1 == m.d1
-    assert abs(m2 - (m.d1 * m.d2 - m.o12 ** 2)) <= 1e-15
-    assert m3 == det3(m)
 
 
 def test_domain_class_rejects_nan_distance():

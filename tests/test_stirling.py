@@ -15,6 +15,7 @@ from betaflow import (
     invert3,
 )
 import betaflow.stirling
+from betaflow.manifold import solve_det
 from betaflow.stirling import _PATTERNS, _PHI_MIN, _preimages, _solve_u
 from conftest import rounding_floor_ratio
 
@@ -196,6 +197,18 @@ def test_metric_inverse_closed_product():
 def test_metric_inverse_closed_singular_on_v():
     with pytest.raises(SingularMatrixError):
         STIRLING_MODEL.metric_inverse_closed((3.0, 3.0, 3.0))
+
+
+@pytest.mark.parametrize("theta", [(1.2, 1.5, 1.5), (2.0, 1.5, 1.5), (10.0, 1.5, 1.5),
+                                   (3.0, 3.0, 3.0)])
+def test_rank_one_solve_and_inverse_are_singular_on_d_and_v(theta):
+    # on the line D, D_2 = D_3 = 0 exactly; at (3, 3, 3) on V the rank-one
+    # det G rounds to exactly 0 as well
+    values = STIRLING_MODEL.eta_metric_kernel(*theta)
+    with pytest.raises(SingularMatrixError):
+        solve_det(*values[3:], *values[:3])
+    with pytest.raises(SingularMatrixError):
+        STIRLING_MODEL.metric_inverse_closed(theta)
 
 
 def test_metric_inverse_closed_matches_invert3_on_grid():
