@@ -93,11 +93,13 @@ def _step_source():
     """Source of ``_step(stage, h, y, k0, rtol, atol)``: one DOP853 step from
     w = y with first slope k0, as straight-line float code with one call of
     ``stage`` (see ``_stage``) per row of _ROWS.  It returns (n, w, last,
-    failed, n5, n3): the n stages tried and the last stage point w.  If all
-    returned, ``last`` is the twelfth's tuple, ``failed`` None, and n5 and
-    n3 the squared norms of e5 and e3 over atol + rtol max(|y|, |w|) (a
-    zero scale gives inf, or NaN for a zero error).  If stage n raised,
-    ``last``, n5 and n3 are None and ``failed`` is the status a step
+    failed, err): the n stages tried, the last stage point w and the error
+    ratio, which passes at err <= 1.  If all returned, ``last`` is the
+    twelfth's tuple, ``failed`` None and err = h n5 / sqrt(den), den =
+    3 (n5 + 0.01 n3), from the squared norms n5 and n3 of e5 and e3 over
+    atol + rtol max(|y|, |w|) (a zero scale gives inf, or NaN for a zero
+    error); err is 0.0 where den is 0, NaN where it is inf or NaN.  If stage
+    n raised, ``last`` is None, err NaN and ``failed`` the status a step
     underflow ends in: "singular", "left_domain" at a finite w, else None."""
     lines = ["def _step(stage, h, y, k0, rtol, atol):",
              "    (y_0, y_1, y_2), (k0_0, k0_1, k0_2) = y, k0",
@@ -110,9 +112,9 @@ def _step_source():
     lines += ["    except DomainError:",
               "        finite = math.isfinite(p_0) and math.isfinite(p_1) and math.isfinite(p_2)",
               "        failed = 'left_domain' if finite else None",
-              "        return n, (p_0, p_1, p_2), None, failed, None, None",
+              "        return n, (p_0, p_1, p_2), None, failed, math.nan",
               "    except SingularMatrixError:",
-              "        return n, (p_0, p_1, p_2), None, 'singular', None, None"]
+              "        return n, (p_0, p_1, p_2), None, 'singular', math.nan"]
     for c in range(3):
         lines += [f"    e5_{c} = {_sum([(j, e5) for j, e5, _ in _E], c)}",
                   f"    e3_{c} = {_sum([(j, e3) for j, _, e3 in _E], c)}",
@@ -121,7 +123,10 @@ def _step_source():
                   f" (e5_{c} * math.inf, e3_{c} * math.inf)"]
     lines += ["    n5 = q5_0 * q5_0 + q5_1 * q5_1 + q5_2 * q5_2",
               "    n3 = q3_0 * q3_0 + q3_1 * q3_1 + q3_2 * q3_2",
-              "    return n, (p_0, p_1, p_2), last, None, n5, n3", ""]
+              "    den = (n5 + 0.01 * n3) * 3",
+              "    if 0.0 < den < math.inf:",
+              "        return n, (p_0, p_1, p_2), last, None, h * n5 / math.sqrt(den)",
+              "    return n, (p_0, p_1, p_2), last, None, 0.0 if den == 0.0 else math.nan", ""]
     return "\n".join(lines)
 
 
@@ -161,9 +166,7 @@ def rhs(model, theta) -> np.ndarray:
     """Flow velocity -G^{-1} eta at a point.  Singular only where det G is
     exactly 0; ``integrate`` applies DET_GUARD to accepted samples.  Raises
     DomainError where the velocity is not finite (the metric overflows)."""
-    if not model.in_domain(theta):
-        raise DomainError(f"{theta!r} lies outside the {model.name} domain")
-    a, b, c = np.asarray(theta, dtype=float).tolist()
+    a, b, c = model.check_domain(theta).tolist()
     e0, e1, e2, d1, d2, d3, o = model.eta_metric_kernel(a, b, c)
     return check_finite(-np.array(solve_det(d1, d2, d3, o, e0, e1, e2)[1:]),
                         "flow velocity", theta)
@@ -206,20 +209,22 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     The state is w_i = 1/(theta_i - lower), with w' = w^2 G^{-1} eta.  The
     flow leaves the dual image in finite time t*, where theta runs off to
     infinity like C/(t* - t); there w has a regular zero, so the steps need
-    not shrink towards a pole.  ``rtol`` and ``atol`` bound the error of w,
+    not fall towards a pole.  ``rtol`` and ``atol`` bound the error of w,
     that is, the relative error of theta - lower; each must be finite and
     >= 0, as must t_end, or DomainError is raised.  Each step is one call of
-    ``_step``, compiled at import from the tableau (``_STEP_SOURCE``), and
-    its error is Hairer's combined estimate h |e5|^2 / sqrt(3 (|e5|^2 +
-    0.01 |e3|^2)), each component over atol + rtol max(|w|, |w_new|).  Its
-    twelve stage points are sums over the nonzero tableau entries, added
-    left to right in the tableau's order.  The step size follows Gustafsson's
-    predictive controller.  The first sample is theta0 as given; each
-    accepted step records t and the theta = lower + 1/w, eta and det G of
-    its last stage, the step result, whose slope starts the next step.  The
-    ``hamiltonian`` and ``lax_dev`` columns follow from the eta column after
-    the loop.  ``n_rhs`` counts the stage evaluations tried, the start's and
-    those of rejected steps included.
+    ``_step``, compiled at import from the tableau (``_STEP_SOURCE``), which
+    returns Hairer's combined error ratio h |e5|^2 / sqrt(3 (|e5|^2 +
+    0.01 |e3|^2)), each component over atol + rtol max(|w|, |w_new|); the
+    step is accepted when that ratio is <= 1.  Its twelve stage points are
+    sums over the nonzero tableau entries, added left to right in the
+    tableau's order.  The step size follows Gustafsson's predictive
+    controller, and the last step is clipped to land on t_end.  The first
+    sample is theta0 as given; each accepted step records t and the
+    theta = lower + 1/w, eta and det G of its last stage, the step result,
+    whose slope starts the next step.  The ``hamiltonian`` and ``lax_dev``
+    columns follow from the eta column after the loop.  ``n_accepted`` is
+    the sample count less one; ``n_rhs`` counts the stage evaluations
+    tried, the start's and those of rejected steps included.
 
     Stops early with status "singular" when |det G| < 1e-12 at an accepted
     sample.  When the step size underflows, the last rejected step decides:
@@ -244,7 +249,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             f"metric is numerically singular at the start point {y.tolist()}"
         )
 
-    n_accepted = n_rejected = n_rhs = 0
+    n_rejected = n_rhs = 0
     status = "completed"
 
     if t_end > 0.0:
@@ -269,26 +274,18 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                     )
                 status = underflow_status
                 break
-            n, y_new, last, failed, n5, n3 = _step(stage, h, y, k1, rtol, atol)
+            n, y_new, last, failed, err = _step(stage, h, y, k1, rtol, atol)
             n_rhs += n
-            shrink = 0.5
-            if last is not None:
-                den = (n5 + 0.01 * n3) * 3
-                # A zero den is a zero error; inf or NaN fails the step.
-                if 0.0 < den < math.inf:
-                    err = h * n5 / math.sqrt(den)
-                    shrink = max(1 / 3, 0.9 * err ** -0.125) if err > 1.0 else None
-                elif den == 0.0:
-                    err, shrink = 0.0, None
-            if shrink is not None:
+            # A NaN err (a stage raised, or the estimate is not finite) fails.
+            if not err <= 1.0:
                 n_rejected += 1
                 underflow_status = failed
                 rejected = True
-                h *= shrink
+                h *= max(1 / 3, 0.9 * err ** -0.125) if err > 1.0 else 0.5
                 continue
-            t += h
+            # A step clipped to t_end lands on it: t + (t_end - t) can round off.
+            t = t_end if h == t_end - t else t + h
             y, k1, det = y_new, last[:3], last[6]
-            n_accepted += 1
             # The last stage evaluated eta, det G and theta at y_new.
             samples.append((t, last[7:], last[3:6], det))
             if abs(det) < DET_GUARD:
@@ -318,7 +315,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         lax_dev=lax_dev,
         rtol=rtol,
         atol=atol,
-        n_accepted=n_accepted,
+        n_accepted=len(samples) - 1,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
         status=status,

@@ -598,7 +598,8 @@ def test_dop853_literals_satisfy_the_method():
 def _loop_step(stage, h, y, k0, rtol, atol):
     """``_step`` as loops over _ROWS and _E: each sum starts at 0.0 and adds
     its terms one at a time in the tableau's order, then the norms over
-    atol + rtol * max(|y|, |w|).  The compiled step must give its bits."""
+    atol + rtol * max(|y|, |w|) and Hairer's combined error ratio from
+    them.  The compiled step must give its bits."""
     k, n = [k0], 0
     try:
         for row in _ROWS:
@@ -611,9 +612,9 @@ def _loop_step(stage, h, y, k0, rtol, atol):
             last = stage(*w)
             k.append(last[:3])
     except DomainError:
-        return n, w, None, "left_domain" if all(map(math.isfinite, w)) else None, None, None
+        return n, w, None, "left_domain" if all(map(math.isfinite, w)) else None, math.nan
     except SingularMatrixError:
-        return n, w, None, "singular", None, None
+        return n, w, None, "singular", math.nan
     n5 = n3 = 0.0
     for c in range(3):
         e5 = e3 = 0.0
@@ -624,7 +625,15 @@ def _loop_step(stage, h, y, k0, rtol, atol):
         q5, q3 = (e5 / scale, e3 / scale) if scale else (e5 * math.inf, e3 * math.inf)
         n5 += q5 * q5
         n3 += q3 * q3
-    return n, w, last, None, n5, n3
+    den = (n5 + 0.01 * n3) * 3
+    # a zero den is a zero error; inf or NaN fails the error test
+    if 0.0 < den < math.inf:
+        err = h * n5 / math.sqrt(den)
+    elif den == 0.0:
+        err = 0.0
+    else:
+        err = math.nan
+    return n, w, last, None, err
 
 
 def _synthetic_stage(w0, w1, w2):
@@ -708,7 +717,7 @@ def test_compiled_step_reports_the_failed_stage(fail_at, finite, error, status):
         assert _bits(got[1]) == _bits(got_calls[-1])
         assert all(map(math.isfinite, got[1])) == finite
         expected = status if finite or error is SingularMatrixError else None
-        assert got[2:] == (None, expected, None, None)
+        assert got[2:4] == (None, expected) and math.isnan(got[4])
 
 
 # --- Equality oracle: the flow on three floats against numpy arrays --------
@@ -723,8 +732,7 @@ def _reference_parts(model, theta):
 def _reference_rhs(model, theta):
     # eta as the hook gives it: a NaN eta part gives a NaN velocity, as in
     # rhs and the flow's stages
-    if not model.in_domain(theta):
-        raise DomainError(f"{theta!r} lies outside the {model.name} domain")
+    model.check_domain(theta)
     values = _reference_parts(model, theta)
     return -rank_one_solve(values[3:], values[:3])[1]
 
@@ -777,7 +785,10 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
     rejected = False
     underflow_status = None
     while t < t_end:
-        h = min(h, t_end - t)
+        # dop853's LAST flag: a step cut to t_end ends on it once accepted
+        last_step = h >= t_end - t
+        if last_step:
+            h = t_end - t
         if not h >= 1e-13 * max(1.0, t):
             if underflow_status is None:
                 raise StepFailureError(f"step size underflow at t={t!r} (h={h!r},"
@@ -813,7 +824,7 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
             rejected = True
             h *= shrink
             continue
-        t += h
+        t = t_end if last_step else t + h
         y = y_new
         k1 = k[-1]
         n_accepted += 1
@@ -841,15 +852,15 @@ def _columns(traj):
     return [traj.t, traj.theta, traj.eta, traj.hamiltonian, traj.det_g, traj.lax_dev]
 
 
-def _assert_same_flow(model, start, rtol, atol=1e-12):
+def _assert_same_flow(model, start, rtol, atol=1e-12, t_end=2.0):
     try:
-        want = _reference_integrate(model, start, 2.0, rtol, atol)
+        want = _reference_integrate(model, start, t_end, rtol, atol)
     except BetaflowError as exc:
         with pytest.raises(type(exc)) as got:
-            integrate(model, start, 2.0, rtol=rtol, atol=atol)
+            integrate(model, start, t_end, rtol=rtol, atol=atol)
         assert str(got.value) == str(exc)
         return
-    traj = integrate(model, start, 2.0, rtol=rtol, atol=atol)
+    traj = integrate(model, start, t_end, rtol=rtol, atol=atol)
     columns, status, n_accepted, n_rejected = want
     for got_col, want_col in zip(_columns(traj), columns):
         assert got_col.shape == want_col.shape
@@ -917,6 +928,58 @@ def test_integrate_matches_array_reference_at_zero_tolerance(model):
         integrate(model, REFERENCE_STARTS[model], 2.0, rtol=0.0, atol=0.0)
     with np.errstate(all="ignore"):
         _assert_same_flow(model, REFERENCE_STARTS[model], 0.0, atol=0.0)
+
+
+# eta vanishes at the Stirling point (THETA_REST,) * 3, up to 9e-16, so flows
+# next to it are nearly at rest and each step is 6 times the one before
+THETA_REST = 1.192809551794941
+
+
+@pytest.mark.parametrize("start, t_end", [
+    # t + (t_end - t) rounded one ulp short of t_end, and the next step,
+    # one ulp long, underflowed with StepFailureError
+    ((1.192955683481544, 1.1928779727308505, 1.1926646998922221), 0.9673635624701832),
+    # ... or one ulp past it
+    ((1.1915245765333946, 1.191761168141692, 1.1932742800673932), 0.31963507197667024),
+], ids=["short-of-t_end", "past-t_end"])
+def test_the_last_step_lands_on_t_end(start, t_end):
+    traj = integrate(STIRLING_MODEL, start, t_end)
+    assert (traj.status, traj.t[-1]) == ("completed", t_end)
+    _assert_same_flow(STIRLING_MODEL, start, 1e-9, t_end=t_end)
+
+
+def test_flows_next_to_the_stirling_rest_point_end_on_t_end():
+    # on about one of these flows in forty, t + (t_end - t) rounds one ulp
+    # off t_end, so the last step must set t = t_end itself
+    rng = np.random.Generator(np.random.Philox(4))
+    starts = THETA_REST + rng.normal(0.0, 1e-4, (4000, 3))
+    for start, t_end in zip(starts, 10.0 ** rng.uniform(-1.5, 1.5, 4000)):
+        traj = integrate(STIRLING_MODEL, start, t_end)
+        assert (traj.status, traj.t[-1]) == ("completed", t_end), (start.tolist(), t_end)
+
+
+class _RestModel(_HookModel):
+    """``model`` with eta = 0 everywhere, so every slope of the flow is 0."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        inner = model.eta_metric_kernel
+        self.eta_metric_kernel = lambda a, b, c: (0.0, 0.0, 0.0) + inner(a, b, c)[3:]
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_a_flow_at_rest_grows_each_step_sixfold(model):
+    # every error estimate is exactly 0: each step is accepted and the next
+    # one 6 times longer, until the last is cut to land on t_end
+    rest = _RestModel(model)
+    traj = integrate(rest, REFERENCE_STARTS[model], 2.0, rtol=1e-10)
+    assert (traj.status, traj.n_rejected, traj.t[-1]) == ("completed", 0, 2.0)
+    steps = np.diff(traj.t)
+    assert len(steps) >= 3 and steps[-1] <= 6.0 * steps[-2]
+    assert np.allclose(steps[1:-1] / steps[:-2], 6.0, rtol=1e-12, atol=0.0)
+    # w = 1/(theta - lower) is constant, and row 1 is lower + 1/w
+    assert (traj.theta[1:] == traj.theta[1]).all()
+    _assert_same_flow(rest, REFERENCE_STARTS[model], 1e-10)
 
 
 @pytest.mark.parametrize("name", FUZZ_MODELS)

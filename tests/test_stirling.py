@@ -263,6 +263,12 @@ def test_classify_domain_examples():
     assert cls.label is DomainLabel.OUTSIDE
     assert abs(cls.distance - 0.5) <= 1e-15
 
+    # V's a-coefficient 4bc - 8b - 8c + 15 is 0 at b = c = 5/2, where
+    # den = -2 for every a: the line meets no point of V
+    assert {den(a, 2.5, 2.5) for a in (1.5, 3.0, 40.0)} == {-2.0}
+    cls = STIRLING_MODEL.classify_domain((3.0, 2.5, 2.5))
+    assert cls.label is DomainLabel.REGULAR and cls.distance == 1.0
+
 
 def test_classify_domain_tolerance():
     near_d = (2.0, 1.5 + 1e-10, 1.5)
@@ -369,6 +375,36 @@ def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(mo
     with pytest.raises(DomainError, match="needs a, b, c > 1"):
         invert_eta(STIRLING_MODEL, target)
     assert calls[0] <= 9
+
+
+def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
+    # the first Newton solve raises as at a singular Jacobian: _refine
+    # bisects the cell and Newton starts again from the nearer end
+    solves, searched = [], []
+    refine = betaflow.stirling._refine
+
+    def singular_once(*args):
+        solves.append(args)
+        if len(solves) == 1:
+            raise SingularMatrixError("injected")
+        return solve_det(*args)
+
+    def recording(at, t, pattern, p, q):
+        root = refine(at, t, pattern, p, q)
+        searched.append((pattern, root))
+        return root
+
+    monkeypatch.setattr(betaflow.stirling, "solve_det", singular_once)
+    monkeypatch.setattr(betaflow.stirling, "_refine", recording)
+    theta = (2.5, 3.0, 2.0)
+    target = STIRLING_MODEL.eta(theta)
+    start = STIRLING_MODEL.inversion_start(target)
+    monkeypatch.undo()
+    assert len(solves) > 1
+    # every alpha_i >= 3/2 and den < 0: theta is the first pattern's root
+    assert searched[0] == (_PATTERNS[0], start.tolist())
+    assert np.max(np.abs(start - theta)) <= 1e-9 * 3.0
+    assert rounding_floor_ratio(STIRLING_MODEL, start, target) <= 1.0
 
 
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
