@@ -23,7 +23,7 @@ from .errors import (
     StepFailureError,
 )
 from .integrability import invariant_columns
-from .manifold import _rank_one, as_point, check_finite, inside, solve_det
+from .manifold import _SMALL_STEP, _rank_one, as_point, check_finite, inside, solve_det
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -218,7 +218,9 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     step is accepted when that ratio is <= 1.  Its twelve stage points are
     sums over the nonzero tableau entries, added left to right in the
     tableau's order.  The step size follows Gustafsson's predictive
-    controller, and the last step is clipped to land on t_end.  The first
+    controller, and the last step is clipped to land on t_end, after the
+    step underflow test (h >= 1e-13 max(1, t)): a t_end below that floor, or
+    just past a sample, is reached.  The first
     sample is theta0 as given; each accepted step records t and the
     theta = lower + 1/w, eta and det G of its last stage, the step result,
     whose slope starts the next step.  The ``hamiltonian`` and ``lax_dev``
@@ -264,7 +266,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         # Every rejection sets the status a step underflow ends in (None: raise).
         underflow_status = None
         while t < t_end:
-            h = min(h, t_end - t)
+            # The floor judges the controller's step, before the cut to t_end.
             # A non-finite start velocity makes h NaN or 0, and fails here.
             if not h >= 1e-13 * max(1.0, t):
                 if underflow_status is None:
@@ -274,6 +276,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                     )
                 status = underflow_status
                 break
+            h = min(h, t_end - t)
             n, y_new, last, failed, err = _step(stage, h, y, k1, rtol, atol)
             n_rhs += n
             # A NaN err (a stage raised, or the estimate is not finite) fails.
@@ -336,7 +339,7 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     start = model.inversion_start(target) if guess is None else guess
     # the one domain check; every backtracked step below stays inside
     theta = model.check_domain(start).tolist()
-    lower, kernel, tiny = model.lower, model.eta_metric_kernel, 2.0 ** -26
+    lower, kernel, tiny = model.lower, model.eta_metric_kernel, _SMALL_STEP
     for _ in range(_NEWTON_MAX_ITER):
         e0, e1, e2, d1, d2, d3, o = kernel(*theta)
         check_finite((e0, e1, e2), "eta", theta)

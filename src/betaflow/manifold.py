@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 
+# Newton in invert_eta and stirling._refine stops on a step below this times
+# theta_i - lower: sqrt of the float epsilon, where the stop lands at the rounding floor.
+_SMALL_STEP = 2.0 ** -26
+
 
 def as_point(x, name: str = "point") -> np.ndarray:
     """Coerce to a finite float array of shape (3,)."""
@@ -101,7 +105,8 @@ class Model:
 
 @dataclass(frozen=True)
 class Metric3:
-    """Symmetric 3x3 matrix held as six entries (diagonal d*, off-diagonal o*)."""
+    """Symmetric 3x3 matrix held as six entries (diagonal d*, off-diagonal o*),
+    or a stack of them held as six same-shape arrays."""
 
     d1: float
     d2: float
@@ -121,13 +126,11 @@ class Metric3:
         return cls(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.d1, self.o12, self.o13],
-                [self.o12, self.d2, self.o23],
-                [self.o13, self.o23, self.d3],
-            ]
-        )
+        """The 3x3 array; on same-shape array entries, shape (..., 3, 3)."""
+        m = np.array([[self.d1, self.o12, self.o13],
+                      [self.o12, self.d2, self.o23],
+                      [self.o13, self.o23, self.d3]])
+        return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def check_finite(value, what: str, theta):

@@ -67,17 +67,24 @@ class FlaggedCell:
 def scan_degeneracy(region: Region, tol: float = 1e-9) -> list[FlaggedCell]:
     """Flag cells where the closed-form determinant changes sign across the
     corners or falls below tol at a corner or the midpoint.  The result is
-    ordered lexicographically by cell index."""
-    ax, bx, cx = region.axes()
-    # Halves first, so the sum cannot overflow; on coordinates above 1 this
-    # rounds as 0.5 * (x[:-1] + x[1:]).
-    mid_axes = [0.5 * x[:-1] + 0.5 * x[1:] for x in (ax, bx, cx)]
-    # Where det_kernel's products overflow (coordinates past about 1e100)
-    # det is inf or NaN; such a cell compares false everywhere below and
-    # is not flagged.
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = det_kernel(*np.meshgrid(ax, bx, cx, indexing="ij"))
-        det_mid = det_kernel(*np.meshgrid(*mid_axes, indexing="ij"))
+    ordered lexicographically by cell index.  DomainError where tol is not
+    finite and >= 0, or where numpy cannot build the grids (too many nodes)."""
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    try:
+        ax, bx, cx = region.axes()
+        # Halves first, so the sum cannot overflow; on coordinates above 1
+        # this rounds as 0.5 * (x[:-1] + x[1:]).
+        mid_axes = [0.5 * x[:-1] + 0.5 * x[1:] for x in (ax, bx, cx)]
+        # Where det_kernel's products overflow (coordinates past about 1e100)
+        # det is inf or NaN; such a cell compares false everywhere below and
+        # is not flagged.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = det_kernel(*np.meshgrid(ax, bx, cx, indexing="ij"))
+            det_mid = det_kernel(*np.meshgrid(*mid_axes, indexing="ij"))
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"cannot build the scan grid of {region.na} x {region.nb}"
+                          f" x {region.nc} nodes: {exc}") from exc
 
     ni, nj, nk = det_mid.shape
     corners = [det[di:di + ni, dj:dj + nj, dk:dk + nk]

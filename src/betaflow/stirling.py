@@ -31,7 +31,8 @@ import sys
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .manifold import DomainClass, DomainLabel, Model, as_point, check_finite, solve_det
+from .manifold import (_SMALL_STEP, DomainClass, DomainLabel, Model, as_point, check_finite,
+                       solve_det)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -277,8 +278,7 @@ def _refine(at, t, pattern, p, q):
     """
     t0, t1, t2 = t
     (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
-    # invert_eta's small step, sqrt of the float epsilon
-    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, 2.0 ** -26
+    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
     theta = None
     for _ in range(100):
         if theta is None:

@@ -244,6 +244,31 @@ def test_scan_out_file(tmp_path, capsys):
     assert report["flagged"] == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_scan_tol_that_is_not_finite_and_nonnegative_exits_3(value, capsys):
+    assert main(["scan", "--region", "1.2:5,1.2:5,1.2:5", "--resolution", "3",
+                 f"--tol={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and >= 0, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0"])
+def test_scan_zero_tol_is_valid(value, capsys):
+    assert main(["scan", "--region", "1.2:5,1.2:5,1.2:5", "--resolution", "3",
+                 f"--tol={value}"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
+@pytest.mark.parametrize("resolution", ["3000000", "100000"])
+def test_scan_grid_numpy_cannot_build_exits_3(resolution, capsys):
+    # numpy refuses both grids before it allocates them
+    assert main(["scan", "--region", "1.2:5,1.2:5,1.2:5", "--resolution", resolution]) == 3
+    n = resolution
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot build the scan grid of {n} x {n} x {n} nodes: ")
+
+
 def test_scan_region_outside_domain_exits_3(capsys):
     assert main(["scan", "--region", "0.5:2,2:3,2:3"]) == 3
     capsys.readouterr()

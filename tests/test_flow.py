@@ -785,16 +785,17 @@ def _reference_integrate(model, theta0, t_end, rtol, atol):
     rejected = False
     underflow_status = None
     while t < t_end:
-        # dop853's LAST flag: a step cut to t_end ends on it once accepted
-        last_step = h >= t_end - t
-        if last_step:
-            h = t_end - t
+        # the floor tests the controller's step, not its cut to t_end
         if not h >= 1e-13 * max(1.0, t):
             if underflow_status is None:
                 raise StepFailureError(f"step size underflow at t={t!r} (h={h!r},"
                                        f" rtol={rtol!r}, atol={atol!r})")
             status = underflow_status
             break
+        # dop853's LAST flag: a step cut to t_end ends on it once accepted
+        last_step = h >= t_end - t
+        if last_step:
+            h = t_end - t
         failed, shrink = None, 0.5
         try:
             k = [k1]
@@ -946,6 +947,40 @@ def test_the_last_step_lands_on_t_end(start, t_end):
     traj = integrate(STIRLING_MODEL, start, t_end)
     assert (traj.status, traj.t[-1]) == ("completed", t_end)
     _assert_same_flow(STIRLING_MODEL, start, 1e-9, t_end=t_end)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+@pytest.mark.parametrize("t_end", [1e-14, 1e-300, 5e-324])
+def test_a_t_end_below_the_step_floor_is_reached(model, t_end):
+    # the underflow floor, 1e-13 max(1, t), judges the controller's step, not
+    # its cut to t_end: one step cut below the floor lands on t_end
+    traj = integrate(model, REFERENCE_STARTS[model], t_end, rtol=1e-10)
+    assert (traj.status, traj.n_samples, traj.t[-1]) == ("completed", 2, t_end)
+    _assert_same_flow(model, REFERENCE_STARTS[model], 1e-10, t_end=t_end)
+
+
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_a_t_end_just_past_a_sample_is_reached(model):
+    # t_end is t[k] + delta with delta below the floor.  Most often the flow
+    # repeats the reference flow to t[k] and then takes one step cut to delta;
+    # where an earlier rejected try reached past t_end, its cut lands there
+    # sooner (the exact flow at k = 4)
+    start = REFERENCE_STARTS[model]
+    ref = integrate(model, start, 2.0, rtol=1e-10)
+    for k in (1, 4, 9, 13):
+        for delta in (5e-14, 1e-15):
+            t_end = float(ref.t[k]) + delta
+            traj = integrate(model, start, t_end, rtol=1e-10)
+            assert (traj.status, traj.t[-1]) == ("completed", t_end)
+            assert traj.n_samples <= k + 2
+            _assert_same_flow(model, start, 1e-10, t_end=t_end)
+
+
+def test_the_stirling_flow_reaches_a_t_end_5e_14_past_its_fourth_sample():
+    traj = integrate(STIRLING_MODEL, (2.5, 3.0, 2.0), 0.004438012555739113)
+    assert (traj.status, traj.n_samples, traj.n_rejected, traj.n_rhs) == ("completed", 5, 0, 49)
+    assert traj.t[-1] == 0.004438012555739113
+    _assert_same_flow(STIRLING_MODEL, (2.5, 3.0, 2.0), 1e-9, t_end=0.004438012555739113)
 
 
 def test_flows_next_to_the_stirling_rest_point_end_on_t_end():

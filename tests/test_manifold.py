@@ -38,6 +38,16 @@ def test_metric3_array_round_trip():
     assert Metric3.from_array(a) == m
 
 
+def test_metric3_as_array_stacks_array_entries():
+    # same-shape array entries give one 3x3 matrix per entry, each the float
+    # entry's as_array bit for bit
+    entries = np.random.Generator(np.random.Philox(5)).normal(0.0, 3.0, (6, 50))
+    stacked = Metric3(*entries).as_array()
+    assert stacked.shape == (50, 3, 3)
+    for i, column in enumerate(entries.T.tolist()):
+        assert stacked[i].tobytes() == Metric3(*column).as_array().tobytes()
+
+
 def test_metric3_from_array_rejects_asymmetry():
     a = np.eye(3)
     a[0, 1] = 1e-6

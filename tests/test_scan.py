@@ -42,6 +42,30 @@ def test_region_rejects_low_resolution():
         region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_scan_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(DomainError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+        scan_degeneracy(region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=3), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0])
+def test_scan_accepts_a_zero_tol(tol):
+    box = region((2.9, 3.1), (2.9, 3.1), (2.9, 3.1), n=3)
+    assert scan_degeneracy(box, tol=tol) == scan_degeneracy(box, tol=0.0)
+
+
+# Only sizes numpy refuses before it allocates: 1000 nodes per axis would be
+# an 8 GB grid, which can fit in memory.
+@pytest.mark.parametrize("n, reason", [
+    (3_000_000, "broadcast dimensions too large"),
+    (100_000, "Unable to allocate"),
+])
+def test_scan_grid_numpy_cannot_build_is_a_domain_error(n, reason):
+    with pytest.raises(DomainError, match=f"^cannot build the scan grid of {n} x {n} x {n}"
+                                          f" nodes: {reason}"):
+        scan_degeneracy(region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=n))
+
+
 def test_region_axes():
     ax, bx, cx = region((2.0, 3.0), (2.0, 4.0), (2.0, 5.0)).axes()
     assert ax[0] == 2.0 and ax[-1] == 3.0 and ax.shape == (8,)
