@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainClass, DomainLabel, Metric3, Model, as_point, check_finite
+from .manifold import (DomainClass, DomainLabel, Metric3, Model, as_point, check_count,
+                       check_finite)
 from .specfun import _psi_pair, log_gamma
 
 
@@ -73,11 +74,8 @@ class ExactModel(Model):
         stream and disjoint seeds give independent streams.
         """
         p = self.check_domain(theta)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed!r}")
-        rng = np.random.Generator(np.random.Philox(seed))
+        n = check_count(n, "n", 1)
+        rng = np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
         g = rng.standard_gamma(p, size=(n, 3))
         # the variates' sum can overflow, and at tiny theta every variate of
         # a draw can underflow, giving 0/0
@@ -94,9 +92,7 @@ class ExactModel(Model):
     def fisher_mc_with_stderr(self, theta, n: int, seed: int) -> tuple[Metric3, Metric3]:
         """Covariance estimate plus entrywise standard errors (from fourth
         sample moments of the centered statistics)."""
-        if n < 1000:
-            raise ValueError(f"fisher_mc needs n >= 1000, got {n}")
-        x12 = self.sample(theta, n, seed)
+        x12 = self.sample(theta, check_count(n, "n", 1000), seed)
         t = np.column_stack(
             [np.log(x12[:, 0]), np.log(x12[:, 1]), np.log1p(-x12[:, 0] - x12[:, 1])]
         )

@@ -31,6 +31,13 @@ def as_point(x, name: str = "point") -> np.ndarray:
     return p
 
 
+def check_count(value, what: str, least: int) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= ``least``."""
+    if isinstance(value, (int, np.integer)) and value >= least:
+        return int(value)
+    raise DomainError(f"{what} must be >= {least} and an integer, got {value!r}")
+
+
 def inside(lower: float, a: float, b: float, c: float) -> bool:
     """The domain rule on three floats: each finite and above ``lower``.
     NaN fails every comparison."""
@@ -116,12 +123,12 @@ class Metric3:
     o23: float
 
     @classmethod
-    def from_array(cls, m, rtol: float = 1e-12) -> "Metric3":
+    def from_array(cls, m) -> "Metric3":
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 array, got shape {m.shape}")
         scale = np.max(np.abs(m))
-        if np.max(np.abs(m - m.T)) > rtol * max(scale, 1.0):
+        if np.max(np.abs(m - m.T)) > 1e-12 * max(scale, 1.0):
             raise ValueError("matrix is not symmetric within tolerance")
         return cls(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
 

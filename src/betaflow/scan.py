@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .manifold import DomainLabel
+from .manifold import DomainLabel, check_count
 from .stirling import STIRLING_MODEL, det_kernel
 
 
@@ -40,8 +40,7 @@ class Region:
                     f" {STIRLING_MODEL.lower:g} (stirling domain)"
                 )
         for n in (self.na, self.nb, self.nc):
-            if n < 2:
-                raise DomainError(f"region resolution must be >= 2, got {n}")
+            check_count(n, "region resolution", 2)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (

@@ -105,6 +105,9 @@ class StirlingModel(Model):
         return check_finite(value, "dual potential", theta)
 
     def classify_domain(self, theta, tol: float = 1e-9) -> DomainClass:
+        # inf is valid: the scan's half cell diagonal overflows on a huge box
+        if not tol >= 0.0:
+            raise DomainError(f"tol must be >= 0, got {tol!r}")
         a, b, c = (float(x) for x in as_point(theta, "theta"))
         if min(a, b, c) <= self.lower:
             return DomainClass(DomainLabel.OUTSIDE, self.lower - min(a, b, c))
@@ -196,7 +199,7 @@ def _sigma_hi(t, pattern) -> float:
 
 def _roots(t, pattern, lo, hi):
     """The preimage of each root of F on [lo, hi] for one branch pattern,
-    in increasing sigma, from ``_refine`` on the cell that isolates it.
+    in increasing sigma.
 
     Each evaluated point is (sigma, F, d0, d1, u, g), with g_i = u_i':
     d0 = sum of u_i' over branch 0 minus 1, nonincreasing in sigma because
@@ -206,9 +209,14 @@ def _roots(t, pattern, lo, hi):
     A cell where F' keeps its sign holds at most one root, bracketed by a
     sign change of F; a cell with ends of one sign that F cannot cross
     within those slopes holds none; any other cell is split at its
-    geometric midpoint.  Near the fold, the
-    roots come in close pairs around an extremum of F, which the split on
-    the sign of F' separates.
+    geometric midpoint.  Near the fold, the roots come in close pairs
+    around an extremum of F, which the split on the sign of F' separates.
+
+    A cell that isolates a root is marked isolated and, each time
+    ``_refine`` gives None on it, split to the half where F changes sign.
+    Once it cannot narrow (within 64 splits), or at once where some
+    u_i + 1 rounds to 1 at both ends, its nearer end's u + 1 stands in:
+    u_i is monotone in sigma, so then no float point of it is in the domain.
     """
     def at(sigma):
         ls = math.log(sigma)
@@ -227,19 +235,28 @@ def _roots(t, pattern, lo, hi):
                 d1 += g
         return sigma, f, d0, d1, us, gs
 
-    stack = [(at(lo), at(hi))]
+    stack = [(at(lo), at(hi), False)]
     while stack:
-        p, q = stack.pop()
+        p, q, isolated = stack.pop()
         low, high = q[2] + p[3], p[2] + q[3]
         crosses = p[1] * q[1] < 0.0 or q[1] == 0.0
+        sigma = math.sqrt(p[0]) * math.sqrt(q[0])
         # A NaN slope bound counts as monotone and a NaN reach as root-free,
         # so no cell splits without end.
-        if not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
-            if crosses:
-                yield _refine(at, t, pattern, p, q)
+        if isolated or not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
+            if not (isolated or crosses):
+                continue
+            theta = None
+            if not any(u + 1.0 == 1.0 == v + 1.0 for u, v in zip(p[4], q[4])):
+                theta = _refine(t, pattern, p, q)
+                if theta is None and p[0] < sigma < q[0]:
+                    m = at(sigma)
+                    stack.append((m, q, True) if (m[1] < 0.0) == (p[1] < 0.0) else (p, m, True))
+                    continue
+            yield theta or [u + 1.0 for u in (p if abs(p[1]) < abs(q[1]) else q)[4]]
         elif crosses or not _root_free(p, q, low, high):
-            m = at(math.sqrt(p[0]) * math.sqrt(q[0]))
-            stack += [(m, q), (p, m)]
+            m = at(sigma)
+            stack += [(m, q, False), (p, m, False)]
 
 
 def _root_free(p, q, low, high) -> bool:
@@ -253,68 +270,49 @@ def _root_free(p, q, low, high) -> bool:
     return not reach_p + reach_q <= q[0] - p[0]
 
 
-def _refine(at, t, pattern, p, q):
+def _refine(t, pattern, p, q):
     """The preimage theta = u + 1 whose sigma is the root of F in the cell
-    [p, q], where F is monotone and changes sign.
+    [p, q], where F is monotone and changes sign, or None.
 
     Newton's method on eta(theta) = t, one ``eta_metric_kernel`` call and
     one ``solve_det`` per step, from the cell end of smaller |F| with its
     u_i moved along their slopes g_i to Newton's estimate of the root in
-    sigma.  A point outside the domain as floats, outside the cell in
-    sigma = sum(theta) - 1 or off ``pattern``'s branches, or a singular
-    Jacobian, gives way to one bisection of the cell at its geometric
-    midpoint, and Newton starts again from the nearer end.  F has one root
-    in the cell, so a point that passes these checks with eta(theta) = t
-    is the cell's preimage.
+    sigma.  F has one root in the cell, so a point in the domain as floats,
+    in the cell in sigma = sum(theta) - 1 and on ``pattern``'s branches
+    with eta(theta) = t is the cell's preimage.  None where a point leaves
+    them, the Jacobian is singular, or 32 hook calls do not converge (17 at
+    most on perfbench ``invert`` seeds 1-300): a root costs at most 32 hook
+    calls per split of its cell.
 
     Returns, unevaluated, the point a step below 2^-26 u_i in every
     coordinate reaches: eta's curvature scales as 1/u_i, so that point is
     at the rounding floor.  ``invert_eta`` stops by the same rule, so it
     usually returns that point after one hook call.  A stop at a residual
     of 1e-12 would leave theta 1e-8 off the root where G is near singular.
-    Falls back to the nearer end's u + 1 once the cell cannot narrow, or
-    at once where some u_i + 1 rounds to 1 at both ends: u_i is monotone
-    in sigma, so then no float point of the cell is in the domain.
     """
     t0, t1, t2 = t
     (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
     kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
-    theta = None
-    for _ in range(100):
-        if theta is None:
-            x = p if abs(p[1]) < abs(q[1]) else q
-            if any(u + 1.0 == 1.0 == v + 1.0 for u, v in zip(p[4], q[4])):
-                break
-            slope = x[2] + x[3]
-            ds = -x[1] / slope if slope else 0.0
-            theta = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
-            small = False
-        a, b, c = theta
-        step = None
-        if l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2 and p[0] <= a + b + c - 1.0 <= q[0]:
-            if small:
-                return theta
-            e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-            try:
-                step = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
-            except SingularMatrixError:
-                pass
-        if step is None:
-            sigma = math.sqrt(p[0]) * math.sqrt(q[0])
-            if not p[0] < sigma < q[0]:
-                break
-            m = at(sigma)
-            if (m[1] < 0.0) == (p[1] < 0.0):
-                p = m
-            else:
-                q = m
-            theta = None
-            continue
-        s0, s1, s2 = step
+    x = p if abs(p[1]) < abs(q[1]) else q
+    slope = x[2] + x[3]
+    ds = -x[1] / slope if slope else 0.0
+    a, b, c = (u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5]))
+    small = False
+    for _ in range(32):
+        if not (l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2
+                and p[0] <= a + b + c - 1.0 <= q[0]):
+            return None
+        if small:
+            return [a, b, c]
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        try:
+            s0, s1, s2 = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
+        except SingularMatrixError:
+            return None
         small = (abs(s0) <= tiny * (a - 1.0) and abs(s1) <= tiny * (b - 1.0)
                  and abs(s2) <= tiny * (c - 1.0))
-        theta = [a + s0, b + s1, c + s2]
-    return [u + 1.0 for u in x[4]]
+        a, b, c = a + s0, b + s1, c + s2
+    return None
 
 
 def _solve_u(r: float, branch: int = 0) -> float:
@@ -330,7 +328,7 @@ def _solve_u(r: float, branch: int = 0) -> float:
     W = -L1 - L2 - L2/L1 with L1 = r + ln 2, L2 = ln(L1) (branch -1).  On
     a dense sweep of r up to the top of each branch it stops after at most
     three steps.  On the calls that Stirling inversions make, all from the
-    cell search of ``_roots`` and the bisections of ``_refine`` (perfbench
+    cell search and the cell splits of ``_roots`` (perfbench
     ``invert``, 30 s runs at seeds 7-9: 12 723 calls), it takes 2.10 steps
     on average: from the series start 0, 1, 2 or 3 steps in 5%, 3%, 18%
     and 22% of calls, from the branch-0 asymptote 2 steps in 49% (and 1

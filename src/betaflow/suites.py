@@ -16,11 +16,11 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnknownSuiteError
+from .errors import UnknownSuiteError
 from .exact import EXACT_MODEL
 from .flow import eta_closed, integrate
 from .integrability import hamiltonian, lax_pair, lax_residual
-from .manifold import Metric3, _rank_one
+from .manifold import Metric3, _rank_one, check_count
 from .stirling import STIRLING_MODEL
 
 
@@ -191,8 +191,7 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
 
     In the "all" report each record summarizes one sub-suite; its residual
     is the sub-suite's worst residual-to-tolerance ratio."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed!r}")
+    seed = check_count(seed, "seed", 0)
     start = time.perf_counter()
     if name == "all":
         checks = []

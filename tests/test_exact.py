@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from betaflow import EXACT_MODEL, BetaflowError, DomainError, DomainLabel, det3, trigamma
+from betaflow import (EXACT_MODEL, BetaflowError, DomainError, DomainLabel, det3, run_suite,
+                      trigamma)
 from betaflow.manifold import Metric3, check_finite
 from conftest import rank_one_adjugate
 from test_fuzz import _points as fuzz_points
@@ -149,6 +150,27 @@ def test_sample_rejects_a_negative_seed():
         EXACT_MODEL.sample((2.0, 3.0, 4.0), 10, seed=-1)
     with pytest.raises(DomainError, match="seed must be >= 0"):
         EXACT_MODEL.fisher_mc((2.0, 3.0, 4.0), 2000, seed=-1)
+
+
+@pytest.mark.parametrize("call, args, argument", [
+    (EXACT_MODEL.sample, ((2.0, 3.0, 4.0), 2.5, 0), "n"),
+    (EXACT_MODEL.sample, ((2.0, 3.0, 4.0), 0, 0), "n"),
+    (EXACT_MODEL.sample, ((2.0, 3.0, 4.0), 3, 1.5), "seed"),
+    (EXACT_MODEL.sample, ((2.0, 3.0, 4.0), 3, math.nan), "seed"),
+    (EXACT_MODEL.fisher_mc, ((2.0, 3.0, 4.0), 10, 0), "n"),
+    (run_suite, ("lax", 1.5), "seed"),
+], ids=["sample-n-2.5", "sample-n-0", "sample-seed-1.5", "sample-seed-nan",
+        "fisher_mc-n-10", "run_suite-seed-1.5"])
+def test_a_count_or_seed_that_is_no_integer_in_range_is_a_domain_error(call, args, argument):
+    # each raised numpy's TypeError or a bare ValueError
+    with pytest.raises(DomainError, match=f"^{argument} must be >= [0-9]+ and an integer, got "):
+        call(*args)
+
+
+def test_sample_takes_numpy_integers():
+    theta = (2.0, 3.0, 4.0)
+    got = EXACT_MODEL.sample(theta, np.int64(5), np.uint32(7))
+    assert np.array_equal(got, EXACT_MODEL.sample(theta, 5, 7))
 
 
 def test_sample_raises_where_the_variates_sum_overflows():

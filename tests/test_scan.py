@@ -42,6 +42,18 @@ def test_region_rejects_low_resolution():
         region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=1)
 
 
+@pytest.mark.parametrize("counts", [(2.5, 3, 3), (3, 3.0, 3), (3, 3, "3"), (3, 3, math.nan)])
+def test_region_rejects_a_node_count_that_is_no_integer(counts):
+    # Region(..., na=2.5) was built, and scan_degeneracy then raised numpy's TypeError
+    with pytest.raises(DomainError, match="region resolution must be >= 2 and an integer"):
+        Region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), *counts)
+
+
+def test_region_takes_numpy_integer_node_counts():
+    box = Region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), np.int64(4), np.int32(4), 4)
+    assert scan_degeneracy(box) == scan_degeneracy(region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=4))
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 def test_scan_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(DomainError, match=f"^tol must be finite and >= 0, got {tol!r}$"):

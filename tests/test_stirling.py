@@ -15,8 +15,9 @@ from betaflow import (
     invert3,
 )
 import betaflow.stirling
-from betaflow.manifold import solve_det
-from betaflow.stirling import _PATTERNS, _PHI_MIN, _preimages, _solve_u
+from betaflow.manifold import _SMALL_STEP, solve_det
+from betaflow.stirling import (_BRANCH_THETA, _PATTERNS, _PHI_MIN, _preimages, _root_free,
+                               _solve_u)
 from conftest import rounding_floor_ratio
 
 K = -math.log(2.0 * math.pi) - 2.0
@@ -278,6 +279,22 @@ def test_classify_domain_tolerance():
     assert abs(cls.distance - 1e-10) <= 1e-14
 
 
+@pytest.mark.parametrize("tol", [-1.0, -5e-324, -math.inf, math.nan])
+def test_classify_domain_rejects_a_negative_or_nan_tol(tol):
+    # tol = -1 labelled this point of D Regular at distance 0.0, and
+    # tol = nan labelled every point Regular
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        STIRLING_MODEL.classify_domain((2.0, 1.5, 1.5), tol=tol)
+
+
+def test_classify_domain_takes_a_zero_or_infinite_tol():
+    # the scan passes half a cell diagonal, which overflows on a huge box
+    for tol in (0.0, -0.0):
+        assert STIRLING_MODEL.classify_domain((2.0, 1.5, 1.5), tol=tol).label is DomainLabel.ON_D
+    cls = STIRLING_MODEL.classify_domain((3.0, 2.5, 2.5), tol=math.inf)
+    assert cls.label is DomainLabel.ON_D and cls.distance == 1.0
+
+
 def test_classify_domain_total_on_mixed_points():
     # classification never raises, even outside the model domain
     rng = np.random.Generator(np.random.Philox(3))
@@ -316,10 +333,10 @@ def test_inversion_start_overflow_is_domain_error():
 
 
 def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
-    # Each _refine gets an `at` that counts its evaluations, and the kernel
-    # calls it makes are counted too.  Every root must already be at the
-    # floor that invert_eta stops at.
-    counts, roots = [], []
+    # Each root's Newton runs are counted, and the kernel calls they make:
+    # every run but the root's last fails and splits its cell once.  Every
+    # root must already be at the floor that invert_eta stops at.
+    counts, roots, pending = [], [], [0, 0]
     refine, kernel = betaflow.stirling._refine, STIRLING_MODEL.eta_metric_kernel
     kernel_calls = [0]
 
@@ -327,16 +344,16 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
         kernel_calls[0] += 1
         return kernel(*theta)
 
-    def counted(at, t, pattern, p, q):
-        n, k = [0], kernel_calls[0]
-
-        def counting(sigma):
-            n[0] += 1
-            return at(sigma)
-
-        root = refine(counting, t, pattern, p, q)
-        counts.append((n[0], kernel_calls[0] - k))
-        roots.append((root, t))
+    def counted(t, pattern, p, q):
+        k = kernel_calls[0]
+        root = refine(t, pattern, p, q)
+        pending[0] += 1
+        pending[1] += kernel_calls[0] - k
+        if root is not None:
+            # cell evaluations: one split per failed run
+            counts.append((pending[0] - 1, pending[1]))
+            roots.append((root, t))
+            pending[:] = [0, 0]
         return root
 
     monkeypatch.setattr(betaflow.stirling, "_refine", counted)
@@ -378,8 +395,8 @@ def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(mo
 
 
 def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
-    # the first Newton solve raises as at a singular Jacobian: _refine
-    # bisects the cell and Newton starts again from the nearer end
+    # the first Newton solve raises as at a singular Jacobian: _refine gives
+    # None, _roots bisects the cell and Newton starts again from the nearer end
     solves, searched = [], []
     refine = betaflow.stirling._refine
 
@@ -389,9 +406,9 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
             raise SingularMatrixError("injected")
         return solve_det(*args)
 
-    def recording(at, t, pattern, p, q):
-        root = refine(at, t, pattern, p, q)
-        searched.append((pattern, root))
+    def recording(t, pattern, p, q):
+        root = refine(t, pattern, p, q)
+        searched.append((pattern, (p[0], q[0]), root))
         return root
 
     monkeypatch.setattr(betaflow.stirling, "solve_det", singular_once)
@@ -401,8 +418,13 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
     start = STIRLING_MODEL.inversion_start(target)
     monkeypatch.undo()
     assert len(solves) > 1
-    # every alpha_i >= 3/2 and den < 0: theta is the first pattern's root
-    assert searched[0] == (_PATTERNS[0], start.tolist())
+    # every alpha_i >= 3/2 and den < 0: theta is the first pattern's root,
+    # found in one half of the first run's cell
+    (pattern, (p, q), failed), (again, (p2, q2), root) = searched[:2]
+    assert pattern == again == _PATTERNS[0] and failed is None
+    assert root == start.tolist()
+    mid = math.sqrt(p) * math.sqrt(q)
+    assert (p2, q2) in ((p, mid), (mid, q))
     assert np.max(np.abs(start - theta)) <= 1e-9 * 3.0
     assert rounding_floor_ratio(STIRLING_MODEL, start, target) <= 1.0
 
@@ -490,9 +512,10 @@ def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
     searched = []
     refine = betaflow.stirling._refine
 
-    def recording(at, t, pattern, p, q):
-        root = refine(at, t, pattern, p, q)
-        searched.append((pattern, root))
+    def recording(t, pattern, p, q):
+        root = refine(t, pattern, p, q)
+        if root is not None:
+            searched.append((pattern, root))
         return root
 
     monkeypatch.setattr(betaflow.stirling, "_refine", recording)
@@ -517,6 +540,115 @@ def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
         assert order == sorted(set(order)), theta
         roots += len(found)
     assert roots > len(points) + len(pins)
+
+
+def reference_roots(t, pattern, lo, hi):
+    """The cell search with the bisection inside its Newton refinement, as
+    it stood before ``_roots`` took over every split of a cell."""
+    def at(sigma):
+        ls = math.log(sigma)
+        f, d0, d1, us, gs = 2.0 - sigma, -1.0, 0.0, [], []
+        for x, k in zip(t, pattern):
+            u = _solve_u(ls - x, k)
+            w = sigma - 0.5 * sigma / u
+            g = u / w if w else (math.inf if k == 0 else -math.inf)
+            us.append(u)
+            gs.append(g)
+            f += u
+            if k == 0:
+                d0 += g
+            else:
+                d1 += g
+        return sigma, f, d0, d1, us, gs
+
+    stack = [(at(lo), at(hi))]
+    while stack:
+        p, q = stack.pop()
+        low, high = q[2] + p[3], p[2] + q[3]
+        crosses = p[1] * q[1] < 0.0 or q[1] == 0.0
+        if not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
+            if crosses:
+                yield reference_refine(at, t, pattern, p, q)
+        elif crosses or not _root_free(p, q, low, high):
+            m = at(math.sqrt(p[0]) * math.sqrt(q[0]))
+            stack += [(m, q), (p, m)]
+
+
+def reference_refine(at, t, pattern, p, q):
+    """Newton in theta from the nearer end, bisecting the cell through
+    ``at`` and starting again wherever a step fails, for 100 rounds."""
+    t0, t1, t2 = t
+    (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
+    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
+    theta = None
+    for _ in range(100):
+        if theta is None:
+            x = p if abs(p[1]) < abs(q[1]) else q
+            if any(u + 1.0 == 1.0 == v + 1.0 for u, v in zip(p[4], q[4])):
+                break
+            slope = x[2] + x[3]
+            ds = -x[1] / slope if slope else 0.0
+            theta = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
+            small = False
+        a, b, c = theta
+        step = None
+        if l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2 and p[0] <= a + b + c - 1.0 <= q[0]:
+            if small:
+                return theta
+            e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+            try:
+                step = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
+            except SingularMatrixError:
+                pass
+        if step is None:
+            sigma = math.sqrt(p[0]) * math.sqrt(q[0])
+            if not p[0] < sigma < q[0]:
+                break
+            m = at(sigma)
+            if (m[1] < 0.0) == (p[1] < 0.0):
+                p = m
+            else:
+                q = m
+            theta = None
+            continue
+        s0, s1, s2 = step
+        small = (abs(s0) <= tiny * (a - 1.0) and abs(s1) <= tiny * (b - 1.0)
+                 and abs(s2) <= tiny * (c - 1.0))
+        theta = [a + s0, b + s1, c + s2]
+    return [u + 1.0 for u in x[4]]
+
+
+def test_preimages_match_the_refine_that_bisected_its_own_cell(monkeypatch):
+    # Every preimage, to the bit, and every error text match the search
+    # whose Newton refinement split its cells itself.  theta_3 = 1 + 10^U,
+    # U in [-8, -3], puts roots next to the boundary, where Newton leaves
+    # the cell and the cell splits most.
+    rng = np.random.Generator(np.random.Philox(107))
+    near = np.column_stack([rng.uniform(1.0, 6.0, (400, 2)),
+                            1.0 + 10.0 ** rng.uniform(-8.0, -3.0, 400)])
+    points = np.concatenate([1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (400, 3)),
+                             rng.uniform(1.0, 6.0, (400, 3)), near])
+    # the fold, close-pair, mixed-sheet and next-to-the-boundary pins, and
+    # a target whose root's cell holds no float point of the domain
+    pins = [(100.0, 100.0, 100.0), (2.62, 4.89, 2.85), (1.01, 1.02, 40.0),
+            (1.45227617741424, 3.529910622678493, 1.0003936484813494),
+            NEAR_BOUNDARY_THETA]
+    targets = [STIRLING_MODEL.eta(theta) for theta in (*points, *pins)]
+    targets.append((0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209))
+
+    def preimages():
+        found = []
+        for target in targets:
+            try:
+                found.append([[x.hex() for x in theta.tolist()] for theta in _preimages(target)])
+            except DomainError as e:
+                found.append(str(e))
+        return found
+
+    got = preimages()
+    monkeypatch.setattr(betaflow.stirling, "_roots", reference_roots)
+    assert got == preimages()
+    assert sum(map(len, got)) > len(targets)
 
 
 def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
