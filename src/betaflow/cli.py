@@ -43,10 +43,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_merge_point_flags(list(argv)))
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # argparse exits with 0 after --help and 2 on a usage error
+        return exc.code
     try:
         return args.handler(args)
     except (BetaflowError, OSError) as exc:

@@ -73,42 +73,41 @@ class ExactModel(Model):
         The bit generator is counter-based, so a seed fully determines the
         stream and disjoint seeds give independent streams.
         """
-        p = self.check_domain(theta)
-        n = check_count(n, "n", 1)
-        rng = np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
-        g = rng.standard_gamma(p, size=(n, 3))
-        # the variates' sum can overflow, and at tiny theta every variate of
-        # a draw can underflow, giving 0/0
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = check_finite(g.sum(axis=1, keepdims=True), "a gamma sum", p)
-            return check_finite(g[:, :2] / total, "a draw", p)
+        return self._draw(theta, n, 1, seed)[:, :2]
 
     def fisher_mc(self, theta, n: int, seed: int) -> Metric3:
         """Monte Carlo Fisher estimate: sample covariance of the sufficient
-        statistics (ln x1, ln x2, ln(1 - x1 - x2))."""
+        statistics (ln x1, ln x2, ln x3)."""
         est, _ = self.fisher_mc_with_stderr(theta, n, seed)
         return est
 
     def fisher_mc_with_stderr(self, theta, n: int, seed: int) -> tuple[Metric3, Metric3]:
         """Covariance estimate plus entrywise standard errors (from fourth
-        sample moments of the centered statistics)."""
-        x12 = self.sample(theta, check_count(n, "n", 1000), seed)
-        t = np.column_stack(
-            [np.log(x12[:, 0]), np.log(x12[:, 1]), np.log1p(-x12[:, 0] - x12[:, 1])]
-        )
+        sample moments of the centered ln x_i of ``sample``'s draw);
+        DomainError where a variate underflowed to 0, as at tiny alpha_i."""
+        x = self._draw(theta, n, 1000, seed)
+        with np.errstate(divide="ignore"):
+            t = check_finite(np.log(x), "ln x of a draw", theta)
         t -= t.mean(axis=0)
-        cov = {}
-        se = {}
-        for key, i, j in (
-            ("d1", 0, 0), ("d2", 1, 1), ("d3", 2, 2),
-            ("o12", 0, 1), ("o13", 0, 2), ("o23", 1, 2),
-        ):
-            cij = float(np.dot(t[:, i], t[:, j])) / (n - 1)
-            cov[key] = cij
-            se[key] = math.sqrt(
-                max(float(np.mean(t[:, i] ** 2 * t[:, j] ** 2)) - cij * cij, 0.0) / n
-            )
-        return Metric3(**cov), Metric3(**se)
+        tt = t * t
+        cov = t.T @ t / (n - 1)
+        se = np.sqrt(np.maximum(tt.T @ tt / n - cov * cov, 0.0) / n)
+        return Metric3.from_array(cov), Metric3.from_array(se)
+
+    def _draw(self, theta, n, least: int, seed) -> np.ndarray:
+        """The (n, 3) checked simplex points g / sum(g) of ``sample``, n at least ``least``."""
+        p = self.check_domain(theta)
+        n = check_count(n, "n", least)
+        rng = np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
+        try:
+            g = rng.standard_gamma(p, size=(n, 3))
+        except (ValueError, MemoryError) as exc:
+            raise DomainError(f"cannot draw n = {n} points: {exc}") from exc
+        # the variates' sum can overflow, and at tiny theta every variate of
+        # a draw can underflow, giving 0/0
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = check_finite(g.sum(axis=1, keepdims=True), "a gamma sum", p)
+            return check_finite(g / total, "a draw", p)
 
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
         """alpha_i = 1/2 + e^{eta_i} / (1 - sum_j e^{eta_j}), from psi(x) ~

@@ -97,25 +97,16 @@ def hamilton_rhs(state: CanonicalState) -> np.ndarray:
     return np.array([state.P1, -state.Q1, state.P1p, -state.Q1p])
 
 
-def poisson_bracket(f, g, at: CanonicalState, step: float = 1e-6,
-                    grad_f=None, grad_g=None) -> float:
-    """{f, g} at a state; gradients by central differences unless supplied."""
+def poisson_bracket(f, g, at: CanonicalState) -> float:
+    """{f, g} at a state, with gradients by central differences at the step 1e-6."""
     x = at.as_array()
-    df = _gradient(f, x, step) if grad_f is None else np.asarray(grad_f(at), dtype=float)
-    dg = _gradient(g, x, step) if grad_g is None else np.asarray(grad_g(at), dtype=float)
-    return float(df @ POISSON4 @ dg)
+    return float(_gradient(f, x) @ POISSON4 @ _gradient(g, x))
 
 
-def _gradient(func, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty(4)
-    for i in range(4):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        grad[i] = (func(CanonicalState.from_array(hi))
-                   - func(CanonicalState.from_array(lo))) / (2.0 * step)
-    return grad
+def _gradient(func, x: np.ndarray) -> np.ndarray:
+    diffs = [func(CanonicalState.from_array(x + h)) - func(CanonicalState.from_array(x - h))
+             for h in np.eye(4) * 1e-6]
+    return np.array(diffs) / 2e-6
 
 
 def lax_pair(eta, ell: float = 1.0) -> LaxPair:
@@ -170,27 +161,26 @@ class LaxDiagnostics:
     commutator_norm: float
 
 
-def lax_residual(trajectory, ell: float = 1.0) -> LaxDiagnostics:
+def lax_residual(trajectory) -> LaxDiagnostics:
     """Conservation check along a trajectory: drift of L from its initial
     value (the largest entry of the ``lax_dev`` column), trace-vs-Hamiltonian
-    deviation, and commutator norm (the latter is identically zero because
-    L's support lies where N acts as ell*I).  Each is the largest over the
-    samples, as ``max`` takes it; where L is undefined on some sample
+    deviation, and the commutator norm with ``lax_pair``'s N (identically
+    zero, because L's support lies where N acts as I).  Each is the largest
+    over the samples, as ``max`` takes it; where L is undefined on some sample
     (``lax_dev`` is NaN there), raises what ``lax_pair`` raises on the first."""
     n = trajectory.n_samples
     if n == 0:
         raise EmptyTrajectoryError("trajectory has no samples")
     undefined = np.isnan(trajectory.lax_dev)
     if undefined.any():
-        lax_pair(trajectory.eta[int(undefined.argmax())], ell)
+        lax_pair(trajectory.eta[int(undefined.argmax())])
     e1, e2, e3 = trajectory.eta.T
     r21, r32 = e2 / e1, e3 / e2
     L = _lax_rows(r21, r32, e3 / e1).reshape(n, 3, 3)
-    N = np.array([ell, 0.0, ell])
+    N = np.diag([1.0, 0.0, 1.0])
     with np.errstate(all="ignore"):
         trace_dev = np.abs(r21 + r32 - trajectory.hamiltonian)
-        # L N - N L for the diagonal N, entry by entry; each entry is 0 or NaN
-        comm = L * N - N[:, None] * L
+        comm = L @ N - N @ L
         comm_norm = np.sqrt(np.einsum("nij,nij->n", comm, comm))
     return LaxDiagnostics(
         frobenius_drift=float(trajectory.lax_dev.max()),

@@ -130,7 +130,8 @@ class Metric3:
         scale = np.max(np.abs(m))
         if np.max(np.abs(m - m.T)) > 1e-12 * max(scale, 1.0):
             raise ValueError("matrix is not symmetric within tolerance")
-        return cls(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
+        (d1, o12, o13), (_, d2, o23), (_, _, d3) = m.tolist()
+        return cls(d1, d2, d3, o12, o13, o23)
 
     def as_array(self) -> np.ndarray:
         """The 3x3 array; on same-shape array entries, shape (..., 3, 3)."""
@@ -156,23 +157,28 @@ def check_finite(value, what: str, theta):
 
 
 def det3(m: Metric3) -> float:
-    """Determinant by cofactor expansion along the first row."""
-    return _adjugate(m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)[0]
+    """Determinant by cofactor expansion along the first row; DomainError where not finite."""
+    entries = (m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)
+    return check_finite(_adjugate(*entries)[0], "det", entries)
 
 
 def invert3(m: Metric3) -> Metric3:
-    """Adjugate-over-determinant inverse of a symmetric 3x3 matrix.
+    """Adjugate-over-determinant inverse of a symmetric 3x3 matrix, taken on
+    m / 2^e with 2^e just above its largest entry, so no product overflows.
 
     Singular where |det| is at most 1e-12 times the cube of the largest
-    entry, a threshold invariant under m -> s*m, compared in units of a
-    power of two near that cube, so it cannot overflow.
+    entry, a threshold invariant under m -> s*m.  DomainError where an entry
+    of m or of its inverse is not finite.
     """
     entries = (m.d1, m.d2, m.d3, m.o12, m.o13, m.o23)
-    det, *adjugate = _adjugate(*entries)
-    mant, e = math.frexp(max(map(abs, entries)))
-    if abs(math.ldexp(det, -3 * e)) <= 1e-12 * mant ** 3:
-        raise SingularMatrixError(f"matrix is singular within tolerance (det={det:.3e})")
-    return Metric3(*(a / det for a in adjugate))
+    mant, e = math.frexp(max(map(abs, check_finite(entries, "a matrix entry", entries))))
+    det, *adjugate = _adjugate(*(math.ldexp(x, -e) for x in entries))
+    if abs(det) <= 1e-12 * mant ** 3:
+        raise SingularMatrixError(f"matrix is singular within tolerance (det/2^{3 * e}={det:.3e})")
+    try:
+        return Metric3(*(math.ldexp(a / det, -e) for a in adjugate))
+    except OverflowError:
+        raise DomainError(f"matrix inverse is not finite at {list(entries)}") from None
 
 
 def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:

@@ -115,8 +115,14 @@ class StirlingModel(Model):
         if dist_d <= tol:
             return DomainClass(DomainLabel.ON_D, dist_d)
         den_v = 4.0 * b * c - 8.0 * b - 8.0 * c + 15.0
-        if den_v != 0.0:
-            dist_v = abs(a - (27.0 - 15.0 * b - 15.0 * c + 8.0 * b * c) / den_v)
+        num_v = 27.0 - 15.0 * b - 15.0 * c + 8.0 * b * c
+        if not (math.isfinite(den_v) and math.isfinite(num_v)):
+            # b or c > 1e153 overflowed a product.  The root is 2 + (B + C + 1) / (4BC - 1)
+            # (B = b - 2, C = c - 2): 2 - (B + C + 1) at BC = 0, else 1/(4B) + 1/(4C) past 2.
+            bb, cc = b - 2.0, c - 2.0
+            dist_v = abs(a - 2.0 - (0.25 / bb + 0.25 / cc if bb and cc else -(bb + cc + 1.0)))
+        elif den_v != 0.0:
+            dist_v = abs(a - num_v / den_v)
         else:
             dist_v = math.inf
         if dist_v <= tol:

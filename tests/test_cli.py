@@ -1,10 +1,12 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from betaflow import EXACT_MODEL, Region, integrate, scan_degeneracy
-from betaflow.cli import CSV_COLUMNS, main, read_trajectory_csv
+from betaflow.cli import CSV_COLUMNS, emit_svg, main, read_trajectory_csv
 
 INFO_FIELDS = {
     "model", "point", "phi", "eta", "metric", "metric_inverse",
@@ -63,10 +65,28 @@ def test_info_singular_point(capsys):
     ["check", "--suite", "definitely-not-a-suite"],
     ["scan", "--region", "2:3,2:3"],
     [],
+    ["info", "--model", "exact", "--point", "2,x,4"],
+    ["scan", "--region", "1.2:5:6,1.2:5,1.2:5"],
+    ["scan", "--region", "1.2:y,1.2:5,1.2:5"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eta, ham, ticks", [
+    (math.nan, math.nan, ("-1.1", "1.1")),
+    (3.0, 3.0, ("2.5", "3.5")),
+], ids=["no-finite-value", "one-flat-value"])
+def test_svg_value_axis_without_a_spread(eta, ham, ticks, tmp_path):
+    # no finite value plots on [-1, 1] padded by a twentieth; one flat
+    # value is padded by 1/2 on each side
+    traj = SimpleNamespace(n_samples=2, t=np.array([0.0, 1.0]), eta=np.full((2, 3), eta),
+                           hamiltonian=np.full(2, ham))
+    emit_svg(traj, tmp_path / "flat.svg")
+    svg = (tmp_path / "flat.svg").read_text(encoding="utf-8")
+    for tick in ticks:
+        assert f'text-anchor="end">{tick}</text>' in svg
 
 
 def test_flow_t_end_zero_writes_single_row(tmp_path, capsys):

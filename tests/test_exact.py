@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -128,7 +129,8 @@ def test_log_pdf_spots():
     assert abs(EXACT_MODEL.log_pdf((2.0, 2.0, 2.0), (0.25, 0.25)) - math.log(3.75)) <= 1e-13
 
 
-@pytest.mark.parametrize("x", [(0.7, 0.5), (0.0, 0.5), (0.5, -0.1), (1.0, 0.0)])
+@pytest.mark.parametrize("x", [(0.7, 0.5), (0.0, 0.5), (0.5, -0.1), (1.0, 0.0),
+                               (0.2, 0.3, 0.5)])
 def test_log_pdf_rejects_points_off_simplex(x):
     with pytest.raises(DomainError):
         EXACT_MODEL.log_pdf((2.0, 2.0, 2.0), x)
@@ -179,6 +181,22 @@ def test_sample_raises_where_the_variates_sum_overflows():
         EXACT_MODEL.sample((1e308, 1e308, 1e308), 4, seed=1)
 
 
+def test_sample_is_the_normalised_gamma_draw_bit_for_bit():
+    theta = np.array([2.0, 3.0, 0.05])
+    g = np.random.Generator(np.random.Philox(5)).standard_gamma(theta, size=(1000, 3))
+    want = g[:, :2] / g.sum(axis=1, keepdims=True)
+    assert EXACT_MODEL.sample(theta, 1000, 5).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [10**20, 2**50])
+@pytest.mark.parametrize("call", [EXACT_MODEL.sample, EXACT_MODEL.fisher_mc])
+def test_a_count_numpy_cannot_draw_is_a_domain_error(call, n):
+    # numpy refuses both before it allocates: 10**20 raised its bare
+    # ValueError, and 2**50 its MemoryError
+    with pytest.raises(DomainError, match=f"^cannot draw n = {n} points"):
+        call((2.0, 3.0, 4.0), n, 0)
+
+
 def test_sample_mean_matches_moments():
     # E[x1] = a/s, Var[x1] = a(s-a) / (s^2 (s+1)) at (2, 3, 4)
     n = 100_000
@@ -195,6 +213,25 @@ def test_fisher_mc_matches_metric_within_stderr():
     for key in ("d1", "d2", "d3", "o12", "o13", "o23"):
         err = abs(getattr(est, key) - getattr(g, key))
         assert err <= 5 * getattr(se, key), key
+
+
+def test_fisher_mc_takes_ln_x3_from_the_draw():
+    # ln(1 - x1 - x2), rebuilt from the normalised x1 and x2, met a
+    # rounded x3 <= 0 in 13% of these draws, and d3 came back NaN
+    theta = (2.0, 3.0, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = EXACT_MODEL.fisher_mc_with_stderr(theta, 200_000, seed=0)
+    g = EXACT_MODEL.metric(theta)
+    for key in ("d1", "d2", "d3", "o12", "o13", "o23"):
+        err = abs(getattr(est, key) - getattr(g, key))
+        assert err <= 5 * getattr(se, key), key
+
+
+def test_fisher_mc_where_a_variate_underflows_is_a_domain_error():
+    # at c = 0.01 some gamma variates of c underflow to 0, and ln 0 = -inf
+    with pytest.raises(DomainError, match=r"^ln x of a draw is not finite at \[2.0, 3.0, 0.01\]"):
+        EXACT_MODEL.fisher_mc((2.0, 3.0, 0.01), 200_000, seed=0)
 
 
 def test_fisher_mc_is_symmetric_metric3():

@@ -163,16 +163,6 @@ def test_poisson_bracket_leibniz():
     assert abs(lhs - rhs) <= 1e-8
 
 
-def test_poisson_bracket_with_supplied_gradients():
-    at = CanonicalState(0.7, -1.2, 2.3, 0.4)
-    value = poisson_bracket(
-        lambda s: s.P1, lambda s: s.Q1, at,
-        grad_f=lambda s: (1.0, 0.0, 0.0, 0.0),
-        grad_g=lambda s: (0.0, 1.0, 0.0, 0.0),
-    )
-    assert value == 1.0
-
-
 def test_lax_pair_uniform_eta():
     pair = lax_pair((0.7, 0.7, 0.7))
     assert pair.L[0, 0] == pair.L[2, 2] == pair.L[0, 2] == pair.L[2, 0] == 1.0
@@ -256,11 +246,11 @@ def test_lax_residual_empty_trajectory():
         lax_residual(SimpleNamespace(n_samples=0))
 
 
-def _reference_lax_residual(trajectory, ell=1.0):
+def _reference_lax_residual(trajectory):
     """lax_residual as one LaxPair per sample: three values, or the type and
     message of the error raised."""
     try:
-        pairs = [lax_pair(row, ell) for row in trajectory.eta]
+        pairs = [lax_pair(row) for row in trajectory.eta]
     except (DegenerateEtaError, NegativeRatioError) as exc:
         return type(exc), str(exc)
     with np.errstate(all="ignore"):
@@ -270,9 +260,9 @@ def _reference_lax_residual(trajectory, ell=1.0):
     return np.array([drift, trace_dev, comm]).tobytes()
 
 
-def _lax_outcome(trajectory, ell=1.0):
+def _lax_outcome(trajectory):
     try:
-        diag = lax_residual(trajectory, ell)
+        diag = lax_residual(trajectory)
     except (DegenerateEtaError, NegativeRatioError) as exc:
         return type(exc), str(exc)
     return np.array([diag.frobenius_drift, diag.trace_deviation,
@@ -284,8 +274,7 @@ def test_lax_residual_matches_one_lax_pair_per_sample(exact_trajectory,
     # The reference flows, and blocks of 8 drawn eta rows as trajectories:
     # row 0 fails in some, a later row in others, and in the last blocks
     # every L is defined (eta1 and eta3 of one sign) and one H in five is
-    # NaN, so the trace deviation is NaN at some samples.  Each with ells
-    # whose products with L overflow or are NaN.
+    # NaN, so the trace deviation is NaN at some samples.
     rng = np.random.Generator(np.random.Philox(101))
     defined = rng.choice([-1.0, 1.0], (400, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (400, 3))
     defined[:, 2] = np.copysign(defined[:, 2], defined[:, 0])
@@ -298,11 +287,10 @@ def test_lax_residual_matches_one_lax_pair_per_sample(exact_trajectory,
                                             lax_dev=dev))
     raised = 0
     for traj in trajectories:
-        for ell in (1.0, -0.7, 1e308, math.inf, math.nan):
-            want = _reference_lax_residual(traj, ell)
-            assert _lax_outcome(traj, ell) == want, (traj.eta, ell)
-            raised += isinstance(want, tuple)
-    assert raised == 5 * 100
+        want = _reference_lax_residual(traj)
+        assert _lax_outcome(traj) == want, traj.eta
+        raised += isinstance(want, tuple)
+    assert raised == 100
 
 
 def test_lax_residual_on_reference_flows(exact_trajectory, stirling_trajectory):

@@ -55,6 +55,11 @@ def test_metric3_from_array_rejects_asymmetry():
         Metric3.from_array(a)
 
 
+def test_metric3_from_array_rejects_a_shape_that_is_not_3x3():
+    with pytest.raises(ValueError, match="expected a 3x3 array"):
+        Metric3.from_array(np.eye(2))
+
+
 def test_det3_identity():
     assert det3(IDENTITY) == 1.0
 
@@ -106,6 +111,31 @@ def test_invert3_default_tolerance_is_scale_invariant(power):
     d = np.nextafter(1e-12, 1.0)
     inv = invert3(Metric3(s, s, d * s, 0.0, 0.0, 0.0))
     assert inv.d3 == pytest.approx(1.0 / (d * s), rel=1e-15)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_det3_and_invert3_reject_an_entry_that_is_not_finite(entry):
+    # det3 returned NaN; invert3 returned a Metric3 of NaNs or raised
+    # SingularMatrixError with det=inf
+    m = Metric3(entry, 1.0, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match=r"^det is not finite at \["):
+        det3(m)
+    with pytest.raises(DomainError, match=r"^a matrix entry is not finite at \["):
+        invert3(m)
+
+
+def test_invert3_of_huge_entries_is_their_finite_inverse():
+    # the adjugate and det overflowed, and every entry was inf / inf = NaN
+    inv = invert3(Metric3(1e300, 1e300, 1e300, 0.0, 0.0, 0.0))
+    assert [inv.d1, inv.d2, inv.d3] == pytest.approx([1e-300] * 3, rel=1e-15)
+    assert (inv.o12, inv.o13, inv.o23) == (0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match=r"^det is not finite at \["):
+        det3(Metric3(1e300, 1e300, 1e300, 0.0, 0.0, 0.0))
+
+
+def test_invert3_of_an_inverse_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^matrix inverse is not finite at \["):
+        invert3(Metric3(1e-310, 1e-310, 1e-310, 0.0, 0.0, 0.0))
 
 
 def test_invert3_random_well_conditioned():

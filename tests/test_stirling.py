@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -305,6 +306,34 @@ def test_classify_domain_total_on_mixed_points():
         assert math.isfinite(cls.distance)
 
 
+def exact_classification(theta, tol=1e-9):
+    """classify_domain's label and distance in exact rational arithmetic,
+    for a point of the domain off D."""
+    a, b, c = (Fraction(x) for x in theta)
+    dist_d = max(abs(b - Fraction(3, 2)), abs(c - Fraction(3, 2)))
+    dist_v = abs(a - (27 - 15 * b - 15 * c + 8 * b * c) / (4 * b * c - 8 * b - 8 * c + 15))
+    if dist_v <= tol:
+        return DomainLabel.ON_V, dist_v
+    return DomainLabel.REGULAR, min(dist_d, dist_v)
+
+
+@pytest.mark.parametrize("theta, slack", [
+    # 4bc overflowed, the V root was inf / inf = NaN, and these points of V
+    # came back Regular at distance 1e155 and 1e200
+    ((2.0, 1e155, 1e155), 0.0),
+    ((2.0, 1e200, 1e200), 0.0),
+    # where 4bc is finite the V root keeps its rounding, which is about
+    # 4e-16 where the root is near 2
+    ((2.0, 1e150, 1e150), 4e-16),
+    ((3.0, 1e160, 2.0), 4e-16),
+])
+def test_classify_domain_is_held_to_exact_arithmetic_at_huge_b_and_c(theta, slack):
+    cls = STIRLING_MODEL.classify_domain(theta)
+    label, distance = exact_classification(theta)
+    assert cls.label is label
+    assert abs(Fraction(cls.distance) - distance) <= slack + 1e-14 * distance
+
+
 def test_opposes_exact_potential_at_large_parameters():
     gap10 = abs(STIRLING_MODEL.potential((10.0,) * 3) + EXACT_MODEL.potential((10.0,) * 3))
     gap50 = abs(STIRLING_MODEL.potential((50.0,) * 3) + EXACT_MODEL.potential((50.0,) * 3))
@@ -375,6 +404,32 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
     for root, t in roots:
         # residual <= 1e-12, or at the rounding floor
         assert rounding_floor_ratio(STIRLING_MODEL, root, t) <= 1.0, (root, t)
+
+
+def test_refine_gives_up_after_32_hook_calls(monkeypatch):
+    # With no Newton step counted small, every run spends its 32 hook calls
+    # and gives None, so its cell is split until it cannot narrow; then the
+    # cell's nearer end stands in for the root.
+    calls, runs = [0], []
+    refine, kernel = betaflow.stirling._refine, STIRLING_MODEL.eta_metric_kernel
+
+    def counting_kernel(*theta):
+        calls[0] += 1
+        return kernel(*theta)
+
+    def recording(t, pattern, p, q):
+        k = calls[0]
+        runs.append((refine(t, pattern, p, q), calls[0] - k))
+        return runs[-1][0]
+
+    monkeypatch.setattr(betaflow.stirling, "_SMALL_STEP", -1.0)
+    monkeypatch.setattr(betaflow.stirling, "_refine", recording)
+    monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", counting_kernel)
+    theta = np.array([2.5, 3.0, 2.0])
+    start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
+    assert all(root is None for root, _ in runs)
+    assert max(n for _, n in runs) == 32
+    assert np.max(np.abs(start - theta)) <= 1e-13
 
 
 def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(monkeypatch):
