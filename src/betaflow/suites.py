@@ -72,14 +72,39 @@ def _record(name: str, residual: float, tolerance: float) -> CheckRecord:
     return CheckRecord(name, bool(residual <= tolerance), float(residual), tolerance)
 
 
+# Central differences of eta at a step of 1e-5 (theta_i - lower) miss G by
+# about 4 step^2 of max|G| on the acceptance flows (truncation: 4.1e-10
+# Stirling, 9.6e-11 exact; rounding adds about eps/step = 2e-11), so the
+# jacobian records allow 100 step^2.
+_JACOBIAN_STEP = 1e-5
+
+
+def _jacobian_residual(model, trajectory) -> float:
+    """Largest |d eta/d theta - G| over max|G| at the trajectory's samples,
+    with d eta/d theta by central differences of ``Model.eta``."""
+    worst = 0.0
+    for theta in trajectory.theta:
+        g = model.metric(theta).as_array()
+        steps = _JACOBIAN_STEP * (theta - model.lower)
+        diff = np.column_stack([(model.eta(theta + e) - model.eta(theta - e)) / (2.0 * h)
+                                for e, h in zip(np.diag(steps), steps)])
+        worst = max(worst, float(np.max(np.abs(diff - g))) / float(np.max(np.abs(g))))
+    return worst
+
+
 def _suite_linearization(seed: int) -> list[CheckRecord]:
+    """eta against eta0 e^-t along each acceptance flow, which the flow's
+    corrector holds by construction, and G against central differences of
+    eta at the same samples, which can fail."""
     out = []
-    for tag in ("exact", "stirling"):
+    for tag, (model, _) in _ACCEPTANCE_STARTS.items():
         traj = _acceptance_trajectory(tag)
         eta0 = traj.eta[0]
         closed = np.array([eta_closed(eta0, t) for t in traj.t.tolist()])
         residual = float(np.max(np.abs(traj.eta - closed))) / float(np.max(np.abs(eta0)))
         out.append(_record(f"{tag}-linearization", residual, 1e-7))
+        out.append(_record(f"{tag}-jacobian", _jacobian_residual(model, traj),
+                           100.0 * _JACOBIAN_STEP ** 2))
     return out
 
 

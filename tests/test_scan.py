@@ -265,6 +265,28 @@ def test_array_suites_match_their_per_point_loops_bit_for_bit(
     assert [got["exact-legendre"], got["stirling-legendre"]] == want
 
 
+def test_jacobian_records_fail_where_the_metric_is_not_the_jacobian_of_eta(monkeypatch):
+    # The flow's corrector lands on eta0 e^-t by construction, so the
+    # linearization records cannot see a wrong metric; the jacobian records
+    # can.  The acceptance flows are made with the true hooks; then o is
+    # scaled by 1 + 1e-3 in both.  (With the fault in place from the start,
+    # Newton converges too slowly near the escape, and both acceptance flows
+    # raise StepFailureError at the step budget.)
+    clean = {c.name: c for c in run_suite("linearization").checks}
+    assert all(c.passed for c in clean.values())
+    for model in (EXACT_MODEL, STIRLING_MODEL):
+        def scaled(a, b, c, inner=model.eta_metric_kernel):
+            *values, o = inner(a, b, c)
+            return (*values, o * (1.0 + 1e-3))
+
+        monkeypatch.setattr(model, "eta_metric_kernel", scaled)
+    faulty = {c.name: c for c in run_suite("linearization").checks}
+    for tag in ("exact", "stirling"):
+        assert faulty[f"{tag}-linearization"] == clean[f"{tag}-linearization"]
+        assert not faulty[f"{tag}-jacobian"].passed
+        assert faulty[f"{tag}-jacobian"].residual > 1e3 * faulty[f"{tag}-jacobian"].tolerance
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_suite_report_json_is_the_hand_built_dict(seed):
     for name in ("all",) + SUITE_NAMES:
