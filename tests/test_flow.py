@@ -1214,6 +1214,65 @@ def test_flow_diagnostics_reuse_the_last_stage(model):
     assert traj.n_accepted <= n_rhs <= 4 * (traj.n_accepted + traj.n_rejected)
 
 
+class _FaultModel(_CountingModel):
+    """Gives ``fault(values)`` in place of the hook's values from the
+    ``fail_at``-th call after the start sample's on."""
+
+    def __init__(self, model, fail_at, fault):
+        super().__init__(model)
+        self.fail_at, self.fault = fail_at, fault
+
+    def eta_metric_kernel(self, a, b, c):
+        values = super().eta_metric_kernel(a, b, c)
+        if self.calls["eta_metric_kernel"] - 1 < self.fail_at:
+            return values
+        return self.fault(values)
+
+
+def _injected_fault(kind, finite):
+    """A domain fault raises DomainError (finite) or gives an infinite G;
+    a singular fault gives a G whose det is exactly 0, with the hook's eta
+    (finite) or an infinite one."""
+    def fault(values):
+        if kind == "domain":
+            if finite:
+                raise DomainError("injected")
+            return values[:3] + (math.inf,) * 4
+        return (values[:3] if finite else (math.inf,) * 3) + (0.0,) * 4
+    return fault
+
+
+@functools.cache
+def _reference_flow(model):
+    return integrate(model, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, status", [("domain", "left_domain"), ("singular", "singular")],
+                         ids=["domain", "singular"])
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "non-finite"])
+@pytest.mark.parametrize("fail_at", range(1, 13))
+def test_compiled_step_reports_the_failed_stage(fail_at, finite, kind, status):
+    # Every hook call of the flow fails from the fail_at-th on (both
+    # reference flows make more than 12).  The step that meets the fault,
+    # and each retry of it, is rejected with the fault's status, down to
+    # the step underflow, which ends the flow with that status.
+    for model in (EXACT_MODEL, STIRLING_MODEL):
+        clean = _reference_flow(model)
+        faulty = _FaultModel(model, fail_at, _injected_fault(kind, finite))
+        traj = integrate(faulty, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+        assert traj.status == status
+        assert traj.n_rejected > 0
+        # the samples accepted before the fault are the clean flow's
+        n = traj.n_samples
+        assert n < clean.n_samples
+        assert traj.t.tobytes() == clean.t[:n].tobytes()
+        assert traj.theta.tobytes() == clean.theta[:n].tobytes()
+        # each step counts its hook calls up to the failed one, which the
+        # start sample's call makes one more
+        assert faulty.calls["eta_metric_kernel"] == traj.n_rhs + 1
+        assert faulty.calls["eta_metric_kernel"] > fail_at
+
+
 # --- The model formulas against plain numpy ---------------------------------
 
 def _numpy_point(model, theta):
