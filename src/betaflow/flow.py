@@ -4,11 +4,11 @@ linearization.
 Because eta is the gradient of the potential and G its Jacobian, the chain
 rule collapses the flow to eta' = -eta, so eta(theta(t)) = eta(theta(0)) e^{-t}
 for both models.  ``integrate`` follows that closed form: each sample is a
-Newton root of eta(theta) = eta0 e^{-t}, reached from a predictor in
-w = 1/(theta - lower).  The flow can reach the edge of a model's dual image
-in finite time (the metric degenerates there), or a fold of the curve
-(Stirling's V), so the follower stops with a flagged status instead of
-stepping through the singularity.
+root of eta(theta) = eta0 e^{-t}, found by a predictor and Newton's method,
+both in w = 1/(theta - lower).  The flow can reach the edge of a model's
+dual image in finite time (the metric degenerates there), or a fold of the
+curve (Stirling's V), so the follower stops with a flagged status instead
+of stepping through the singularity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100
 # integrate's step size aims the predictor's error, relative in w, at
 # _PREDICTOR_TOL; its corrector makes at most _CORRECTOR_CALLS hook calls per
 # step, and a flow tries at most _MAX_STEPS steps.
-_PREDICTOR_TOL, _CORRECTOR_CALLS, _MAX_STEPS = 5e-3, 4, 100_000
+_PREDICTOR_TOL, _CORRECTOR_CALLS, _MAX_STEPS = 1e-2, 5, 100_000
 
 
 @dataclass
@@ -82,23 +82,23 @@ def eta_closed(eta0, t: float) -> np.ndarray:
 
 
 def _correct(kernel, lower, w, target, tol, positive):
-    """Newton's method in theta on eta(theta) = target from the predicted
-    w, theta = lower + 1/w: at most _CORRECTOR_CALLS iterates, each one hook
-    call and one ``solve_det`` for the Newton step.  Returns (calls, sample,
-    failed).  ``sample`` is the first iterate where every
-    |eta_i - target_i| <= tol and the next Newton step is below sqrt(eps)
-    (theta_i - lower) plus one ulp of theta_i (``invert_eta``'s step test,
-    down to the rounding of theta): its theta, the hook's eta and det G
-    there, and G^{-1} eta; ``failed`` is then None.  Otherwise ``sample`` is
-    None and ``failed`` is the status a step underflow ends in:
+    """Newton's method on eta(theta) = target in w, theta = lower + 1/w, from
+    the predicted w: at most _CORRECTOR_CALLS iterates, each one hook call
+    and one ``solve_det`` for the theta-step s = G^{-1} (eta - target), taken
+    in w as w_i + w_i^2 s_i.  Returns (calls, sample, failed).  ``sample`` is
+    the first iterate where every |eta_i - target_i| <= tol and s is below
+    sqrt(eps) (theta_i - lower) plus one ulp of theta_i (``invert_eta``'s
+    step test, down to the rounding of theta): its theta, the hook's eta and
+    det G there, G^{-1} eta and its w; ``failed`` is then None.  Otherwise
+    ``sample`` is None and ``failed`` is the status a step underflow ends in:
     "left_domain" where the predicted point is finite but outside the
     domain, the hook raised DomainError or G is not finite; "singular"
     where det G is 0 or of the other sign than at the start (the iterate
     crossed a fold), or where an iterate met tol but Newton did not
     converge (G is numerically singular along the step: just past a fold,
     or at the rounding floor of eta); None where the prediction is not
-    finite, Newton diverged (a step as long as some theta_i - lower, or
-    NaN) or it ran out of calls."""
+    finite, Newton diverged (a step as long as some theta_i - lower, so that
+    the next w_i would leave (0, 2 w_i), or NaN) or it ran out of calls."""
     if not all(map(math.isfinite, w)):
         return 0, None, None
     w0, w1, w2 = w
@@ -130,13 +130,14 @@ def _correct(kernel, lower, w, target, tol, positive):
                     and abs(s1) <= _SMALL_STEP * (b - lower) + ulp(b)
                     and abs(s2) <= _SMALL_STEP * (c - lower) + ulp(c)):
                 v = solve_det(d1, d2, d3, o, e0, e1, e2)[1:]
-                return calls, ((a, b, c), (e0, e1, e2), det, v), None
+                return calls, ((a, b, c), (e0, e1, e2), det, v, (w0, w1, w2)), None
             met = True
         # A step as long as theta_i - lower could leave the domain: Newton
         # has diverged.  A NaN step fails this too.
         if not (abs(s0) < a - lower and abs(s1) < b - lower and abs(s2) < c - lower):
             break
-        a, b, c = a - s0, b - s1, c - s2
+        w0, w1, w2 = w0 + w0 * w0 * s0, w1 + w1 * w1 * s1, w2 + w2 * w2 * s2
+        a, b, c = lower + 1.0 / w0, lower + 1.0 / w1, lower + 1.0 / w2
     return calls, None, "singular" if met else None
 
 
@@ -151,12 +152,15 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     where theta runs off to infinity like C/(t* - t); there w has a regular
     zero, so the steps need not fall towards a pole.  The first step is
     linear in w; each later one extrapolates the cubic Hermite through the
-    last two samples' w and w'.  The corrector, ``_correct``, accepts a
-    sample where max|eta(theta) - eta0 e^{-t}| <= atol + rtol max|eta0 e^{-t}|
-    and Newton has converged: that residual is what ``rtol`` and ``atol``
-    bound.  Each must be finite and >= 0, as must t_end, or DomainError is
-    raised.  A rejected step is halved.  After an accepted step h scales by
-    0.9 (5e-3/err)^(1/4), between 1/3 and 6 (at most 1 straight after a
+    last two samples' w and w'.  The corrector, ``_correct``, is Newton's
+    method in the same w: near the lower bound eta is nearly linear in w
+    (there the Stirling eta_i is ln(s - 1) + ln w_i - w_i/2), so it needs
+    fewer hook calls than Newton in theta.  It accepts a sample where
+    max|eta(theta) - eta0 e^{-t}| <= atol + rtol max|eta0 e^{-t}| and Newton
+    has converged: that residual is what ``rtol`` and ``atol`` bound.  Each
+    must be finite and >= 0, as must t_end, or DomainError is raised.  A
+    rejected step is halved.  After an accepted step h scales by
+    0.9 (1e-2/err)^(1/4), between 1/3 and 6 (at most 1 straight after a
     rejection), where err is the prediction's largest error relative to the
     accepted w.  The last step is clipped to land on t_end, after the step
     underflow test (h >= 1e-13 max(1, t)): a t_end below that floor, or just
@@ -247,10 +251,10 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 rejected = True
                 h *= 0.5
                 continue
-            point, eta_new, det, v = sample
+            point, eta_new, det, v, w_new = sample
             samples.append((t_new, point, eta_new, det))
             before = (t_new - t, w, m)
-            t, w = t_new, [1.0 / (x - lower) for x in point]
+            t, w = t_new, w_new
             m = [wi * wi * vi for wi, vi in zip(w, v)]
             if abs(det) < DET_GUARD:
                 status = "singular"

@@ -232,12 +232,12 @@ def test_flow_samples_are_the_closed_form_preimages(model, exact_trajectory,
                                                     stirling_trajectory):
     # From each of seven seeded sample rows and the last one, mpmath solves
     # eta(theta) = eta0 e^-t at 30 digits; the sample is that root to 1e-6
-    # relative in theta - lower (worst measured: 1.2e-9 exact and 7.5e-8
-    # Stirling with DOP853 in w, 7.3e-10 and 5.9e-8 with the 5(4) pair in w,
-    # 2.6e-9 and 7.6e-8 in theta, at a last row, where det G is near the
-    # guard).  On the Stirling model the root has the sample's branch
-    # pattern (u_i above 1/2 or not), and the sign of det G at the start: a
-    # flow cannot cross det G = 0.
+    # relative in theta - lower (worst measured: 2.7e-10 exact and 5.0e-10
+    # Stirling with the path follower; 1.2e-9 and 7.5e-8 with DOP853 in w,
+    # 7.3e-10 and 5.9e-8 with the 5(4) pair in w, 2.6e-9 and 7.6e-8 in theta,
+    # at a last row, where det G is near the guard).  On the Stirling model
+    # the root has the sample's branch pattern (u_i above 1/2 or not), and
+    # the sign of det G at the start: a flow cannot cross det G = 0.
     reference = exact_trajectory if model is EXACT_MODEL else stirling_trajectory
     box = (0.3, 8.0) if model is EXACT_MODEL else (1.2, 6.0)
     trajectories = [reference] + _escaping_starts(model, *box)
@@ -765,10 +765,12 @@ def _reference_integrate(model, theta0, t_end, rtol, atol, stops=()):
     return [np.array([s[i] for s in samples]) for i in range(2)], status
 
 
-# Bounds on the theta gap to the reference, relative in theta - lower, about
-# ten times the worst measured over the tests below: 1.5e-8 at rtol 1e-10,
-# 4.2e-11 at 1e-9 and 7.1e-5 at 1e-6.  The worst gaps sit at last samples,
-# where det G is near the guard and the reference's own error is largest.
+# Bounds on the theta gap to the reference, relative in theta - lower.  The
+# worst measured over the tests below are 2.4e-8 at rtol 1e-10, 1.3e-8 at
+# 1e-9 and 4.1e-4 at 1e-6.  The worst gaps sit at last samples, where det G
+# is near the guard and the reference's own error is largest.  At 1e-6 the
+# worst is an exact start near the edge: there the follower's samples lie
+# within 6e-10 of the mpmath roots, the reference's last one 4.1e-4 off.
 _AGREEMENT = {1e-10: 1e-7, 1e-9: 1e-6, 1e-6: 1e-3}
 
 
@@ -855,8 +857,8 @@ def test_integrate_matches_array_reference_into_the_degeneracy_surface(start):
     # the follower ends "singular" where the reference raises: each step past
     # the fold is rejected, down to the smallest step, as its Newton iterate
     # crosses det G = 0 or cannot converge.  It stops within 1e-6 of the
-    # reference's time (worst measured 1.6e-10), with det G near 1e-8, and
-    # agrees with the reference up to 1e-8 of that time (worst 7.5e-8 in
+    # reference's time (worst measured 1.8e-10), with det G near 1e-8, and
+    # agrees with the reference up to 1e-8 of that time (worst 6.7e-8 in
     # theta - 1; closer to the fold theta moves as sqrt(t_V - t), and the
     # gap with it)
     t_v = _v_time(start)
@@ -877,7 +879,7 @@ def test_integrate_matches_array_reference_into_the_degeneracy_surface(start):
 def test_v_starts_end_singular_at_looser_tolerances(rtol):
     # a sample needs Newton to converge, not only the residual bound, so a
     # loose rtol does not carry the flow past the fold (worst measured
-    # 1.6e-7 of the reference's time at rtol 1e-6)
+    # 1.8e-10 of the reference's time at rtol 1e-6 and 1e-9)
     for start in V_STARTS:
         traj = integrate(STIRLING_MODEL, start, 2.0, rtol=rtol, atol=1e-12)
         assert traj.status == "singular", start
@@ -989,11 +991,11 @@ def test_a_t_end_just_past_a_sample_is_reached(model):
 
 
 def test_the_stirling_flow_reaches_a_t_end_5e_14_past_its_fourth_sample():
-    traj = integrate(STIRLING_MODEL, (2.5, 3.0, 2.0), 0.0045100673875983896)
-    assert (traj.status, traj.n_samples, traj.n_rejected, traj.n_rhs) == ("completed", 5, 0, 9)
-    assert traj.t[-1] == 0.0045100673875983896
+    traj = integrate(STIRLING_MODEL, (2.5, 3.0, 2.0), 0.005566754252134288)
+    assert (traj.status, traj.n_samples, traj.n_rejected, traj.n_rhs) == ("completed", 5, 0, 8)
+    assert traj.t[-1] == 0.005566754252134288
     _assert_agrees_with_reference(STIRLING_MODEL, (2.5, 3.0, 2.0), 1e-9,
-                                  t_end=0.0045100673875983896)
+                                  t_end=0.005566754252134288)
 
 
 def test_flows_next_to_the_stirling_rest_point_end_on_t_end():
@@ -1193,12 +1195,49 @@ def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
 
 
 def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_trajectory):
-    # a step-budget regression test: at most four hook calls per tried step,
+    # a step-budget regression test: at most five hook calls per tried step,
     # at least one per accepted step (a prediction past the escape, w <= 0,
     # is rejected without a call)
-    for traj, n_rhs in ((exact_trajectory, 16), (stirling_trajectory, 119)):
+    for traj, n_rhs in ((exact_trajectory, 13), (stirling_trajectory, 78)):
         assert traj.n_rhs == n_rhs
-        assert traj.n_accepted <= traj.n_rhs <= 4 * (traj.n_accepted + traj.n_rejected)
+        assert traj.n_accepted <= traj.n_rhs <= 5 * (traj.n_accepted + traj.n_rejected)
+
+
+def test_seeded_flows_keep_their_statuses_and_hook_call_budget():
+    # 60 log-uniform starts per model at the acceptance tolerances, each
+    # status pinned ("s"ingular, "c"ompleted).  The summed hook calls
+    # measured 1338 (exact) and 3709 (Stirling); the budget is that plus 5%,
+    # so a corrector that needs more calls per sample fails it.
+    rng = np.random.Generator(np.random.Philox(29))
+    for model, lo, hi, statuses, calls in (
+        (EXACT_MODEL, 0.3, 8.0, "s" * 60, 1338),
+        (STIRLING_MODEL, 1.2, 6.0, "s" * 15 + "c" + "s" * 32 + "cc" + "s" * 8 + "cs", 3709),
+    ):
+        starts = np.exp(rng.uniform(np.log(lo), np.log(hi), (60, 3)))
+        flows = [integrate(model, s, 2.0, rtol=1e-10, atol=1e-12) for s in starts]
+        assert "".join(traj.status[0] for traj in flows) == statuses
+        assert sum(traj.n_rhs for traj in flows) <= 1.05 * calls
+
+
+def test_flows_from_next_to_the_stirling_lower_bound_keep_their_outcomes():
+    # (1 + 10^-k, 2, 3) at rtol 1e-6.  Up to k = 10 each flow ends singular
+    # near t* = 0.2254.  From k = 10 on, one ulp of theta_1 can move eta_1
+    # by more than the residual bound, so no iterate meets it: at k = 11 the
+    # step size underflows at t = 1e-6 (and at k = 10 from other starts).
+    outcomes, calls = [], 0
+    for k in range(3, 12):
+        try:
+            traj = integrate(STIRLING_MODEL, (1.0 + 10.0 ** -k, 2.0, 3.0), 2.0, rtol=1e-6)
+        except StepFailureError:
+            outcomes.append("StepFailureError")
+            continue
+        outcomes.append(traj.status)
+        if k <= 9:
+            calls += traj.n_rhs
+    assert outcomes == ["singular"] * 8 + ["StepFailureError"]
+    # Newton in theta made 1095 hook calls over k = 3..9; Newton in w makes
+    # fewer on most starts, but not on every one of these
+    assert calls <= 1095
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -1211,7 +1250,7 @@ def test_flow_diagnostics_reuse_the_last_stage(model):
     assert traj.status == "singular"
     n_rhs = counting.calls["eta_metric_kernel"] - 1
     assert n_rhs == traj.n_rhs
-    assert traj.n_accepted <= n_rhs <= 4 * (traj.n_accepted + traj.n_rejected)
+    assert traj.n_accepted <= n_rhs <= 5 * (traj.n_accepted + traj.n_rejected)
 
 
 class _FaultModel(_CountingModel):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import betaflow.flow
+import betaflow.suites
 from betaflow import (
     EXACT_MODEL,
     STIRLING_MODEL,
@@ -16,6 +18,7 @@ from betaflow import (
     run_suite,
     scan_degeneracy,
 )
+from betaflow.cli import main
 from conftest import linearization_residual
 
 
@@ -285,6 +288,49 @@ def test_jacobian_records_fail_where_the_metric_is_not_the_jacobian_of_eta(monke
         assert faulty[f"{tag}-linearization"] == clean[f"{tag}-linearization"]
         assert not faulty[f"{tag}-jacobian"].passed
         assert faulty[f"{tag}-jacobian"].residual > 1e3 * faulty[f"{tag}-jacobian"].tolerance
+
+
+def test_a_suite_whose_acceptance_flow_raises_reports_its_records_failed(
+        monkeypatch, capsys):
+    # With o scaled by 1 + 1e-3 from the start, both acceptance flows spend
+    # their step budget and raise StepFailureError (at 100 000 tried steps,
+    # a few seconds; 200 here).  Each record made from a flow that raised
+    # fails with residual inf, the other records run as before, and check
+    # exits 1 with the full report, not 3.
+    for model in (EXACT_MODEL, STIRLING_MODEL):
+        def scaled(a, b, c, inner=model.eta_metric_kernel):
+            *values, o = inner(a, b, c)
+            return (*values, o * (1.0 + 1e-3))
+
+        monkeypatch.setattr(model, "eta_metric_kernel", scaled)
+    monkeypatch.setattr(betaflow.flow, "_MAX_STEPS", 200)
+    flow_records = {f"{tag}-{name}" for tag in ("exact", "stirling") for name in
+                    ("linearization", "jacobian", "conservation", "drift", "trace")}
+    betaflow.suites._acceptance_trajectory.cache_clear()
+    try:
+        for tag in ("exact", "stirling"):
+            assert betaflow.suites._acceptance_trajectory(tag) is None
+        checks = [c for s in ("linearization", "hamiltonian", "lax")
+                  for c in run_suite(s).checks]
+        assert {c.name for c in checks} >= flow_records
+        for c in checks:
+            if c.name in flow_records:
+                assert (c.passed, c.residual) == (False, math.inf), c
+        # the other records of these suites read eta alone, which the fault keeps
+        assert {c.name: c.passed for c in checks if c.name not in flow_records} == {
+            "exact-symmetric": True, "stirling-symmetric": True, "commutator-random": True}
+        capsys.readouterr()
+        assert main(["check", "--suite", "linearization"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [f"{tag}-{name}: FAIL residual=inf tolerance={tol:.6g}"
+                           for tag in ("exact", "stirling")
+                           for name, tol in (("linearization", 1e-7), ("jacobian", 1e-8))]
+        assert out[4].startswith("suite linearization (seed 0): FAIL [")
+        assert main(["check", "--suite", "all"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:-1]] == list(SUITE_NAMES)
+    finally:
+        betaflow.suites._acceptance_trajectory.cache_clear()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
