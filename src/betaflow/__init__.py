@@ -20,7 +20,6 @@ from .flow import DET_GUARD, Trajectory, eta_closed, integrate, invert_eta, rhs
 from .integrability import (
     POISSON4,
     CanonicalState,
-    LaxDiagnostics,
     LaxPair,
     hamilton_rhs,
     hamiltonian,
@@ -50,7 +49,6 @@ __all__ = [
     "EmptyTrajectoryError",
     "ExactModel",
     "FlaggedCell",
-    "LaxDiagnostics",
     "LaxPair",
     "Metric3",
     "NegativeRatioError",

@@ -152,38 +152,14 @@ def _lax_rows(r21, r32, r31) -> np.ndarray:
     return np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)
 
 
-@dataclass(frozen=True)
-class LaxDiagnostics:
-    """Worst-case deviations over a trajectory."""
-
-    frobenius_drift: float
-    trace_deviation: float
-    commutator_norm: float
-
-
-def lax_residual(trajectory) -> LaxDiagnostics:
-    """Conservation check along a trajectory: drift of L from its initial
-    value (the largest entry of the ``lax_dev`` column), trace-vs-Hamiltonian
-    deviation, and the commutator norm with ``lax_pair``'s N (identically
-    zero, because L's support lies where N acts as I).  Each is the largest
-    over the samples, as ``max`` takes it; where L is undefined on some sample
-    (``lax_dev`` is NaN there), raises what ``lax_pair`` raises on the first."""
-    n = trajectory.n_samples
-    if n == 0:
+def lax_residual(trajectory) -> float:
+    """Conservation check along a trajectory: the largest Frobenius drift of
+    L from its initial value, the largest entry of the ``lax_dev`` column.
+    Where L is undefined on some sample (``lax_dev`` is NaN there), raises
+    what ``lax_pair`` raises on the first."""
+    if trajectory.n_samples == 0:
         raise EmptyTrajectoryError("trajectory has no samples")
     undefined = np.isnan(trajectory.lax_dev)
     if undefined.any():
         lax_pair(trajectory.eta[int(undefined.argmax())])
-    e1, e2, e3 = trajectory.eta.T
-    r21, r32 = e2 / e1, e3 / e2
-    L = _lax_rows(r21, r32, e3 / e1).reshape(n, 3, 3)
-    N = np.diag([1.0, 0.0, 1.0])
-    with np.errstate(all="ignore"):
-        trace_dev = np.abs(r21 + r32 - trajectory.hamiltonian)
-        comm = L @ N - N @ L
-        comm_norm = np.sqrt(np.einsum("nij,nij->n", comm, comm))
-    return LaxDiagnostics(
-        frobenius_drift=float(trajectory.lax_dev.max()),
-        trace_deviation=max(trace_dev.tolist()),
-        commutator_norm=max(comm_norm.tolist()),
-    )
+    return float(trajectory.lax_dev.max())

@@ -41,9 +41,9 @@ def test_criterion_02_hamiltonian(exact_trajectory, stirling_trajectory):
 def test_criterion_03_lax_pair(exact_trajectory, stirling_trajectory):
     drift = trace_dev = 0.0
     for traj in (exact_trajectory, stirling_trajectory):
-        diag = bf.lax_residual(traj)
-        drift = max(drift, diag.frobenius_drift)
-        trace_dev = max(trace_dev, diag.trace_deviation)
+        drift = max(drift, bf.lax_residual(traj))
+        for eta, h in zip(traj.eta, traj.hamiltonian):
+            trace_dev = max(trace_dev, abs(bf.lax_pair(eta).trace() - h))
     rng = np.random.Generator(np.random.Philox(0))
     comm_exact_zero = True
     for _ in range(100):

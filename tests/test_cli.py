@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,3 +294,12 @@ def test_scan_grid_numpy_cannot_build_exits_3(resolution, capsys):
 def test_scan_region_outside_domain_exits_3(capsys):
     assert main(["scan", "--region", "0.5:2,2:3,2:3"]) == 3
     capsys.readouterr()
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "singular" and out[-1] == "True", out

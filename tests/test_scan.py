@@ -12,6 +12,7 @@ from betaflow import (
     DomainError,
     DomainLabel,
     FlaggedCell,
+    NegativeRatioError,
     Region,
     SUITE_NAMES,
     UnknownSuiteError,
@@ -237,22 +238,19 @@ def reference_inverse_residual() -> float:
     return worst
 
 
-def reference_legendre_residuals(seed: int) -> list[float]:
-    """The Legendre suite's seeded gaps as they ran, one draw and three
+def reference_legendre_residual(seed: int) -> float:
+    """The Legendre suite's seeded Stirling gap as it ran, one draw and three
     checked calls per point."""
     rng = np.random.Generator(np.random.Philox(seed))
-    out = []
-    for model, lo, hi in ((EXACT_MODEL, 0.5, 5.0), (STIRLING_MODEL, 1.2, 5.0)):
-        residual = 0.0
-        for _ in range(100):
-            p = rng.uniform(lo, hi, size=3)
-            gap = abs(
-                model.dual_potential(p) + model.potential(p)
-                - float(np.dot(p, model.eta(p)))
-            )
-            residual = max(residual, gap)
-        out.append(residual)
-    return out
+    residual = 0.0
+    for _ in range(100):
+        p = rng.uniform(1.2, 5.0, size=3)
+        gap = abs(
+            STIRLING_MODEL.dual_potential(p) + STIRLING_MODEL.potential(p)
+            - float(np.dot(p, STIRLING_MODEL.eta(p)))
+        )
+        residual = max(residual, gap)
+    return residual
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -264,30 +262,107 @@ def test_array_suites_match_their_per_point_loops_bit_for_bit(
     # conftest's loop is the linearization suite's loop, on the same flows
     assert got["exact-linearization"] == linearization_residual(exact_trajectory).hex()
     assert got["stirling-linearization"] == linearization_residual(stirling_trajectory).hex()
-    want = [r.hex() for r in reference_legendre_residuals(seed)]
-    assert [got["exact-legendre"], got["stirling-legendre"]] == want
+    assert got["stirling-legendre"] == reference_legendre_residual(seed).hex()
 
 
-def test_jacobian_records_fail_where_the_metric_is_not_the_jacobian_of_eta(monkeypatch):
-    # The flow's corrector lands on eta0 e^-t by construction, so the
-    # linearization records cannot see a wrong metric; the jacobian records
-    # can.  The acceptance flows are made with the true hooks; then o is
-    # scaled by 1 + 1e-3 in both.  (With the fault in place from the start,
-    # Newton converges too slowly near the escape, and both acceptance flows
-    # raise StepFailureError at the step budget.)
-    clean = {c.name: c for c in run_suite("linearization").checks}
-    assert all(c.passed for c in clean.values())
+def _all_records() -> dict:
+    return {c.name: c for suite in SUITE_NAMES for c in run_suite(suite).checks}
+
+
+def _fault_hooks(monkeypatch, change):
+    """Both models' float hook, its outputs (e0, e1, e2, d1, d2, d3, o)
+    passed through ``change``."""
     for model in (EXACT_MODEL, STIRLING_MODEL):
-        def scaled(a, b, c, inner=model.eta_metric_kernel):
-            *values, o = inner(a, b, c)
-            return (*values, o * (1.0 + 1e-3))
+        def hook(a, b, c, inner=model.eta_metric_kernel):
+            return change(*inner(a, b, c))
 
-        monkeypatch.setattr(model, "eta_metric_kernel", scaled)
-    faulty = {c.name: c for c in run_suite("linearization").checks}
-    for tag in ("exact", "stirling"):
-        assert faulty[f"{tag}-linearization"] == clean[f"{tag}-linearization"]
-        assert not faulty[f"{tag}-jacobian"].passed
-        assert faulty[f"{tag}-jacobian"].residual > 1e3 * faulty[f"{tag}-jacobian"].tolerance
+        monkeypatch.setattr(model, "eta_metric_kernel", hook)
+
+
+def _fault_corrector_target(monkeypatch):
+    inner = betaflow.flow._correct
+
+    def correct(kernel, lower, w, target, tol, positive):
+        t0, t1, t2 = target
+        return inner(kernel, lower, w, (t0, t1, t2 * (1.0 + 1e-5)), tol, positive)
+
+    monkeypatch.setattr(betaflow.flow, "_correct", correct)
+
+
+def _fault_potential(monkeypatch):
+    for model in (EXACT_MODEL, STIRLING_MODEL):
+        monkeypatch.setattr(model, "potential", lambda p, inner=model.potential: inner(p) + 0.1)
+
+
+def _fault_dual_potential(monkeypatch):
+    monkeypatch.setattr(STIRLING_MODEL, "dual_potential",
+                        lambda p, inner=STIRLING_MODEL.dual_potential: inner(p) + 1e-6)
+
+
+def _fault_adjugate(monkeypatch):
+    inner = betaflow.suites._rank_one
+
+    def rank_one(*parts):
+        det, c11, c22, c33, c12, c13, c23 = inner(*parts)
+        return det, c11, c22, c33, c12 * (1.0 + 1e-6), c13, c23
+
+    monkeypatch.setattr(betaflow.suites, "_rank_one", rank_one)
+
+
+def _fault_draw(monkeypatch):
+    inner = EXACT_MODEL._draw
+
+    def draw(*args):
+        x = inner(*args) ** 1.01
+        return x / x.sum(axis=1, keepdims=True)
+
+    monkeypatch.setattr(EXACT_MODEL, "_draw", draw)
+
+
+# Each fault with the records it fails at seed 0.  The metric row is a G
+# that is not the Jacobian of eta; a larger o fault (1 + 1e-3) from the
+# start makes both acceptance flows spend their step budget, seconds each.
+_FAULTS = (
+    ("corrector target eta_3 x (1 + 1e-5)", _fault_corrector_target,
+     {f"{tag}-{name}" for tag in ("exact", "stirling")
+      for name in ("linearization", "conservation", "drift")}),
+    ("o x (1 + 1e-6) in both hooks",
+     lambda m: _fault_hooks(m, lambda *v: (*v[:6], v[6] * (1.0 + 1e-6))),
+     {"exact-jacobian", "stirling-jacobian", "spot-2-2-2"}),
+    ("eta_3 + 1e-6 in both hooks",
+     lambda m: _fault_hooks(m, lambda *v: (*v[:2], v[2] + 1e-6, *v[3:])),
+     {"exact-symmetric", "stirling-symmetric", "stirling-legendre", "stirling-spot-routes"}),
+    ("potential + 0.1 on both models", _fault_potential,
+     {"stirling-legendre", "stirling-spot-routes", "opposition-10", "opposition-50"}),
+    ("Stirling dual_potential + 1e-6", _fault_dual_potential,
+     {"stirling-legendre", "stirling-spot-routes", "stirling-spot-value"}),
+    ("adjugate c12 x (1 + 1e-6) in the inverse suite", _fault_adjugate, {"grid-identity"}),
+    ("exact draw x -> x^1.01, renormalised", _fault_draw, {"fisher-5se"}),
+)
+
+
+def test_every_check_record_fails_under_an_injected_fault(monkeypatch):
+    # Without a fault every record passes; under each fault exactly its row's
+    # records fail, each with a finite residual above its tolerance (inf says
+    # only that a flow raised); and every record is failed by some fault, so
+    # no record holds by construction.
+    clean = _all_records()
+    assert [c.name for c in clean.values() if not c.passed] == []
+    caught = set()
+    for fault, inject, records in _FAULTS:
+        betaflow.suites._acceptance_trajectory.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                inject(m)
+                faulty = _all_records()
+        finally:
+            betaflow.suites._acceptance_trajectory.cache_clear()
+        assert faulty.keys() == clean.keys(), fault
+        failed = {name for name, c in faulty.items()
+                  if math.isfinite(c.residual) and c.residual > c.tolerance}
+        assert failed == records, fault
+        caught |= failed
+    assert set(clean) - caught == set()
 
 
 def test_a_suite_whose_acceptance_flow_raises_reports_its_records_failed(
@@ -305,7 +380,7 @@ def test_a_suite_whose_acceptance_flow_raises_reports_its_records_failed(
         monkeypatch.setattr(model, "eta_metric_kernel", scaled)
     monkeypatch.setattr(betaflow.flow, "_MAX_STEPS", 200)
     flow_records = {f"{tag}-{name}" for tag in ("exact", "stirling") for name in
-                    ("linearization", "jacobian", "conservation", "drift", "trace")}
+                    ("linearization", "jacobian", "conservation", "drift")}
     betaflow.suites._acceptance_trajectory.cache_clear()
     try:
         for tag in ("exact", "stirling"):
@@ -318,7 +393,7 @@ def test_a_suite_whose_acceptance_flow_raises_reports_its_records_failed(
                 assert (c.passed, c.residual) == (False, math.inf), c
         # the other records of these suites read eta alone, which the fault keeps
         assert {c.name: c.passed for c in checks if c.name not in flow_records} == {
-            "exact-symmetric": True, "stirling-symmetric": True, "commutator-random": True}
+            "exact-symmetric": True, "stirling-symmetric": True}
         capsys.readouterr()
         assert main(["check", "--suite", "linearization"]) == 1
         out = capsys.readouterr().out.splitlines()
@@ -331,6 +406,21 @@ def test_a_suite_whose_acceptance_flow_raises_reports_its_records_failed(
         assert [line.split(":")[0] for line in out[:-1]] == list(SUITE_NAMES)
     finally:
         betaflow.suites._acceptance_trajectory.cache_clear()
+
+
+def test_a_flow_record_whose_measure_raises_fails_with_residual_inf(monkeypatch, capsys):
+    # lax_residual raises NegativeRatioError where L is undefined on a
+    # sample; the record then fails with residual inf, and check exits 1
+    # with the full report, not 3.
+    def undefined(trajectory):
+        raise NegativeRatioError("eta3/eta1 = -1.0 < 0: Lax corner entry leaves the reals")
+
+    monkeypatch.setattr(betaflow.suites, "lax_residual", undefined)
+    assert main(["check", "--suite", "lax"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"{tag}-drift: FAIL residual=inf tolerance=1e-07"
+                       for tag in ("exact", "stirling")]
+    assert out[2].startswith("suite lax (seed 0): FAIL [")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
