@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoConvergenceError,
-    SingularMatrixError,
-    StepFailureError,
-)
+from .errors import DomainError, SingularMatrixError, StepFailureError
 from .integrability import invariant_columns
-from .manifold import _SMALL_STEP, _rank_one, as_point, check_finite, inside, solve_det
+from .manifold import _SMALL_STEP, _newton, _rank_one, as_point, check_finite, inside, solve_det
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -43,15 +38,12 @@ _PREDICTOR_TOL, _CORRECTOR_CALLS, _MAX_STEPS = 1e-2, 5, 100_000
 class Trajectory:
     """Time-ordered flow samples with per-sample diagnostics."""
 
-    model: str
     t: np.ndarray
     theta: np.ndarray
     eta: np.ndarray
     hamiltonian: np.ndarray
     det_g: np.ndarray
     lax_dev: np.ndarray
-    rtol: float
-    atol: float
     n_accepted: int
     n_rejected: int
     n_rhs: int
@@ -91,10 +83,10 @@ def _correct(kernel, lower, w, target, tol, positive):
     step test, down to the rounding of theta): its theta, the hook's eta and
     det G there, G^{-1} eta and its w; ``failed`` is then None.  Otherwise
     ``sample`` is None and ``failed`` is the status a step underflow ends in:
-    "left_domain" where the predicted point is finite but outside the
-    domain, the hook raised DomainError or G is not finite; "singular"
-    where det G is 0 or of the other sign than at the start (the iterate
-    crossed a fold), or where an iterate met tol but Newton did not
+    "left_domain" where the predicted point or an iterate is finite but
+    outside the domain, the hook raised DomainError or G is not finite;
+    "singular" where det G is 0 or of the other sign than at the start (the
+    iterate crossed a fold), or where an iterate met tol but Newton did not
     converge (G is numerically singular along the step: just past a fold,
     or at the rounding floor of eta); None where the prediction is not
     finite, Newton diverged (a step as long as some theta_i - lower, so that
@@ -106,11 +98,12 @@ def _correct(kernel, lower, w, target, tol, positive):
     if not (w0 > 0.0 and w1 > 0.0 and w2 > 0.0):
         return 0, None, "left_domain"
     a, b, c = lower + 1.0 / w0, lower + 1.0 / w1, lower + 1.0 / w2
-    if not inside(lower, a, b, c):
-        return 0, None, "left_domain"
     t0, t1, t2 = target
     finite, ulp, met = math.isfinite, math.ulp, False
     for calls in range(1, _CORRECTOR_CALLS + 1):
+        # An iterate lower + 1/w can round onto the bound.
+        if not inside(lower, a, b, c):
+            return calls - 1, None, "left_domain"
         try:
             e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
         except DomainError:
@@ -269,15 +262,12 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     eta = np.array([s[2] for s in samples])
     hamiltonian, lax_dev = invariant_columns(eta)
     return Trajectory(
-        model=model.name,
         t=np.array([s[0] for s in samples]),
         theta=np.array([s[1] for s in samples]),
         eta=eta,
         hamiltonian=hamiltonian,
         det_g=np.array([s[3] for s in samples]),
         lax_dev=lax_dev,
-        rtol=rtol,
-        atol=atol,
         n_accepted=len(samples) - 1,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
@@ -286,45 +276,16 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
 
 
 def invert_eta(model, target, guess=None) -> np.ndarray:
-    """Newton inversion of the dual map from ``guess`` or else
-    ``model.inversion_start(target)``, with the metric as the exact Jacobian
-    and step halving whenever a full step would exit the domain.  Returns
-    once max|eta(theta) - target| <= 1e-12, or, unevaluated, the point a
-    full step below sqrt(eps) (theta_i - lower) in every coordinate reaches:
-    eta's curvature scales as 1/(theta_i - lower), so that point is at the
-    rounding floor (the step test of Dennis and Schnabel, Numerical Methods
-    for Unconstrained Optimization and Nonlinear Equations, ch. 7)."""
+    """Newton inversion of the dual map (``manifold._newton``) from
+    ``guess`` or else ``model.inversion_start(target)``, with the metric as
+    the exact Jacobian and the domain as its box: a step that would leave
+    it is halved.  Returns once max|eta(theta) - target| <= 1e-12, or at
+    the rounding floor; NoConvergenceError after 100 steps."""
     target = as_point(target, "target")
-    t0, t1, t2 = target.tolist()
     start = model.inversion_start(target) if guess is None else guess
-    # the one domain check; every backtracked step below stays inside
-    theta = model.check_domain(start).tolist()
-    lower, kernel, tiny = model.lower, model.eta_metric_kernel, _SMALL_STEP
-    for _ in range(_NEWTON_MAX_ITER):
-        e0, e1, e2, d1, d2, d3, o = kernel(*theta)
-        check_finite((e0, e1, e2), "eta", theta)
-        r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
-        # A start already on target is returned where G overflows.
-        if max(abs(r0), abs(r1), abs(r2)) <= _NEWTON_TOL:
-            return np.array(theta)
-        check_finite((d1, d2, d3, o), "metric", theta)
-        try:
-            s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)[1:]
-        except SingularMatrixError as exc:
-            raise NoConvergenceError(f"Newton Jacobian is singular at {theta}") from exc
-        # An infinite det G (its products overflow) solves to a zero step.
-        if not (s0 or s1 or s2):
-            raise NoConvergenceError(f"Newton step is zero at {theta}")
-        a, b, c = theta
-        lam = 1.0
-        while not inside(lower, a + lam * s0, b + lam * s1, c + lam * s2):
-            lam *= 0.5
-            if lam < 2.0 ** -60:
-                raise NoConvergenceError(f"backtracking stalled at {theta}")
-        theta = [a + lam * s0, b + lam * s1, c + lam * s2]
-        if (lam == 1.0 and abs(s0) <= tiny * (a - lower) and abs(s1) <= tiny * (b - lower)
-                and abs(s2) <= tiny * (c - lower)):
-            return np.array(theta)
-    raise NoConvergenceError(
-        f"eta inversion did not converge in {_NEWTON_MAX_ITER} steps"
-    )
+    theta = model.check_domain(start).tolist()  # its DomainError names the domain
+    # the box: the floats above lower and below inf
+    bounds = (math.nextafter(model.lower, math.inf), math.nextafter(math.inf, 0.0))
+    return np.array(_newton(model.eta_metric_kernel, model.lower, theta, target.tolist(),
+                            _NEWTON_MAX_ITER, (bounds, bounds, bounds, (-math.inf, math.inf)),
+                            _NEWTON_TOL))

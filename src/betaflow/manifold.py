@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, NoConvergenceError, SingularMatrixError
 
-# Newton in invert_eta and stirling._refine stops on a step below this times
+# _newton and the flow's corrector stop on a step below this times
 # theta_i - lower: sqrt of the float epsilon, where the stop lands at the rounding floor.
 _SMALL_STEP = 2.0 ** -26
 
@@ -59,13 +59,6 @@ class Model:
     overflows at tiny coordinates where eta is still finite, so there
     ``eta`` returns and ``metric`` raises.
     """
-
-    def in_domain(self, theta) -> bool:
-        try:
-            self.check_domain(theta)
-        except DomainError:
-            return False
-        return True
 
     def check_domain(self, theta) -> np.ndarray:
         p = np.asarray(theta, dtype=float)
@@ -196,6 +189,59 @@ def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
         i12 * v0 + c22 / det * v1 + i23 * v2,
         i13 * v0 + i23 * v1 + c33 / det * v2,
     )
+
+
+def _newton(kernel, lower, theta, target, budget, box, tol) -> list[float]:
+    """Newton's method in theta on eta(theta) = target, ``kernel`` giving
+    eta and its Jacobian G: the root finder of ``invert_eta`` and of the
+    Stirling preimage polish.  ``box`` holds closed bounds (lo, hi) for each
+    coordinate and then for sigma = sum(theta) - 1, and must hold the start;
+    each step, one ``kernel`` call and one ``solve_det``, is halved until it
+    lands in it.  Returns theta once every |eta_i - target_i| <= tol, or,
+    unevaluated, the point a full step below sqrt(eps) (theta_i - lower) in
+    every coordinate reaches, at the rounding floor since eta's curvature
+    scales as 1/(theta_i - lower) (Dennis and Schnabel, Numerical Methods
+    for Unconstrained Optimization and Nonlinear Equations, ch. 7).
+    DomainError where the start is outside the box, eta is not finite, or G
+    is not finite past the residual test; NoConvergenceError where G is
+    singular, the step is zero (an infinite det G solves to 0), the halving
+    falls below 2^-60, or ``budget`` steps do not converge."""
+    t0, t1, t2 = target
+    a, b, c = theta
+    (l0, h0), (l1, h1), (l2, h2), (ls, hs) = box
+    finite = math.isfinite  # a tenth of check_finite's time, on the hot path
+    # NaN is in no box; a third of the Stirling polish runs raise here: no message
+    if not (l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2 and ls <= a + b + c - 1.0 <= hs):
+        raise DomainError("Newton start is outside its box")
+    for _ in range(budget):
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        if not (finite(e0) and finite(e1) and finite(e2)):
+            raise DomainError(f"eta is not finite at {[a, b, c]}")
+        r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
+        if abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol:
+            return [a, b, c]
+        if not (finite(d1) and finite(d2) and finite(d3) and finite(o)):
+            raise DomainError(f"metric is not finite at {[a, b, c]}")
+        try:
+            s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)[1:]
+        except SingularMatrixError as exc:
+            raise NoConvergenceError(f"Newton Jacobian is singular at {[a, b, c]}") from exc
+        if not (s0 or s1 or s2):
+            raise NoConvergenceError(f"Newton step is zero at {[a, b, c]}")
+        lam = 1.0
+        x, y, z = a + s0, b + s1, c + s2
+        while not (l0 <= x <= h0 and l1 <= y <= h1 and l2 <= z <= h2
+                   and ls <= x + y + z - 1.0 <= hs):
+            lam *= 0.5
+            if lam < 2.0 ** -60:
+                raise NoConvergenceError(f"backtracking stalled at {[a, b, c]}")
+            x, y, z = a + lam * s0, b + lam * s1, c + lam * s2
+        small = (lam == 1.0 and abs(s0) <= _SMALL_STEP * (a - lower)
+                 and abs(s1) <= _SMALL_STEP * (b - lower) and abs(s2) <= _SMALL_STEP * (c - lower))
+        a, b, c = x, y, z
+        if small:
+            return [a, b, c]
+    raise NoConvergenceError(f"eta inversion did not converge in {budget} steps")
 
 
 def _rank_one(d1, d2, d3, o):

@@ -30,9 +30,8 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
-from .manifold import (_SMALL_STEP, DomainClass, DomainLabel, Model, as_point, check_finite,
-                       solve_det)
+from .errors import BetaflowError, DomainError
+from .manifold import DomainClass, DomainLabel, Model, _newton, as_point, check_finite, inside
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -131,13 +130,24 @@ class StirlingModel(Model):
 
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
         """Start point for Newton inversion of eta: the first preimage of
-        ``_preimages``, so the smallest-sigma root on the sheet where every
-        alpha_i >= 3/2 when there is one, and otherwise a root on the
-        sheets with one, two or three alpha_i < 3/2, in that order."""
-        start = next(_preimages(target), None)
-        if start is None:
-            raise DomainError(f"no stirling preimage found for eta={target.tolist()}")
-        return start
+        ``_preimages`` with max|eta - target| <= 1e-12, else the one of
+        smallest residual.  Near the boundary the first preimage can lie
+        across the fold, where one ulp of a coordinate moves eta by more
+        than 1e-10, while a later one meets 1e-12."""
+        t0, t1, t2 = t = target.tolist()
+        best, least = None, math.inf
+        for theta in _preimages(t):
+            a, b, c = theta.tolist()
+            # A cell end that stands in for a root can be outside the domain.
+            e = self.eta_metric_kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
+            residual = max(abs(e[0] - t0), abs(e[1] - t1), abs(e[2] - t2))
+            if residual <= 1e-12:
+                return theta
+            if best is None or residual < least:
+                best, least = theta, residual
+        if best is None:
+            raise DomainError(f"no stirling preimage found for eta={t}")
+        return best
 
 
 # Branch patterns of (u_1, u_2, u_3): 0 for u >= 1/2, -1 for u <= 1/2, with
@@ -280,45 +290,27 @@ def _refine(t, pattern, p, q):
     """The preimage theta = u + 1 whose sigma is the root of F in the cell
     [p, q], where F is monotone and changes sign, or None.
 
-    Newton's method on eta(theta) = t, one ``eta_metric_kernel`` call and
-    one ``solve_det`` per step, from the cell end of smaller |F| with its
-    u_i moved along their slopes g_i to Newton's estimate of the root in
-    sigma.  F has one root in the cell, so a point in the domain as floats,
-    in the cell in sigma = sum(theta) - 1 and on ``pattern``'s branches
-    with eta(theta) = t is the cell's preimage.  None where a point leaves
-    them, the Jacobian is singular, or 32 hook calls do not converge (17 at
-    most on perfbench ``invert`` seeds 1-300): a root costs at most 32 hook
-    calls per split of its cell.
-
-    Returns, unevaluated, the point a step below 2^-26 u_i in every
-    coordinate reaches: eta's curvature scales as 1/u_i, so that point is
-    at the rounding floor.  ``invert_eta`` stops by the same rule, so it
-    usually returns that point after one hook call.  A stop at a residual
-    of 1e-12 would leave theta 1e-8 off the root where G is near singular.
+    ``manifold._newton`` on eta(theta) = t from the cell end of smaller |F|,
+    its u_i moved along their slopes g_i to Newton's estimate of the root
+    in sigma.  The box is ``pattern``'s branches and the cell in sigma, so a
+    step that would leave the cell is halved; F has one root in the cell,
+    so a point of the box with eta(theta) = t is the cell's preimage.  None
+    where Newton raises (its start is outside the box, say) or 32 hook calls
+    do not converge: a root costs at most 32 hook calls per split of its
+    cell.  Newton stops at an exact root or at the rounding floor, as
+    ``invert_eta`` does, which so usually returns the point after one hook
+    call; a residual of 1e-12 would leave theta 1e-8 off the root where G
+    is near singular.
     """
-    t0, t1, t2 = t
-    (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
-    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
     x = p if abs(p[1]) < abs(q[1]) else q
     slope = x[2] + x[3]
     ds = -x[1] / slope if slope else 0.0
-    a, b, c = (u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5]))
-    small = False
-    for _ in range(32):
-        if not (l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2
-                and p[0] <= a + b + c - 1.0 <= q[0]):
-            return None
-        if small:
-            return [a, b, c]
-        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-        try:
-            s0, s1, s2 = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
-        except SingularMatrixError:
-            return None
-        small = (abs(s0) <= tiny * (a - 1.0) and abs(s1) <= tiny * (b - 1.0)
-                 and abs(s2) <= tiny * (c - 1.0))
-        a, b, c = a + s0, b + s1, c + s2
-    return None
+    start = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
+    box = (*(_BRANCH_THETA[k] for k in pattern), (p[0], q[0]))
+    try:
+        return _newton(STIRLING_MODEL.eta_metric_kernel, 1.0, start, t, 32, box, 0.0)
+    except BetaflowError:
+        return None
 
 
 def _solve_u(r: float, branch: int = 0) -> float:

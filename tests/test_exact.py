@@ -262,7 +262,6 @@ def test_fisher_mc_rejects_small_n():
 def test_domain_rejection(theta):
     with pytest.raises(DomainError):
         EXACT_MODEL.check_domain(theta)
-    assert not EXACT_MODEL.in_domain(theta)
 
 
 def test_metric_inverse_closed_is_the_inverse_of_metric():

@@ -29,7 +29,7 @@ from betaflow import (
     trigamma,
 )
 from betaflow.integrability import invariant_columns
-from betaflow.manifold import Model, check_finite, solve_det
+from betaflow.manifold import Model, check_finite, inside, solve_det
 from betaflow.stirling import det_kernel
 from conftest import (linearization_residual, rank_one_adjugate, rank_one_solve,
                       rounding_floor_ratio)
@@ -181,7 +181,7 @@ def test_trajectory_invariants(exact_trajectory, stirling_trajectory):
         assert traj.t[0] == 0.0
         assert np.all(np.diff(traj.t) > 0.0)
         for point in traj.theta:
-            assert model.in_domain(point)
+            assert inside(model.lower, *point)
         assert traj.n_samples == traj.n_accepted + 1
         assert traj.n_rejected >= 0
 
@@ -373,8 +373,9 @@ def test_invert_eta_from_a_guess_where_det_overflows_is_no_convergence():
 
 
 def test_invert_eta_near_the_stirling_boundary_stops_at_the_rounding_floor():
-    # near a = 1, one ulp of a moves eta_a by more than 1e-12
-    target = STIRLING_MODEL.eta((1.0005, 3.0, 2.0))
+    # near a = 1, one ulp of a moves eta_a by more than 1e-12: at a - 1 = 1e-6
+    # by 2.2e-10, so no float a meets a target halfway between two of them
+    target = STIRLING_MODEL.eta((1.000001, 3.0, 2.0)) + (1.1e-10, 0.0, 0.0)
     back = invert_eta(STIRLING_MODEL, target)
     assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) > 1e-12
     assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
@@ -411,7 +412,7 @@ def test_exact_inversion_start_lands_in_domain():
     for _ in range(200):
         theta = 10.0 ** rng.uniform(-6, 6, 3)
         start = EXACT_MODEL.inversion_start(EXACT_MODEL.eta(theta))
-        assert EXACT_MODEL.in_domain(start)
+        assert inside(EXACT_MODEL.lower, *start)
         if theta.min() >= 1.0:
             # psi(x) ~ ln(x - 1/2) is off by O(1/x^2), so the start is near
             assert np.max(np.abs(start - theta) / theta) <= 0.15
@@ -520,6 +521,24 @@ def test_step_underflow_status_follows_the_failed_stage(model, part, past_plane,
     # each corrector iterate calls the hook once, the failed ones included,
     # and the start sample adds one call
     assert counting.calls["eta_metric_kernel"] == traj.n_rhs + 1
+
+
+def test_the_corrector_stops_where_an_iterate_rounds_onto_the_bound():
+    # The first call's step takes w_1 from 1.5 2^52 to 3.525 2^52, where
+    # 1 + 1/w_1 rounds to 1: that iterate is on the bound, where the
+    # Stirling hook raises a bare ValueError (math domain error).
+    calls = []
+
+    def stub(a, b, c):
+        calls.append((a, b, c))
+        if len(calls) == 1:
+            # eta - target = (0.9 (a - 1), 0, 0) with G = I
+            return (0.9 * (a - 1.0), 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)
+        return STIRLING_MODEL.eta_metric_kernel(a, b, c)
+
+    got = betaflow.flow._correct(stub, 1.0, [1.5 * 2**52, 1.0, 0.5], (0, 0, 0), 1e-30, True)
+    assert got == (1, None, "left_domain")
+    assert calls == [(1.0 + 2**-52, 2.0, 3.0)]
 
 
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
@@ -669,7 +688,7 @@ def _reference_stage(model, w):
     outside the domain, raises DomainError."""
     if (w > 0.0).all():
         theta = model.lower + 1.0 / w
-        if model.in_domain(theta):
+        if inside(model.lower, *theta):
             return -(w * w) * _reference_rhs(model, theta), theta
     raise DomainError(f"w = {w.tolist()!r} maps outside the {model.name} domain")
 
@@ -1056,7 +1075,7 @@ def test_eta_and_metric_are_the_checked_kernels_on_fuzz_points(name):
     # not finite
     model = FUZZ_MODELS[name]
     for theta in fuzz_points(name):
-        if not model.in_domain(theta):
+        if not inside(model.lower, *theta):
             continue
         values = model.eta_metric_kernel(*theta)
         eta = np.array(values[:3])
@@ -1092,7 +1111,7 @@ def _reference_invert_eta(model, target, guess=None):
         if not step.any():
             raise NoConvergenceError(f"Newton step is zero at {theta.tolist()}")
         lam = 1.0
-        while not model.in_domain(theta + lam * step):
+        while not inside(model.lower, *(theta + lam * step)):
             lam *= 0.5
             if lam < 2.0 ** -60:
                 raise NoConvergenceError(f"backtracking stalled at {theta.tolist()}")
@@ -1408,7 +1427,7 @@ def test_checked_calls_keep_the_formulas_outcomes_on_fuzz_points(name):
     raised = 0
     with np.errstate(all="ignore"):
         for theta in fuzz_points(name):
-            if model.in_domain(theta):
+            if inside(model.lower, *theta):
                 values = model.eta_metric_kernel(*theta)
                 assert len(values) == 7 and all(type(v) is float for v in values), theta
             for func, want in calls:

@@ -92,7 +92,8 @@ POINT_CALLS = {
     "classify_domain": lambda m, p: m.classify_domain(p),
     "dual_potential": lambda m, p: m.dual_potential(p),
     "check_domain": lambda m, p: m.check_domain(p),
-    "in_domain": lambda m, p: m.in_domain(p),
+    # the domain rule on three floats, as the flow and the inversion apply it
+    "in_domain": lambda m, p: bf.manifold.inside(m.lower, *p),
     "as_point": lambda m, p: bf.as_point(p),
     "rhs": lambda m, p: bf.rhs(m, p),
     "log_pdf": lambda m, p: m.log_pdf(p, (0.2, 0.3)),

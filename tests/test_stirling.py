@@ -15,6 +15,7 @@ from betaflow import (
     det3,
     invert3,
 )
+import betaflow.manifold
 import betaflow.stirling
 from betaflow.manifold import _SMALL_STEP, solve_det
 from betaflow.stirling import (_BRANCH_THETA, _PATTERNS, _PHI_MIN, _preimages, _root_free,
@@ -345,14 +346,13 @@ def test_opposes_exact_potential_at_large_parameters():
 def test_domain_rejection(theta):
     with pytest.raises(DomainError):
         STIRLING_MODEL.check_domain(theta)
-    assert not STIRLING_MODEL.in_domain(theta)
 
 
 def test_inversion_start_lands_in_domain():
     for theta in ((2.0, 2.0, 2.0), (2.5, 3.0, 2.0), (1.8, 4.0, 2.6)):
         target = STIRLING_MODEL.eta(theta)
         start = STIRLING_MODEL.inversion_start(target)
-        assert STIRLING_MODEL.in_domain(start)
+        assert np.array_equal(STIRLING_MODEL.check_domain(start), start)
 
 
 def test_inversion_start_overflow_is_domain_error():
@@ -407,24 +407,30 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
 
 
 def test_refine_gives_up_after_32_hook_calls(monkeypatch):
-    # With no Newton step counted small, every run spends its 32 hook calls
-    # and gives None, so its cell is split until it cannot narrow; then the
-    # cell's nearer end stands in for the root.
+    # With no Newton step counted small, and eta_1 off by 1e-9 in turn up
+    # and down inside each run, so that no iterate lands on an exact root,
+    # every run spends its 32 hook calls and gives None, so its cell is
+    # split until it cannot narrow; then the cell's nearer end stands in for
+    # the root.
     calls, runs = [0], []
     refine, kernel = betaflow.stirling._refine, STIRLING_MODEL.eta_metric_kernel
 
-    def counting_kernel(*theta):
+    def shifting_kernel(*theta):
         calls[0] += 1
-        return kernel(*theta)
+        e0, *rest = kernel(*theta)
+        return (e0 + (1e-9 if calls[0] % 2 else -1e-9), *rest)
 
     def recording(t, pattern, p, q):
         k = calls[0]
-        runs.append((refine(t, pattern, p, q), calls[0] - k))
+        monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", shifting_kernel)
+        try:
+            runs.append((refine(t, pattern, p, q), calls[0] - k))
+        finally:
+            monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", kernel)
         return runs[-1][0]
 
-    monkeypatch.setattr(betaflow.stirling, "_SMALL_STEP", -1.0)
+    monkeypatch.setattr(betaflow.manifold, "_SMALL_STEP", -1.0)
     monkeypatch.setattr(betaflow.stirling, "_refine", recording)
-    monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", counting_kernel)
     theta = np.array([2.5, 3.0, 2.0])
     start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
     assert all(root is None for root, _ in runs)
@@ -435,7 +441,9 @@ def test_refine_gives_up_after_32_hook_calls(monkeypatch):
 def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(monkeypatch):
     # The preimage's u_3 is below the float spacing at 1, so theta_3 rounds
     # to 1 at both ends of the root's cell.  Bisecting that cell to its end
-    # took 171 _solve_u calls; the cell search alone takes 9.
+    # took 171 _solve_u calls; the cell search alone takes 9.  No preimage
+    # of the target is in the domain, so invert_eta, whose start walks every
+    # preimage, raises.
     calls = [0]
 
     def counting(r, branch=0):
@@ -444,14 +452,17 @@ def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(mo
 
     monkeypatch.setattr(betaflow.stirling, "_solve_u", counting)
     target = (0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209)
+    first = next(_preimages(target))
+    assert calls[0] <= 9
+    assert first[2] == 1.0
     with pytest.raises(DomainError, match="needs a, b, c > 1"):
         invert_eta(STIRLING_MODEL, target)
-    assert calls[0] <= 9
 
 
 def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
-    # the first Newton solve raises as at a singular Jacobian: _refine gives
-    # None, _roots bisects the cell and Newton starts again from the nearer end
+    # the first Newton solve raises as at a singular Jacobian: _newton raises
+    # NoConvergenceError, _refine gives None, _roots bisects the cell and
+    # Newton starts again from the nearer end
     solves, searched = [], []
     refine = betaflow.stirling._refine
 
@@ -466,7 +477,7 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
         searched.append((pattern, (p[0], q[0]), root))
         return root
 
-    monkeypatch.setattr(betaflow.stirling, "solve_det", singular_once)
+    monkeypatch.setattr(betaflow.manifold, "solve_det", singular_once)
     monkeypatch.setattr(betaflow.stirling, "_refine", recording)
     theta = (2.5, 3.0, 2.0)
     target = STIRLING_MODEL.eta(theta)
@@ -630,10 +641,19 @@ def reference_roots(t, pattern, lo, hi):
 
 
 def reference_refine(at, t, pattern, p, q):
-    """Newton in theta from the nearer end, bisecting the cell through
-    ``at`` and starting again wherever a step fails, for 100 rounds."""
-    t0, t1, t2 = t
-    (l0, h0), (l1, h1), (l2, h2) = (_BRANCH_THETA[k] for k in pattern)
+    """Newton in theta from the nearer end, each step halved until it lands
+    in the branches and the cell, bisecting the cell through ``at`` and
+    starting again wherever Newton fails, for 100 rounds.  Newton fails
+    where its start is outside the cell, eta or G is not finite, G is
+    singular, the step is zero, the halving falls below 2^-60 or 32 hook
+    calls do not converge; it stops at an exact root, or after a full step
+    below 2^-26 (theta_i - 1)."""
+    bounds = [_BRANCH_THETA[k] for k in pattern]
+
+    def in_cell(theta):
+        return (all(lo <= x <= hi for x, (lo, hi) in zip(theta, bounds))
+                and p[0] <= sum(theta) - 1.0 <= q[0])
+
     kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
     theta = None
     for _ in range(100):
@@ -644,18 +664,31 @@ def reference_refine(at, t, pattern, p, q):
             slope = x[2] + x[3]
             ds = -x[1] / slope if slope else 0.0
             theta = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
-            small = False
-        a, b, c = theta
+            calls = 0
         step = None
-        if l0 <= a <= h0 and l1 <= b <= h1 and l2 <= c <= h2 and p[0] <= a + b + c - 1.0 <= q[0]:
-            if small:
+        if calls < 32 and in_cell(theta):
+            values = kernel(*theta)
+            calls += 1
+            residual = [e - x for e, x in zip(values[:3], t)]
+            if residual == [0.0, 0.0, 0.0]:
                 return theta
-            e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-            try:
-                step = solve_det(d1, d2, d3, o, t0 - e0, t1 - e1, t2 - e2)[1:]
-            except SingularMatrixError:
-                pass
-        if step is None:
+            if all(map(math.isfinite, values)):
+                try:
+                    step = solve_det(*values[3:], *(-r for r in residual))[1:]
+                except SingularMatrixError:
+                    pass
+        lam = 1.0
+        while step is not None and any(step) and lam >= 2.0 ** -60:
+            moved = [x + lam * s for x, s in zip(theta, step)]
+            if in_cell(moved):
+                small = lam == 1.0 and all(abs(s) <= tiny * (x - 1.0)
+                                           for x, s in zip(theta, step))
+                if small:
+                    return moved
+                theta = moved
+                break
+            lam *= 0.5
+        else:
             sigma = math.sqrt(p[0]) * math.sqrt(q[0])
             if not p[0] < sigma < q[0]:
                 break
@@ -665,11 +698,6 @@ def reference_refine(at, t, pattern, p, q):
             else:
                 q = m
             theta = None
-            continue
-        s0, s1, s2 = step
-        small = (abs(s0) <= tiny * (a - 1.0) and abs(s1) <= tiny * (b - 1.0)
-                 and abs(s2) <= tiny * (c - 1.0))
-        theta = [a + s0, b + s1, c + s2]
     return [u + 1.0 for u in x[4]]
 
 
@@ -708,15 +736,20 @@ def test_preimages_match_the_refine_that_bisected_its_own_cell(monkeypatch):
 
 def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
     # From perfbench `invert` at seed 323: the (0, 0, 0) pattern has no
-    # root, so the start is the (0, 0, -1) preimage.  There one ulp of c
-    # moves eta_3 by 7.2e-10, so it ends at the rounding floor.
+    # root, so the first preimage is on (0, 0, -1).  There one ulp of c
+    # moves eta_3 by 7.2e-10, so it is at its rounding floor, 1.1e-10 off
+    # the target.  The start walks on to the source's pattern, (-1, 0, -1),
+    # whose preimage meets 1e-12.
     theta = (1.45227617741424, 3.529910622678493, 1.0003936484813494)
     target = STIRLING_MODEL.eta(theta)
+    first, *_ = _preimages(target)
+    assert np.max(np.abs(first - [2.70009, 5.61962, 1.000393])) <= 1e-5
+    assert first[0] >= 1.5 and first[1] >= 1.5 and first[2] <= 1.5
+    assert np.max(np.abs(STIRLING_MODEL.eta(first) - target)) > 1e-12
+    assert rounding_floor_ratio(STIRLING_MODEL, first, target) <= 1.0
     back = invert_eta(STIRLING_MODEL, target)
-    assert np.max(np.abs(back - [2.70009, 5.61962, 1.000393])) <= 1e-5
-    assert back[0] >= 1.5 and back[1] >= 1.5 and back[2] <= 1.5
-    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) > 1e-12
-    assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
+    assert np.max(np.abs(back - theta)) <= 1e-14
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-15
 
 
 # From perfbench `invert` at seed 196 (op 169): c is 1.3e-5 above 1, so one
@@ -725,12 +758,36 @@ def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
 NEAR_BOUNDARY_THETA = (3.6912878742227053, 2.560316756765374, 1.0000125959645914)
 
 
-@pytest.mark.xfail(strict=True, reason="inversion_start takes the first preimage,"
-                   " whose rounding floor is above 1e-10 (CHANGES FOUND)")
 def test_invert_eta_meets_the_oracle_gate_next_to_the_boundary():
+    # the first preimage is at its floor, 3e-7 off; the start walks on to
+    # the second, the source
     target = STIRLING_MODEL.eta(NEAR_BOUNDARY_THETA)
     back = invert_eta(STIRLING_MODEL, target)
     assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-10
+
+
+# The sources whose targets missed perfbench `invert`'s 1e-10 gate while
+# inversion_start took the first preimage, by seed/op at 68 rounds: each
+# first preimage lay across the fold, at a rounding floor above 1e-10.
+GATE_MISS_SOURCES = {
+    "59/112": (4.499116541447718, 1.0001551766728447, 1.92447271354402),
+    "124/78": (1.0002720062276476, 1.2125548516945663, 1.1478370313292743),
+    "155/52": (1.3313903112175645, 4.568215465418838, 1.0001095084752478),
+    "196/169": NEAR_BOUNDARY_THETA,
+    "266/43": (1.000361253355492, 2.011651554779718, 3.3215809653397557),
+    "298/238": (1.00045570493766, 1.319003049390254, 4.195602906095445),
+    "300/33": (3.031812592527289, 1.0001392555631519, 2.243012608723717),
+    "323/126": (1.45227617741424, 3.529910622678493, 1.0003936484813494),
+}
+
+
+@pytest.mark.parametrize("theta", GATE_MISS_SOURCES.values(), ids=GATE_MISS_SOURCES.keys())
+def test_invert_eta_meets_the_oracle_gate_at_the_past_misses(theta):
+    target = STIRLING_MODEL.eta(theta)
+    back = invert_eta(STIRLING_MODEL, target)
+    assert np.max(np.abs(STIRLING_MODEL.eta(back) - target)) <= 1e-10
+    # on the source's sheet
+    assert np.max(np.abs(back - theta)) <= 1e-6 * max(theta)
 
 
 def test_first_preimage_next_to_the_boundary_is_at_its_floor_and_the_second_hits():
