@@ -30,8 +30,7 @@ class ExactModel(Model):
     lower = 0.0
 
     def potential(self, theta) -> float:
-        a, b, c = self.check_domain(theta).tolist()
-        return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
+        return _potential(*self.check_domain(theta).tolist())
 
     def eta_metric_kernel(self, a, b, c):
         ps, ts = _psi_pair(a + b + c)
@@ -53,6 +52,7 @@ class ExactModel(Model):
         return float(np.dot(p, self.eta(p))) - self.potential(p)
 
     def log_pdf(self, theta, x) -> float:
+        """ln p(x1, x2) at theta, with x3 = 1 - x1 - x2; theta is checked once."""
         a, b, c = self.check_domain(theta).tolist()
         x = np.asarray(x, dtype=float)
         if x.shape != (2,):
@@ -64,7 +64,7 @@ class ExactModel(Model):
             (a - 1.0) * math.log(x[0])
             + (b - 1.0) * math.log(x[1])
             + (c - 1.0) * math.log(x3)
-            - self.potential(theta)
+            - _potential(a, b, c)
         )
 
     def sample(self, theta, n: int, seed: int) -> np.ndarray:
@@ -121,6 +121,11 @@ class ExactModel(Model):
             raise DomainError(f"eta target {t} is outside the exact dual image")
         # a preimage past the float range fails the domain check
         return self.check_domain([0.5 + math.exp(x) / room for x in t])
+
+
+def _potential(a, b, c) -> float:
+    """Phi on three floats of the domain, unchecked."""
+    return log_gamma(a) + log_gamma(b) + log_gamma(c) - log_gamma(a + b + c)
 
 
 EXACT_MODEL = ExactModel()

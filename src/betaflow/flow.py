@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError, StepFailureError
 from .integrability import invariant_columns
-from .manifold import _SMALL_STEP, _newton, _rank_one, as_point, check_finite, inside, solve_det
+from .manifold import (_SMALL_STEP, _inverse, _newton, _rank_one, _times, as_point,
+                       check_finite, inside, solve_det)
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
@@ -76,12 +77,14 @@ def eta_closed(eta0, t: float) -> np.ndarray:
 def _correct(kernel, lower, w, target, tol, positive):
     """Newton's method on eta(theta) = target in w, theta = lower + 1/w, from
     the predicted w: at most _CORRECTOR_CALLS iterates, each one hook call
-    and one ``solve_det`` for the theta-step s = G^{-1} (eta - target), taken
-    in w as w_i + w_i^2 s_i.  Returns (calls, sample, failed).  ``sample`` is
-    the first iterate where every |eta_i - target_i| <= tol and s is below
-    sqrt(eps) (theta_i - lower) plus one ulp of theta_i (``invert_eta``'s
-    step test, down to the rounding of theta): its theta, the hook's eta and
-    det G there, G^{-1} eta and its w; ``failed`` is then None.  Otherwise
+    and one factorization of G, its det and G^{-1} (``_rank_one`` and
+    ``_inverse``, as in ``solve_det``), for the theta-step
+    s = G^{-1} (eta - target), taken in w as w_i + w_i^2 s_i.  Returns
+    (calls, sample, failed).  ``sample`` is the first iterate where every
+    |eta_i - target_i| <= tol and s is below sqrt(eps) (theta_i - lower)
+    plus one ulp of theta_i (``invert_eta``'s step test, down to the
+    rounding of theta): its theta, the hook's eta and det G there, G^{-1} eta
+    from the same factors and its w; ``failed`` is then None.  Otherwise
     ``sample`` is None and ``failed`` is the status a step underflow ends in:
     "left_domain" where the predicted point or an iterate is finite but
     outside the domain, the hook raised DomainError or G is not finite;
@@ -91,15 +94,15 @@ def _correct(kernel, lower, w, target, tol, positive):
     or at the rounding floor of eta); None where the prediction is not
     finite, Newton diverged (a step as long as some theta_i - lower, so that
     the next w_i would leave (0, 2 w_i), or NaN) or it ran out of calls."""
-    if not all(map(math.isfinite, w)):
-        return 0, None, None
     w0, w1, w2 = w
+    finite, ulp, met = math.isfinite, math.ulp, False
+    if not (finite(w0) and finite(w1) and finite(w2)):
+        return 0, None, None
     # w > 0 first: 1/w would divide by zero at w = 0.
     if not (w0 > 0.0 and w1 > 0.0 and w2 > 0.0):
         return 0, None, "left_domain"
     a, b, c = lower + 1.0 / w0, lower + 1.0 / w1, lower + 1.0 / w2
     t0, t1, t2 = target
-    finite, ulp, met = math.isfinite, math.ulp, False
     for calls in range(1, _CORRECTOR_CALLS + 1):
         # An iterate lower + 1/w can round onto the bound.
         if not inside(lower, a, b, c):
@@ -111,18 +114,20 @@ def _correct(kernel, lower, w, target, tol, positive):
         if not (finite(d1) and finite(d2) and finite(d3) and finite(o)):
             return calls, None, "left_domain"
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
-        try:
-            det, s0, s1, s2 = solve_det(d1, d2, d3, o, r0, r1, r2)
-        except SingularMatrixError:
+        factors = _rank_one(d1, d2, d3, o)
+        det = factors[0]
+        # Singular at det 0, as ``_inverse`` is.  A NaN det fails the sign
+        # test where the start's det is positive, else it makes the step NaN.
+        if det == 0.0 or (det > 0.0) != positive:
             return calls, None, "singular"
-        if (det > 0.0) != positive:
-            return calls, None, "singular"
+        inverse = _inverse(*factors)
+        s0, s1, s2 = _times(inverse, r0, r1, r2)
         # A NaN residual fails the test and makes the next iterate NaN.
         if abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol:
             if (abs(s0) <= _SMALL_STEP * (a - lower) + ulp(a)
                     and abs(s1) <= _SMALL_STEP * (b - lower) + ulp(b)
                     and abs(s2) <= _SMALL_STEP * (c - lower) + ulp(c)):
-                v = solve_det(d1, d2, d3, o, e0, e1, e2)[1:]
+                v = _times(inverse, e0, e1, e2)
                 return calls, ((a, b, c), (e0, e1, e2), det, v, (w0, w1, w2)), None
             met = True
         # A step as long as theta_i - lower could leave the domain: Newton
@@ -174,15 +179,17 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
     for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
         if not (value >= 0.0 and math.isfinite(value)):
             raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-    y = model.check_domain(theta0)
-    theta = y.tolist()
+    theta = model.check_domain(theta0).tolist()
     parts = model.eta_metric_kernel(*theta)
-    eta = np.array(check_finite(parts[:3], "eta", theta))
-    samples = [(0.0, y, eta, _rank_one(*check_finite(parts[3:], "metric", theta))[0])]
+    check_finite(parts[:3], "eta", theta)
+    factors = _rank_one(*check_finite(parts[3:], "metric", theta))
+    det = factors[0]
+    # The columns t, theta, eta and det G, theta and eta flattened row by row.
+    ts, thetas, etas, dets = [0.0], list(theta), list(parts[:3]), [det]
     # A det that overflows in the metric's products (inf or NaN) fails too.
-    if not DET_GUARD <= abs(samples[0][3]) < math.inf:
+    if not DET_GUARD <= abs(det) < math.inf:
         raise SingularMatrixError(
-            f"metric is numerically singular at the start point {y.tolist()}"
+            f"metric is numerically singular at the start point {theta}"
         )
 
     n_rejected = n_rhs = 0
@@ -192,11 +199,11 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         lower, kernel = model.lower, model.eta_metric_kernel
         f0, f1, f2 = parts[:3]
         scale = max(abs(f0), abs(f1), abs(f2))
-        positive = samples[0][3] > 0.0
-        w = [1.0 / (x - lower) for x in theta]
-        v = solve_det(*parts[3:], f0, f1, f2)[1:]
-        m = [wi * wi * vi for wi, vi in zip(w, v)]
-        h = 1e-2 / (1.0 + max(map(abs, m)))
+        positive = det > 0.0
+        w0, w1, w2 = (1.0 / (x - lower) for x in theta)
+        v0, v1, v2 = _times(_inverse(*factors), f0, f1, f2)
+        m0, m1, m2 = w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2
+        h = 1e-2 / (1.0 + max(abs(m0), abs(m1), abs(m2)))
         t = 0.0
         # The step before the last sample, (H, w, w'), for the cubic predictor.
         before = None
@@ -214,7 +221,7 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                     )
                 status = underflow_status
                 break
-            if len(samples) - 1 + n_rejected == _MAX_STEPS:
+            if len(ts) - 1 + n_rejected == _MAX_STEPS:
                 raise StepFailureError(
                     f"step budget of {_MAX_STEPS} tried steps spent at t={t!r}"
                     f" (rtol={rtol!r}, atol={atol!r})"
@@ -223,19 +230,21 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
             # A step clipped to t_end lands on it: t + (t_end - t) can round off.
             t_new = t_end if h == t_end - t else t + h
             if before is None:
-                pred = [wi + h * mi for wi, mi in zip(w, m)]
+                p0, p1, p2 = w0 + h * m0, w1 + h * m1, w2 + h * m2
             else:
                 # w + h (w' + r c2 + r^2 c3), r = h/H: the cubic through the
-                # last two samples' w and w', from the last one.
-                big_h, w_old, m_old = before
+                # last two samples' w and w' (u and n), from the last one,
+                # with the secant slopes q.
+                big_h, u0, u1, u2, n0, n1, n2 = before
                 r = h / big_h
-                pred = []
-                for wi, mi, wo, mo in zip(w, m, w_old, m_old):
-                    slope = (wi - wo) / big_h
-                    pred.append(wi + h * (mi + r * (mo + 2.0 * mi - 3.0 * slope)
-                                          + r * r * (mo + mi - 2.0 * slope)))
+                rr = r * r
+                q0, q1, q2 = (w0 - u0) / big_h, (w1 - u1) / big_h, (w2 - u2) / big_h
+                p0 = w0 + h * (m0 + r * (n0 + 2.0 * m0 - 3.0 * q0) + rr * (n0 + m0 - 2.0 * q0))
+                p1 = w1 + h * (m1 + r * (n1 + 2.0 * m1 - 3.0 * q1) + rr * (n1 + m1 - 2.0 * q1))
+                p2 = w2 + h * (m2 + r * (n2 + 2.0 * m2 - 3.0 * q2) + rr * (n2 + m2 - 2.0 * q2))
             f = math.exp(-t_new)
-            calls, sample, failed = _correct(kernel, lower, pred, (f0 * f, f1 * f, f2 * f),
+            calls, sample, failed = _correct(kernel, lower, (p0, p1, p2),
+                                             (f0 * f, f1 * f, f2 * f),
                                              atol + rtol * (scale * f), positive)
             n_rhs += calls
             if sample is None:
@@ -244,31 +253,34 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
                 rejected = True
                 h *= 0.5
                 continue
-            point, eta_new, det, v, w_new = sample
-            samples.append((t_new, point, eta_new, det))
-            before = (t_new - t, w, m)
-            t, w = t_new, w_new
-            m = [wi * wi * vi for wi, vi in zip(w, v)]
+            before = (t_new - t, w0, w1, w2, m0, m1, m2)
+            point, eta_new, det, (v0, v1, v2), (w0, w1, w2) = sample
+            ts.append(t_new)
+            thetas += point
+            etas += eta_new
+            dets.append(det)
+            t = t_new
+            m0, m1, m2 = w0 * w0 * v0, w1 * w1 * v1, w2 * w2 * v2
             if abs(det) < DET_GUARD:
                 status = "singular"
                 break
-            err = max(abs(wi - pi) / wi for wi, pi in zip(w, pred))
+            err = max(abs(w0 - p0) / w0, abs(w1 - p1) / w1, abs(w2 - p2) / w2)
             fac = 6.0 if err == 0.0 else 0.9 * (_PREDICTOR_TOL / err) ** 0.25
             # At most 1 straight after a rejection.
             fac = min(1.0 if rejected else 6.0, max(1 / 3, fac))
             rejected = False
             h *= fac
 
-    eta = np.array([s[2] for s in samples])
+    eta = np.array(etas).reshape(-1, 3)
     hamiltonian, lax_dev = invariant_columns(eta)
     return Trajectory(
-        t=np.array([s[0] for s in samples]),
-        theta=np.array([s[1] for s in samples]),
+        t=np.array(ts),
+        theta=np.array(thetas).reshape(-1, 3),
         eta=eta,
         hamiltonian=hamiltonian,
-        det_g=np.array([s[3] for s in samples]),
+        det_g=np.array(dets),
         lax_dev=lax_dev,
-        n_accepted=len(samples) - 1,
+        n_accepted=len(ts) - 1,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
         status=status,

@@ -127,29 +127,40 @@ def lax_pair(eta, ell: float = 1.0) -> LaxPair:
     return LaxPair(L=L, N=N, ell=ell)
 
 
-@np.errstate(all="ignore")
 def invariant_columns(eta) -> tuple[np.ndarray, np.ndarray]:
     """H and the Frobenius drift of L from row 0 for each row of an (n, 3) eta
     array; NaN where ``hamiltonian`` or ``lax_pair`` raises (on row 0: every drift)."""
-    e1, e2, e3 = eta.T
-    r21, r32, r31 = e2 / e1, e3 / e2, e3 / e1
-    ham_ok = np.isfinite(eta).all(axis=1) & np.isfinite(r21) & np.isfinite(r32)
-    ham = np.where(ham_ok, r21 + r32, math.nan)
-    lax_ok = ham_ok & np.isfinite(r31) & (r31 >= 0.0)
-    dev = np.full(ham.shape, math.nan)
-    if lax_ok[0]:
-        # sqrt of d.d per row is the ddot np.linalg.norm takes, as the
-        # scalar drift does
-        L = _lax_rows(r21, r32, r31)[lax_ok]
-        dev[lax_ok] = [math.sqrt(d.dot(d)) for d in L - L[0]]
-    return ham, dev
-
-
-def _lax_rows(r21, r32, r31) -> np.ndarray:
-    """Each row's L flattened, from the ratios eta2/eta1, eta3/eta2 and
-    eta3/eta1, as ``lax_pair`` builds it."""
-    corner, zero = np.sqrt(r31), np.zeros_like(r31)
-    return np.stack([r21, zero, corner, zero, zero, zero, corner, zero, r32], axis=1)
+    finite, nan, sqrt = math.isfinite, math.nan, math.sqrt
+    ham, rows, drift, ref = [], [], [], None
+    for i, (e1, e2, e3) in enumerate(eta.tolist()):
+        h = nan
+        # A zero eta1 or eta2 makes a ratio that is not finite: no division.
+        if e1 and e2 and finite(e1) and finite(e2) and finite(e3):
+            r21, r32, r31 = e2 / e1, e3 / e2, e3 / e1
+            if finite(r21) and finite(r32):
+                h = r21 + r32
+                # L is defined here; it drifts from row 0's L (ref), if any.
+                if finite(r31) and r31 >= 0.0 and (ref or not i):
+                    corner = sqrt(r31)
+                    if not i:
+                        ref = r21, corner, r32
+                    q21, q, q32 = ref
+                    # L - L0, flattened as ``lax_pair`` builds L
+                    drift += (r21 - q21, 0.0, corner - q, 0.0, 0.0, 0.0, corner - q, 0.0,
+                              r32 - q32)
+                    rows.append(i)
+        ham.append(h)
+    dev = [nan] * len(ham)
+    if rows:
+        # Each row's d.d is the ddot np.linalg.norm takes, as in the scalar
+        # drift: matmul of a 1 x 9 by a 9 x 1 block calls the dot d.dot(d)
+        # does.  A square can overflow to inf.
+        d = np.fromiter(drift, float, len(drift)).reshape(-1, 1, 9)
+        with np.errstate(over="ignore"):
+            squares = np.matmul(d, d.reshape(-1, 9, 1)).ravel().tolist()
+        for i, x in zip(rows, squares):
+            dev[i] = sqrt(x)
+    return np.array(ham), np.array(dev)
 
 
 def lax_residual(trajectory) -> float:

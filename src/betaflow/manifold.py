@@ -91,10 +91,8 @@ class Model:
         """G^-1 as the rank-one adjugate over det G.  SingularMatrixError
         only where det G is exactly 0; DomainError where G or an entry of
         G^-1 is not finite."""
-        det, *adjugate = _rank_one(*self._metric_parts(theta))
-        if det == 0.0:
-            raise SingularMatrixError(f"matrix is singular (det={det!r})")
-        return Metric3(*check_finite(tuple(x / det for x in adjugate), "metric inverse", theta))
+        inverse = _inverse(*_rank_one(*self._metric_parts(theta)))
+        return Metric3(*check_finite(inverse, "metric inverse", theta))
 
     def _metric_parts(self, theta) -> tuple[float, float, float, float]:
         """(D1, D2, D3, o) at a point of the domain; DomainError where one is
@@ -177,18 +175,28 @@ def invert3(m: Metric3) -> Metric3:
 def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
     """G^{-1} v for G = diag(d1, d2, d3) + o 11^T, both models' metric, on
     three floats of v, with det G first: (det, x0, x1, x2).  The rank-one
-    adjugate (``_rank_one``) over det, and then the products: singular only
-    where det is exactly 0."""
-    det, c11, c22, c33, c12, c13, c23 = _rank_one(d1, d2, d3, o)
+    adjugate (``_rank_one``) over det (``_inverse``), and then the products
+    (``_times``): singular only where det is exactly 0."""
+    factors = _rank_one(d1, d2, d3, o)
+    x0, x1, x2 = _times(_inverse(*factors), v0, v1, v2)
+    return factors[0], x0, x1, x2
+
+
+def _inverse(det, c11, c22, c33, c12, c13, c23) -> tuple[float, ...]:
+    """The six entries of G^{-1} in Metric3 field order, from ``_rank_one``'s
+    det and adjugate: each entry over det.  SingularMatrixError only where
+    det is exactly 0."""
     if det == 0.0:
         raise SingularMatrixError(f"matrix is singular (det={det!r})")
-    i12, i13, i23 = c12 / det, c13 / det, c23 / det
-    return (
-        det,
-        c11 / det * v0 + i12 * v1 + i13 * v2,
-        i12 * v0 + c22 / det * v1 + i23 * v2,
-        i13 * v0 + i23 * v1 + c33 / det * v2,
-    )
+    return c11 / det, c22 / det, c33 / det, c12 / det, c13 / det, c23 / det
+
+
+def _times(inverse, v0, v1, v2) -> tuple[float, float, float]:
+    """The symmetric matrix of ``_inverse``'s six entries times (v0, v1, v2)."""
+    i11, i22, i33, i12, i13, i23 = inverse
+    return (i11 * v0 + i12 * v1 + i13 * v2,
+            i12 * v0 + i22 * v1 + i23 * v2,
+            i13 * v0 + i23 * v1 + i33 * v2)
 
 
 def _newton(kernel, lower, theta, target, budget, box, tol) -> list[float]:

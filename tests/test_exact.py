@@ -129,6 +129,26 @@ def test_log_pdf_spots():
     assert abs(EXACT_MODEL.log_pdf((2.0, 2.0, 2.0), (0.25, 0.25)) - math.log(3.75)) <= 1e-13
 
 
+def test_log_pdf_checks_theta_once_and_subtracts_the_potential():
+    calls = []
+
+    class Counting(type(EXACT_MODEL)):
+        def check_domain(self, theta):
+            calls.append(theta)
+            return super().check_domain(theta)
+
+    for theta, x in (((2.0, 3.0, 4.0), (0.2, 0.3)), ((0.4, 7.5, 1.25), (0.6, 0.1))):
+        calls.clear()
+        got = Counting().log_pdf(theta, x)
+        assert len(calls) == 1
+        a, b, c = theta
+        want = ((a - 1.0) * math.log(x[0]) + (b - 1.0) * math.log(x[1])
+                + (c - 1.0) * math.log(1.0 - x[0] - x[1]) - EXACT_MODEL.potential(theta))
+        assert got == want
+    with pytest.raises(DomainError, match=r"^exact model needs a, b, c > 0, got \[0.0, 1.0, 1.0\]$"):
+        EXACT_MODEL.log_pdf((0.0, 1.0, 1.0), (0.2, 0.3))
+
+
 @pytest.mark.parametrize("x", [(0.7, 0.5), (0.0, 0.5), (0.5, -0.1), (1.0, 0.0),
                                (0.2, 0.3, 0.5)])
 def test_log_pdf_rejects_points_off_simplex(x):

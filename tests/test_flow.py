@@ -1213,6 +1213,28 @@ def test_flow_model_calls_are_one_per_rhs_plus_the_start_sample(model):
     assert counting.calls == {"check_domain": 1, "eta_metric_kernel": traj.n_rhs + 1}
 
 
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_each_hook_call_of_a_flow_factors_the_metric_once(model, monkeypatch):
+    # _rank_one is G's factorization: the corrector's Newton step and the
+    # accepted sample's slope G^{-1} eta share one, and so do the start's
+    # det guard and first slope.  Counted where flow.py looks it up, and
+    # where solve_det does, so a second solve at acceptance would show.
+    clean, counting, factored = _reference_flow(model), _CountingModel(model), []
+
+    def rank_one(*parts):
+        factored.append(parts)
+        return inner(*parts)
+
+    inner = betaflow.flow._rank_one
+    monkeypatch.setattr(betaflow.flow, "_rank_one", rank_one)
+    monkeypatch.setattr(betaflow.manifold, "_rank_one", rank_one)
+    traj = integrate(counting, REFERENCE_STARTS[model], 2.0, rtol=1e-10, atol=1e-12)
+    assert traj.status == "singular" and traj.n_rhs > traj.n_accepted > 0
+    assert len(factored) == counting.calls["eta_metric_kernel"] == traj.n_rhs + 1
+    # and the flow is the clean one
+    assert traj.theta.tobytes() == clean.theta.tobytes()
+
+
 def test_reference_flows_keep_their_step_budget(exact_trajectory, stirling_trajectory):
     # a step-budget regression test: at most five hook calls per tried step,
     # at least one per accepted step (a prediction past the escape, w <= 0,

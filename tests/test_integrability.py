@@ -345,6 +345,29 @@ def test_invariant_columns_match_hamiltonian_and_lax_pair_bit_for_bit():
     assert 0 < row0_fails < len(eta) // 8 and drifts > 0
 
 
+def test_invariant_columns_of_long_columns_match_the_scalar_invariants_bit_for_bit(
+        exact_trajectory, stirling_trajectory):
+    # columns as long as flows record, one whole column per call (one stacked
+    # drift product), next to the shortest ones
+    columns = [_drawn_eta(83 + n, n) for n in (1, 2, 3, 64, 300)]
+    columns += [exact_trajectory.eta, stirling_trajectory.eta]
+    # drawn columns whose row 0 has an L, so their drifts are numbers
+    for n in (64, 300):
+        eta = _drawn_eta(89 + n, n)
+        eta[0] = (-1.5, -0.5, -2.0)
+        columns.append(eta)
+    drifts = 0
+    for eta in columns:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invariant_columns(eta)
+        want = _scalar_invariants(eta)
+        assert got[0].tobytes() == want[0].tobytes(), eta
+        assert got[1].tobytes() == want[1].tobytes(), eta
+        drifts += int(np.count_nonzero(got[1] > 0.0))
+    assert drifts > 100
+
+
 @pytest.mark.parametrize("eta, ham, dev", [
     # e1 = inf gives a finite e2/e1 = 0, but hamiltonian raises
     ([[1.0, 2.0, 3.0], [math.inf, 2.0, 3.0]], [3.5, math.nan], [0.0, math.nan]),
