@@ -49,7 +49,9 @@ class ExactModel(Model):
     def dual_potential(self, theta) -> float:
         """Legendre transform <theta, eta> - Phi evaluated at eta(theta)."""
         p = self.check_domain(theta)
-        return float(np.dot(p, self.eta(p))) - self.potential(p)
+        a, b, c = p.tolist()
+        eta = check_finite(self.eta_metric_kernel(a, b, c)[:3], "eta", p)
+        return float(np.dot(p, eta)) - _potential(a, b, c)
 
     def log_pdf(self, theta, x) -> float:
         """ln p(x1, x2) at theta, with x3 = 1 - x1 - x2; theta is checked once."""

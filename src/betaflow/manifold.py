@@ -26,7 +26,8 @@ def as_point(x, name: str = "point") -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (3,):
         raise DomainError(f"{name} must have exactly 3 components, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    # math.isfinite on three floats takes a third of np.isfinite's time
+    if not all(map(math.isfinite, p.tolist())):
         raise DomainError(f"{name} must be finite, got {p.tolist()}")
     return p
 

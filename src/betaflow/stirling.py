@@ -21,6 +21,12 @@ one adjugate formula of ``manifold`` inverts, so by interlacing it has
 kappa = den / (8 (s-1) prod_i (u_i - 1/2)): it is positive definite on
 (1, 3/2)^3, negative definite where every u_i > 1/2 and den > 0, as at
 (5, 6, 7), and indefinite at the other regular points.
+
+The dual map folds across V, so an eta can have several preimages.
+``inversion_start`` takes the first that ``_preimages`` yields, sheet by
+sheet, and skips that walk where a short Newton run on the sheet of
+every u_i > 1/2 ends at a point with det G > 0, which proves it is that
+first preimage (``_first_sheet_root``).
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ import sys
 
 import numpy as np
 
-from .errors import BetaflowError, DomainError
-from .manifold import DomainClass, DomainLabel, Model, _newton, as_point, check_finite, inside
+from .errors import BetaflowError, DomainError, SingularMatrixError
+from .manifold import (DomainClass, DomainLabel, Model, _newton, as_point, check_finite, inside,
+                       solve_det)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -133,8 +140,16 @@ class StirlingModel(Model):
         ``_preimages`` with max|eta - target| <= 1e-12, else the one of
         smallest residual.  Near the boundary the first preimage can lie
         across the fold, where one ulp of a coordinate moves eta by more
-        than 1e-10, while a later one meets 1e-12."""
+        than 1e-10, while a later one meets 1e-12.
+
+        Most targets skip that walk: ``_first_sheet_root`` returns the
+        first preimage itself where a short Newton run on the sheet
+        (0, 0, 0) certifies it by det G > 0, and None, for the walk, where
+        it does not."""
         t0, t1, t2 = t = target.tolist()
+        theta = _first_sheet_root(t)
+        if theta is not None:
+            return np.array(theta)
         best, least = None, math.inf
         for theta in _preimages(t):
             a, b, c = theta.tolist()
@@ -161,6 +176,61 @@ _PATTERNS = (
 
 # The floats theta = u + 1 of each branch that lie in the domain 1 < theta < inf.
 _BRANCH_THETA = {0: (1.5, sys.float_info.max), -1: (math.nextafter(1.0, 2.0), 1.5)}
+
+
+def _first_sheet_root(t):
+    """The first preimage of ``_preimages``, where Newton's method in theta
+    on the sheet (0, 0, 0) certifies it, else None.
+
+    On that pattern every u_i >= 1/2 and F(sigma) = sum_i u_i(sigma) + 2 -
+    sigma is concave (``_roots``), so F lies below its tangent at a root
+    with F' > 0, and that root is F's smallest.  With g_i = u_i' = -o/D_i,
+    F' = sum_i g_i - 1 = -kappa, and det G = D_1 D_2 D_3 kappa with every
+    D_i < 0 on (3/2, inf)^3: there F' > 0 if and only if det G > 0 (den <
+    0).  (0, 0, 0) is the first of ``_PATTERNS``, whose roots ``_roots``
+    yields in increasing sigma, and the walk of ``inversion_start`` returns
+    its first preimage that meets 1e-12.  So a point of (3/2, inf)^3 with
+    max|eta - t| <= 1e-12 and det G > 0 is the walk's answer, to the
+    rounding floor of eta.
+
+    Newton starts on the branch-0 curve at sigma = 1.05 lo, theta_i =
+    1 + u_i(sigma), with lo ``_preimages``' lower bound on sigma, and takes
+    full steps (``solve_det``).  None, at once, where the pattern has no
+    root past lo (``_sigma_hi``) or lo or the start overflows; then at the
+    first iterate where det G is not > 0 (NaN, or singular), at the first
+    step that leaves (3/2, inf)^3, or after 12 steps.  A step is never
+    halved, so a target with no root on the sheet mostly gives up after
+    one hook call, where halving would spend the 12 steps.  Raises
+    nothing, so every error stays the walk's.
+    """
+    try:
+        lo = max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
+    except OverflowError:
+        return None
+    if not _sigma_hi(t, (0, 0, 0)) > lo:
+        return None
+    ls = math.log(1.05 * lo)
+    try:
+        a, b, c = (_solve_u(ls - x) + 1.0 for x in t)
+    except DomainError:
+        return None
+    t0, t1, t2 = t
+    kernel = STIRLING_MODEL.eta_metric_kernel
+    for _ in range(12):
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
+        try:
+            det, s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)
+        except SingularMatrixError:
+            return None
+        if not det > 0.0:
+            return None
+        if abs(r0) <= 1e-12 and abs(r1) <= 1e-12 and abs(r2) <= 1e-12:
+            return [a, b, c]
+        a, b, c = a + s0, b + s1, c + s2
+        if not (1.5 < a < math.inf and 1.5 < b < math.inf and 1.5 < c < math.inf):
+            return None
+    return None
 
 
 def _preimages(target):

@@ -149,6 +149,26 @@ def test_log_pdf_checks_theta_once_and_subtracts_the_potential():
         EXACT_MODEL.log_pdf((0.0, 1.0, 1.0), (0.2, 0.3))
 
 
+def test_dual_potential_checks_theta_once_and_is_the_legendre_transform():
+    calls = []
+
+    class Counting(type(EXACT_MODEL)):
+        def check_domain(self, theta):
+            calls.append(theta)
+            return super().check_domain(theta)
+
+    for theta in ((2.0, 3.0, 4.0), (0.4, 7.5, 1.25), (1e-3, 5.0, 1e8)):
+        calls.clear()
+        got = Counting().dual_potential(theta)
+        assert len(calls) == 1
+        p = np.array(theta)
+        assert got == float(np.dot(p, EXACT_MODEL.eta(p))) - EXACT_MODEL.potential(p)
+    with pytest.raises(DomainError, match=r"^exact model needs a, b, c > 0, got \[0.0, 1.0, 1.0\]$"):
+        EXACT_MODEL.dual_potential((0.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match=r"^eta is not finite at \[1e-320, 1.0, 1.0\]$"):
+        EXACT_MODEL.dual_potential((1e-320, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("x", [(0.7, 0.5), (0.0, 0.5), (0.5, -0.1), (1.0, 0.0),
                                (0.2, 0.3, 0.5)])
 def test_log_pdf_rejects_points_off_simplex(x):

@@ -32,6 +32,13 @@ def test_as_point_rejects(bad):
         as_point(bad)
 
 
+@pytest.mark.parametrize("bad", [(1.0, math.nan, 2.0), (math.inf, 2.0, 3.0), (1.0, 2.0, -math.inf)])
+def test_as_point_names_a_coordinate_that_is_not_finite(bad):
+    with pytest.raises(DomainError) as exc:
+        as_point(bad, "target")
+    assert str(exc.value) == f"target must be finite, got {list(bad)}"
+
+
 def test_metric3_array_round_trip():
     m = Metric3(d1=1.0, d2=2.0, d3=3.0, o12=0.1, o13=0.2, o23=0.3)
     a = m.as_array()

@@ -17,7 +17,7 @@ from betaflow import (
 )
 import betaflow.manifold
 import betaflow.stirling
-from betaflow.manifold import _SMALL_STEP, solve_det
+from betaflow.manifold import _SMALL_STEP, inside, solve_det
 from betaflow.stirling import (_BRANCH_THETA, _PATTERNS, _PHI_MIN, _preimages, _root_free,
                                _solve_u)
 from conftest import rounding_floor_ratio
@@ -361,6 +361,25 @@ def test_inversion_start_overflow_is_domain_error():
         invert_eta(STIRLING_MODEL, (800.0, 0.0, 0.0))
 
 
+def walk_start(target):
+    """The walk of ``inversion_start`` alone, without its first-sheet
+    shortcut: the first preimage of ``_preimages`` with
+    max|eta - target| <= 1e-12, else the one of least residual."""
+    t = [float(x) for x in target]
+    best, least = None, math.inf
+    for theta in _preimages(t):
+        a, b, c = theta.tolist()
+        e = STIRLING_MODEL.eta_metric_kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
+        residual = max(abs(x - y) for x, y in zip(e[:3], t))
+        if residual <= 1e-12:
+            return theta
+        if best is None or residual < least:
+            best, least = theta, residual
+    if best is None:
+        raise DomainError(f"no stirling preimage found for eta={t}")
+    return best
+
+
 def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
     # Each root's Newton runs are counted, and the kernel calls they make:
     # every run but the root's last fails and splits its cell once.  Every
@@ -390,11 +409,13 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
     rng = np.random.Generator(np.random.Philox(101))
     points = np.concatenate([1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (400, 3)),
                              rng.uniform(1.0, 6.0, (400, 3))])
+    first_sheet = []
     for theta in points:
-        start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
+        start = walk_start(STIRLING_MODEL.eta(theta))
         if theta.min() >= 1.5 and den(*theta) < 0.0:
             # every alpha_i >= 3/2 and den < 0: the sheet the start takes first
             assert np.max(np.abs(start - theta)) <= 1e-9 * np.max(theta), theta
+            first_sheet.append(theta)
     # the largest counts this draw takes; most roots take no bisection and
     # three or four Newton steps
     assert len(counts) >= len(points)
@@ -404,6 +425,11 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
     for root, t in roots:
         # residual <= 1e-12, or at the rounding floor
         assert rounding_floor_ratio(STIRLING_MODEL, root, t) <= 1.0, (root, t)
+    # and so does inversion_start, which mostly skips the walk there
+    assert first_sheet
+    for theta in first_sheet:
+        start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
+        assert np.max(np.abs(start - theta)) <= 1e-9 * np.max(theta), theta
 
 
 def test_refine_gives_up_after_32_hook_calls(monkeypatch):
@@ -432,7 +458,7 @@ def test_refine_gives_up_after_32_hook_calls(monkeypatch):
     monkeypatch.setattr(betaflow.manifold, "_SMALL_STEP", -1.0)
     monkeypatch.setattr(betaflow.stirling, "_refine", recording)
     theta = np.array([2.5, 3.0, 2.0])
-    start = STIRLING_MODEL.inversion_start(STIRLING_MODEL.eta(theta))
+    start = walk_start(STIRLING_MODEL.eta(theta))
     assert all(root is None for root, _ in runs)
     assert max(n for _, n in runs) == 32
     assert np.max(np.abs(start - theta)) <= 1e-13
@@ -481,7 +507,7 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
     monkeypatch.setattr(betaflow.stirling, "_refine", recording)
     theta = (2.5, 3.0, 2.0)
     target = STIRLING_MODEL.eta(theta)
-    start = STIRLING_MODEL.inversion_start(target)
+    start = walk_start(target)
     monkeypatch.undo()
     assert len(solves) > 1
     # every alpha_i >= 3/2 and den < 0: theta is the first pattern's root,
@@ -493,6 +519,7 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
     assert (p2, q2) in ((p, mid), (mid, q))
     assert np.max(np.abs(start - theta)) <= 1e-9 * 3.0
     assert rounding_floor_ratio(STIRLING_MODEL, start, target) <= 1.0
+    assert np.max(np.abs(STIRLING_MODEL.inversion_start(target) - theta)) <= 1e-9 * 3.0
 
 
 def test_solve_u_is_finite_near_the_top_of_the_float_range():
@@ -825,3 +852,74 @@ def test_eta_is_the_potential_gradient_less_one_over_two_s_minus_one(theta):
                     / (12e-3 * u))
     gap = grad - STIRLING_MODEL.eta(p)
     assert np.max(np.abs(gap - 0.5 / (p.sum() - 1.0))) <= 1e-7
+
+
+def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeypatch):
+    # The first-sheet shortcut keeps a Newton root on the pattern (0, 0, 0)
+    # only where det G > 0 proves it is the walk's first preimage; elsewhere
+    # inversion_start walks.  Either way it lands where the walk alone does.
+    walked = []
+
+    def spying(target):
+        walked.append(True)
+        return _preimages(target)
+
+    rng = np.random.Generator(np.random.Philox(109))
+    points = np.concatenate([rng.uniform(1.0, 6.0, (300, 3)),
+                             1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (300, 3))])
+    # the fold, close-pair and mixed-sheet pins, and the past gate misses
+    pins = [(100.0, 100.0, 100.0), (2.62, 4.89, 2.85), (1.01, 1.02, 40.0),
+            *GATE_MISS_SOURCES.values()]
+    declined = []
+    for theta in (*points, *pins):
+        target = STIRLING_MODEL.eta(theta)
+        want = walk_start(target)
+        walked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(betaflow.stirling, "_preimages", spying)
+            start = STIRLING_MODEL.inversion_start(target)
+        assert np.max(np.abs(start - want)) <= 1e-9 * np.max(want), theta
+        if walked:
+            declined.append(tuple(theta))
+        else:
+            # a shortcut start is at the first sheet's root: u_i > 1/2, det G > 0
+            assert start.min() > 1.5 and STIRLING_MODEL.det_closed(start) > 0.0, theta
+            assert np.max(np.abs(STIRLING_MODEL.eta(start) - target)) <= 1e-12, theta
+    # both sides of the selection occur; the fold pin's first preimage, near
+    # (1.92, 1.92, 1.92), is on the first sheet, and the mixed-sheet pin's is not
+    assert 0 < len(declined) < len(points) + len(pins)
+    assert (1.01, 1.02, 40.0) in declined
+    assert (100.0, 100.0, 100.0) not in declined
+    # the shortcut raises nothing: a target the walk answers with a cell end
+    # outside the domain, or raises on, gets the walk's answer or error
+    target = np.array((0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209))
+    assert np.array_equal(STIRLING_MODEL.inversion_start(target), walk_start(target))
+    errors = []
+    for find in (STIRLING_MODEL.inversion_start, walk_start):
+        with pytest.raises(DomainError, match="overflows") as exc:
+            find(np.array((800.0, 0.0, 0.0)))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_inversion_start_walks_where_det_g_is_not_positive(monkeypatch):
+    # With the sign of det G flipped in the shortcut's solve, no iterate has
+    # det G > 0: every target declines at its first hook call and walks.
+    walked = []
+
+    def spying(target):
+        walked.append(True)
+        return _preimages(target)
+
+    def flipped(*args):
+        det, *step = solve_det(*args)
+        return (-det, *step)
+
+    monkeypatch.setattr(betaflow.stirling, "solve_det", flipped)
+    monkeypatch.setattr(betaflow.stirling, "_preimages", spying)
+    for theta in ((2.5, 3.0, 2.0), (100.0, 100.0, 100.0), (2.62, 4.89, 2.85)):
+        target = STIRLING_MODEL.eta(theta)
+        walked.clear()
+        start = STIRLING_MODEL.inversion_start(target)
+        assert walked
+        assert np.array_equal(start, walk_start(target))
