@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError, StepFailureError
 from .integrability import invariant_columns
-from .manifold import (_SMALL_STEP, _inverse, _newton, _rank_one, _times, as_point,
-                       check_finite, inside, solve_det)
+from .manifold import (_RESIDUAL_GOAL, _SMALL_STEP, _inverse, _newton, _rank_one, _times,
+                       as_point, check_finite, inside, solve_det)
 
 # Integration stops (flagged, not an error) once |det G| drops below this.
 DET_GUARD = 1e-12
 
-# invert_eta's residual goal and Newton step budget.
-_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 100
+# invert_eta's Newton step budget.
+_NEWTON_MAX_ITER = 100
 
 # integrate's step size aims the predictor's error, relative in w, at
 # _PREDICTOR_TOL; its corrector makes at most _CORRECTOR_CALLS hook calls per
@@ -45,7 +45,6 @@ class Trajectory:
     hamiltonian: np.ndarray
     det_g: np.ndarray
     lax_dev: np.ndarray
-    n_accepted: int
     n_rejected: int
     n_rhs: int
     status: str
@@ -53,6 +52,10 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def n_accepted(self) -> int:
+        return len(self.t) - 1
 
     @property
     def theta_end(self) -> np.ndarray:
@@ -280,7 +283,6 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
         hamiltonian=hamiltonian,
         det_g=np.array(dets),
         lax_dev=lax_dev,
-        n_accepted=len(ts) - 1,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
         status=status,
@@ -300,4 +302,4 @@ def invert_eta(model, target, guess=None) -> np.ndarray:
     bounds = (math.nextafter(model.lower, math.inf), math.nextafter(math.inf, 0.0))
     return np.array(_newton(model.eta_metric_kernel, model.lower, theta, target.tolist(),
                             _NEWTON_MAX_ITER, (bounds, bounds, bounds, (-math.inf, math.inf)),
-                            _NEWTON_TOL))
+                            _RESIDUAL_GOAL))

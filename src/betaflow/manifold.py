@@ -20,6 +20,10 @@ from .errors import DomainError, NoConvergenceError, SingularMatrixError
 # theta_i - lower: sqrt of the float epsilon, where the stop lands at the rounding floor.
 _SMALL_STEP = 2.0 ** -26
 
+# The residual goal max|eta(theta) - target| of invert_eta and of the Stirling
+# preimage search's choice among preimages.
+_RESIDUAL_GOAL = 1e-12
+
 
 def as_point(x, name: str = "point") -> np.ndarray:
     """Coerce to a finite float array of shape (3,)."""

@@ -36,9 +36,9 @@ import sys
 
 import numpy as np
 
-from .errors import BetaflowError, DomainError, SingularMatrixError
-from .manifold import (DomainClass, DomainLabel, Model, _newton, as_point, check_finite, inside,
-                       solve_det)
+from .errors import BetaflowError, DomainError
+from .manifold import (_RESIDUAL_GOAL, DomainClass, DomainLabel, Model, _inverse, _newton,
+                       _rank_one, _times, as_point, check_finite, inside)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -137,26 +137,28 @@ class StirlingModel(Model):
 
     def inversion_start(self, target: np.ndarray) -> np.ndarray:
         """Start point for Newton inversion of eta: the first preimage of
-        ``_preimages`` with max|eta - target| <= 1e-12, else the one of
-        smallest residual.  Near the boundary the first preimage can lie
-        across the fold, where one ulp of a coordinate moves eta by more
-        than 1e-10, while a later one meets 1e-12.
+        ``_preimages`` with max|eta - target| <= _RESIDUAL_GOAL, else the
+        one of smallest residual.  Near the boundary the first preimage can
+        lie across the fold, where one ulp of a coordinate moves eta by more
+        than 1e-10, while a later one meets the goal.
 
         Most targets skip that walk: ``_first_sheet_root`` returns the
         first preimage itself where a short Newton run on the sheet
         (0, 0, 0) certifies it by det G > 0, and None, for the walk, where
-        it does not."""
+        it does not.  Every hook call, of the shortcut and of the walk, is
+        one of ``self.eta_metric_kernel``."""
         t0, t1, t2 = t = target.tolist()
-        theta = _first_sheet_root(t)
+        kernel = self.eta_metric_kernel
+        theta = _first_sheet_root(kernel, t, _sigma_lo(t))
         if theta is not None:
             return np.array(theta)
         best, least = None, math.inf
-        for theta in _preimages(t):
+        for theta in _preimages(kernel, t):
             a, b, c = theta.tolist()
             # A cell end that stands in for a root can be outside the domain.
-            e = self.eta_metric_kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
+            e = kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
             residual = max(abs(e[0] - t0), abs(e[1] - t1), abs(e[2] - t2))
-            if residual <= 1e-12:
+            if residual <= _RESIDUAL_GOAL:
                 return theta
             if best is None or residual < least:
                 best, least = theta, residual
@@ -178,9 +180,20 @@ _PATTERNS = (
 _BRANCH_THETA = {0: (1.5, sys.float_info.max), -1: (math.nextafter(1.0, 2.0), 1.5)}
 
 
-def _first_sheet_root(t):
+def _sigma_lo(t) -> float:
+    """``_preimages``' lower bound on sigma: sigma = sum(u) + 2 > 2, and
+    each u_i exists from e^{t_i + _PHI_MIN} on.  DomainError where that
+    overflows."""
+    try:
+        return max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
+    except OverflowError:
+        raise DomainError(f"stirling preimage of {t} overflows") from None
+
+
+def _first_sheet_root(kernel, t, lo):
     """The first preimage of ``_preimages``, where Newton's method in theta
-    on the sheet (0, 0, 0) certifies it, else None.
+    on the sheet (0, 0, 0), one ``kernel`` call per step, certifies it, else
+    None.
 
     On that pattern every u_i >= 1/2 and F(sigma) = sum_i u_i(sigma) + 2 -
     sigma is concave (``_roots``), so F lies below its tangent at a root
@@ -189,52 +202,44 @@ def _first_sheet_root(t):
     D_i < 0 on (3/2, inf)^3: there F' > 0 if and only if det G > 0 (den <
     0).  (0, 0, 0) is the first of ``_PATTERNS``, whose roots ``_roots``
     yields in increasing sigma, and the walk of ``inversion_start`` returns
-    its first preimage that meets 1e-12.  So a point of (3/2, inf)^3 with
-    max|eta - t| <= 1e-12 and det G > 0 is the walk's answer, to the
-    rounding floor of eta.
+    its first preimage that meets _RESIDUAL_GOAL.  So a point of
+    (3/2, inf)^3 with max|eta - t| <= _RESIDUAL_GOAL and det G > 0 is the
+    walk's answer, to the rounding floor of eta.
 
     Newton starts on the branch-0 curve at sigma = 1.05 lo, theta_i =
-    1 + u_i(sigma), with lo ``_preimages``' lower bound on sigma, and takes
-    full steps (``solve_det``).  None, at once, where the pattern has no
-    root past lo (``_sigma_hi``) or lo or the start overflows; then at the
-    first iterate where det G is not > 0 (NaN, or singular), at the first
-    step that leaves (3/2, inf)^3, or after 12 steps.  A step is never
-    halved, so a target with no root on the sheet mostly gives up after
-    one hook call, where halving would spend the 12 steps.  Raises
-    nothing, so every error stays the walk's.
+    1 + u_i(sigma), with lo = ``_sigma_lo(t)``, and takes full steps.
+    None, at once, where the pattern has no root past lo (``_sigma_hi``);
+    then at the first iterate where det G is not > 0 (NaN, or 0: the gate
+    comes before G is inverted), at the first step that leaves
+    (3/2, inf)^3, or after 12 steps.  A step is never halved, so a target
+    with no root on the sheet mostly gives up after one hook call, where
+    halving would spend the 12 steps.  Raises nothing, so every error
+    stays the walk's.
     """
-    try:
-        lo = max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
-    except OverflowError:
-        return None
     if not _sigma_hi(t, (0, 0, 0)) > lo:
         return None
     ls = math.log(1.05 * lo)
-    try:
-        a, b, c = (_solve_u(ls - x) + 1.0 for x in t)
-    except DomainError:
-        return None
+    # Raises nothing: a finite ls - t_i > 709.78 puts _sigma_hi <= lo; exp(inf) is inf.
+    a, b, c = (_solve_u(ls - x) + 1.0 for x in t)
     t0, t1, t2 = t
-    kernel = STIRLING_MODEL.eta_metric_kernel
     for _ in range(12):
         e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        factors = _rank_one(d1, d2, d3, o)
+        if not factors[0] > 0.0:
+            return None
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
-        try:
-            det, s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)
-        except SingularMatrixError:
-            return None
-        if not det > 0.0:
-            return None
-        if abs(r0) <= 1e-12 and abs(r1) <= 1e-12 and abs(r2) <= 1e-12:
+        if abs(r0) <= _RESIDUAL_GOAL and abs(r1) <= _RESIDUAL_GOAL and abs(r2) <= _RESIDUAL_GOAL:
             return [a, b, c]
+        s0, s1, s2 = _times(_inverse(*factors), -r0, -r1, -r2)
         a, b, c = a + s0, b + s1, c + s2
         if not (1.5 < a < math.inf and 1.5 < b < math.inf and 1.5 < c < math.inf):
             return None
     return None
 
 
-def _preimages(target):
-    """Preimages of the dual map, each as a start point theta = u + 1.
+def _preimages(kernel, target):
+    """Preimages of the dual map, each as a start point theta = u + 1, found
+    with ``kernel`` as the hook.
 
     With sigma = s - 1 and u_i = alpha_i - 1, eta_i = t_i is
 
@@ -249,15 +254,11 @@ def _preimages(target):
     isolates its root (``_refine``) to where ``invert_eta`` stops.
     """
     t = [float(x) for x in target]
-    try:
-        # sigma = sum(u) + 2 > 2, and each u_i exists from e^{t_i + _PHI_MIN} on.
-        lo = max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
-    except OverflowError:
-        raise DomainError(f"stirling preimage of {t} overflows") from None
+    lo = _sigma_lo(t)
     for pattern in _PATTERNS:
         hi = _sigma_hi(t, pattern)
         if hi > lo:
-            for theta in _roots(t, pattern, lo, hi):
+            for theta in _roots(kernel, t, pattern, lo, hi):
                 yield np.array(theta)
 
 
@@ -283,7 +284,7 @@ def _sigma_hi(t, pattern) -> float:
     return min(hi, 0.578 / slope) if slope > 0.0 else hi
 
 
-def _roots(t, pattern, lo, hi):
+def _roots(kernel, t, pattern, lo, hi):
     """The preimage of each root of F on [lo, hi] for one branch pattern,
     in increasing sigma.
 
@@ -334,7 +335,7 @@ def _roots(t, pattern, lo, hi):
                 continue
             theta = None
             if not any(u + 1.0 == 1.0 == v + 1.0 for u, v in zip(p[4], q[4])):
-                theta = _refine(t, pattern, p, q)
+                theta = _refine(kernel, t, pattern, p, q)
                 if theta is None and p[0] < sigma < q[0]:
                     m = at(sigma)
                     stack.append((m, q, True) if (m[1] < 0.0) == (p[1] < 0.0) else (p, m, True))
@@ -356,13 +357,13 @@ def _root_free(p, q, low, high) -> bool:
     return not reach_p + reach_q <= q[0] - p[0]
 
 
-def _refine(t, pattern, p, q):
+def _refine(kernel, t, pattern, p, q):
     """The preimage theta = u + 1 whose sigma is the root of F in the cell
     [p, q], where F is monotone and changes sign, or None.
 
-    ``manifold._newton`` on eta(theta) = t from the cell end of smaller |F|,
-    its u_i moved along their slopes g_i to Newton's estimate of the root
-    in sigma.  The box is ``pattern``'s branches and the cell in sigma, so a
+    ``manifold._newton`` on eta(theta) = t, with ``kernel`` as the hook,
+    from the cell end of smaller |F|, its u_i moved along their slopes g_i
+    to Newton's estimate of the root in sigma.  The box is ``pattern``'s branches and the cell in sigma, so a
     step that would leave the cell is halved; F has one root in the cell,
     so a point of the box with eta(theta) = t is the cell's preimage.  None
     where Newton raises (its start is outside the box, say) or 32 hook calls
@@ -378,7 +379,7 @@ def _refine(t, pattern, p, q):
     start = [u + g * ds + 1.0 if ds else u + 1.0 for u, g in zip(x[4], x[5])]
     box = (*(_BRANCH_THETA[k] for k in pattern), (p[0], q[0]))
     try:
-        return _newton(STIRLING_MODEL.eta_metric_kernel, 1.0, start, t, 32, box, 0.0)
+        return _newton(kernel, 1.0, start, t, 32, box, 0.0)
     except BetaflowError:
         return None
 
@@ -395,12 +396,13 @@ def _solve_u(r: float, branch: int = 0) -> float:
     p = 1 from the asymptotes u = e^r - 1/2 (branch 0) and
     W = -L1 - L2 - L2/L1 with L1 = r + ln 2, L2 = ln(L1) (branch -1).  On
     a dense sweep of r up to the top of each branch it stops after at most
-    three steps.  On the calls that Stirling inversions make, all from the
-    cell search and the cell splits of ``_roots`` (perfbench
-    ``invert``, 30 s runs at seeds 7-9: 12 723 calls), it takes 2.10 steps
-    on average: from the series start 0, 1, 2 or 3 steps in 5%, 3%, 18%
-    and 22% of calls, from the branch-0 asymptote 2 steps in 49% (and 1
-    step in 10 calls), and from the branch -1 asymptote 1 to 3 steps in 3%.
+    three steps.  On the calls that Stirling inversions make (perfbench
+    ``invert`` at seeds 7-9, 68 rounds each: 5 973 calls, 2 091 for the
+    starts of ``_first_sheet_root`` and 3 882 for the cell search and the
+    cell splits of ``_roots``), it takes 2.09 steps on average: from the
+    series start 0, 1, 2 or 3 steps in 4%, 3%, 32% and 19% of calls, from
+    the branch-0 asymptote 2 steps in 35% (and 1 step in 10 calls), and
+    from the branch -1 asymptote 1 to 3 steps in 7%.
     """
     r = float(r)  # a numpy scalar would slow every operation below
     p = math.sqrt(max(0.0, -2.0 * math.expm1(_PHI_MIN - r)))

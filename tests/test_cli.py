@@ -28,6 +28,13 @@ def test_info_json_report(capsys):
     assert report["domain_class"]["label"] == "Regular"
 
 
+def test_main_reads_sys_argv_without_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["betaflow", "info", "--model", "exact", "--point", "2,3,4",
+                                     "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [2.0, 3.0, 4.0]
+
+
 def test_info_text_report(capsys):
     assert main(["info", "--model", "exact", "--point", "2,3,4"]) == 0
     out = capsys.readouterr().out

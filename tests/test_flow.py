@@ -541,6 +541,15 @@ def test_the_corrector_stops_where_an_iterate_rounds_onto_the_bound():
     assert calls == [(1.0 + 2**-52, 2.0, 3.0)]
 
 
+@pytest.mark.parametrize("w", [(math.inf, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, -math.inf)])
+def test_the_corrector_gives_up_on_a_prediction_that_is_not_finite(w):
+    # no hook call, and no status: a step underflow after it raises
+    def hook(a, b, c):
+        raise AssertionError("the hook was called")
+
+    assert betaflow.flow._correct(hook, 1.0, w, (0.0, 0.0, 0.0), 1e-12, True) == (0, None, None)
+
+
 @pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
 def test_step_underflow_after_error_test_rejections_raises(model):
     # eta jumps by a factor 1e6 past the plane: every step that reaches the

@@ -17,7 +17,7 @@ from betaflow import (
 )
 import betaflow.manifold
 import betaflow.stirling
-from betaflow.manifold import _SMALL_STEP, inside, solve_det
+from betaflow.manifold import _SMALL_STEP, _rank_one, inside, solve_det
 from betaflow.stirling import (_BRANCH_THETA, _PATTERNS, _PHI_MIN, _preimages, _root_free,
                                _solve_u)
 from conftest import rounding_floor_ratio
@@ -366,10 +366,11 @@ def walk_start(target):
     shortcut: the first preimage of ``_preimages`` with
     max|eta - target| <= 1e-12, else the one of least residual."""
     t = [float(x) for x in target]
+    kernel = STIRLING_MODEL.eta_metric_kernel
     best, least = None, math.inf
-    for theta in _preimages(t):
+    for theta in _preimages(kernel, t):
         a, b, c = theta.tolist()
-        e = STIRLING_MODEL.eta_metric_kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
+        e = kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
         residual = max(abs(x - y) for x, y in zip(e[:3], t))
         if residual <= 1e-12:
             return theta
@@ -392,9 +393,9 @@ def test_refine_stops_at_the_rounding_floor_of_eta(monkeypatch):
         kernel_calls[0] += 1
         return kernel(*theta)
 
-    def counted(t, pattern, p, q):
+    def counted(hook, t, pattern, p, q):
         k = kernel_calls[0]
-        root = refine(t, pattern, p, q)
+        root = refine(hook, t, pattern, p, q)
         pending[0] += 1
         pending[1] += kernel_calls[0] - k
         if root is not None:
@@ -446,13 +447,9 @@ def test_refine_gives_up_after_32_hook_calls(monkeypatch):
         e0, *rest = kernel(*theta)
         return (e0 + (1e-9 if calls[0] % 2 else -1e-9), *rest)
 
-    def recording(t, pattern, p, q):
+    def recording(hook, t, pattern, p, q):
         k = calls[0]
-        monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", shifting_kernel)
-        try:
-            runs.append((refine(t, pattern, p, q), calls[0] - k))
-        finally:
-            monkeypatch.setattr(STIRLING_MODEL, "eta_metric_kernel", kernel)
+        runs.append((refine(shifting_kernel, t, pattern, p, q), calls[0] - k))
         return runs[-1][0]
 
     monkeypatch.setattr(betaflow.manifold, "_SMALL_STEP", -1.0)
@@ -478,7 +475,7 @@ def test_refine_stops_at_once_where_a_cell_holds_no_float_point_of_the_domain(mo
 
     monkeypatch.setattr(betaflow.stirling, "_solve_u", counting)
     target = (0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209)
-    first = next(_preimages(target))
+    first = next(_preimages(STIRLING_MODEL.eta_metric_kernel, target))
     assert calls[0] <= 9
     assert first[2] == 1.0
     with pytest.raises(DomainError, match="needs a, b, c > 1"):
@@ -498,8 +495,8 @@ def test_refine_bisects_its_cell_past_a_singular_jacobian(monkeypatch):
             raise SingularMatrixError("injected")
         return solve_det(*args)
 
-    def recording(t, pattern, p, q):
-        root = refine(t, pattern, p, q)
+    def recording(kernel, t, pattern, p, q):
+        root = refine(kernel, t, pattern, p, q)
         searched.append((pattern, (p[0], q[0]), root))
         return root
 
@@ -570,7 +567,7 @@ def test_preimages_span_the_fold():
     # (100, 100, 100) and a point near (1.92, 1.92, 1.92) share an eta: the
     # dual map folds across V.  The default sheet (den < 0) comes first.
     target = STIRLING_MODEL.eta((100.0, 100.0, 100.0))
-    small, large = _preimages(target)
+    small, large = _preimages(STIRLING_MODEL.eta_metric_kernel, target)
     assert np.max(np.abs(small - 1.92)) <= 0.01
     assert np.max(np.abs(large - 100.0)) <= 1e-9 * 100.0
     for theta in (small, large):
@@ -583,7 +580,7 @@ def test_preimages_separate_a_close_pair_near_the_fold():
     # 1.05 geometric scan of sigma stepped over the pair.
     theta = (2.62, 4.89, 2.85)
     target = STIRLING_MODEL.eta(theta)
-    found = list(_preimages(target))
+    found = list(_preimages(STIRLING_MODEL.eta_metric_kernel, target))
     assert len(found) == 2
     assert np.max(np.abs(found[1] - theta)) <= 1e-9 * 4.89
     for start in found:
@@ -594,7 +591,7 @@ def test_preimages_of_a_mixed_sheet():
     # the (0, 0, 0) pattern has no root; (1.01, 1.02, 40) lies on the pattern
     # (-1, -1, 0) and a second preimage on (-1, -1, -1)
     target = STIRLING_MODEL.eta((1.01, 1.02, 40.0))
-    found = list(_preimages(target))
+    found = list(_preimages(STIRLING_MODEL.eta_metric_kernel, target))
     assert len(found) == 2
     assert np.max(np.abs(found[0] - [1.01, 1.02, 40.0])) <= 1e-9 * 40.0
     assert np.max(np.abs(found[1] - [1.0106, 1.0228, 1.2175])) <= 1e-4
@@ -605,8 +602,8 @@ def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
     searched = []
     refine = betaflow.stirling._refine
 
-    def recording(t, pattern, p, q):
-        root = refine(t, pattern, p, q)
+    def recording(kernel, t, pattern, p, q):
+        root = refine(kernel, t, pattern, p, q)
         if root is not None:
             searched.append((pattern, root))
         return root
@@ -621,7 +618,7 @@ def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
     for theta in np.concatenate([points, pins]):
         target = STIRLING_MODEL.eta(theta)
         searched.clear()
-        found = [x.tolist() for x in _preimages(target)]
+        found = [x.tolist() for x in _preimages(STIRLING_MODEL.eta_metric_kernel, target)]
         assert found == [root for _, root in searched]
         order = []
         for pattern, root in searched:
@@ -635,7 +632,7 @@ def test_each_preimage_lies_on_its_pattern_in_order(monkeypatch):
     assert roots > len(points) + len(pins)
 
 
-def reference_roots(t, pattern, lo, hi):
+def reference_roots(kernel, t, pattern, lo, hi):
     """The cell search with the bisection inside its Newton refinement, as
     it stood before ``_roots`` took over every split of a cell."""
     def at(sigma):
@@ -661,13 +658,13 @@ def reference_roots(t, pattern, lo, hi):
         crosses = p[1] * q[1] < 0.0 or q[1] == 0.0
         if not low <= 0.0 <= high or q[0] - p[0] <= 1e-13 * q[0]:
             if crosses:
-                yield reference_refine(at, t, pattern, p, q)
+                yield reference_refine(at, kernel, t, pattern, p, q)
         elif crosses or not _root_free(p, q, low, high):
             m = at(math.sqrt(p[0]) * math.sqrt(q[0]))
             stack += [(m, q), (p, m)]
 
 
-def reference_refine(at, t, pattern, p, q):
+def reference_refine(at, kernel, t, pattern, p, q):
     """Newton in theta from the nearer end, each step halved until it lands
     in the branches and the cell, bisecting the cell through ``at`` and
     starting again wherever Newton fails, for 100 rounds.  Newton fails
@@ -681,7 +678,7 @@ def reference_refine(at, t, pattern, p, q):
         return (all(lo <= x <= hi for x, (lo, hi) in zip(theta, bounds))
                 and p[0] <= sum(theta) - 1.0 <= q[0])
 
-    kernel, tiny = STIRLING_MODEL.eta_metric_kernel, _SMALL_STEP
+    tiny = _SMALL_STEP
     theta = None
     for _ in range(100):
         if theta is None:
@@ -750,7 +747,8 @@ def test_preimages_match_the_refine_that_bisected_its_own_cell(monkeypatch):
         found = []
         for target in targets:
             try:
-                found.append([[x.hex() for x in theta.tolist()] for theta in _preimages(target)])
+                found.append([[x.hex() for x in theta.tolist()]
+                              for theta in _preimages(STIRLING_MODEL.eta_metric_kernel, target)])
             except DomainError as e:
                 found.append(str(e))
         return found
@@ -769,7 +767,7 @@ def test_invert_eta_of_a_target_with_no_root_on_the_first_pattern():
     # whose preimage meets 1e-12.
     theta = (1.45227617741424, 3.529910622678493, 1.0003936484813494)
     target = STIRLING_MODEL.eta(theta)
-    first, *_ = _preimages(target)
+    first, *_ = _preimages(STIRLING_MODEL.eta_metric_kernel, target)
     assert np.max(np.abs(first - [2.70009, 5.61962, 1.000393])) <= 1e-5
     assert first[0] >= 1.5 and first[1] >= 1.5 and first[2] <= 1.5
     assert np.max(np.abs(STIRLING_MODEL.eta(first) - target)) > 1e-12
@@ -819,7 +817,7 @@ def test_invert_eta_meets_the_oracle_gate_at_the_past_misses(theta):
 
 def test_first_preimage_next_to_the_boundary_is_at_its_floor_and_the_second_hits():
     target = STIRLING_MODEL.eta(NEAR_BOUNDARY_THETA)
-    first, second = list(_preimages(target))
+    first, second = list(_preimages(STIRLING_MODEL.eta_metric_kernel, target))
     assert np.max(np.abs(first - [2.452059, 1.500462, 1.0000126])) <= 1e-6
     assert np.max(np.abs(STIRLING_MODEL.eta(first) - target)) > 1e-10
     assert rounding_floor_ratio(STIRLING_MODEL, first, target) <= 1.0
@@ -860,9 +858,9 @@ def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeyp
     # inversion_start walks.  Either way it lands where the walk alone does.
     walked = []
 
-    def spying(target):
+    def spying(kernel, target):
         walked.append(True)
-        return _preimages(target)
+        return _preimages(kernel, target)
 
     rng = np.random.Generator(np.random.Philox(109))
     points = np.concatenate([rng.uniform(1.0, 6.0, (300, 3)),
@@ -903,19 +901,20 @@ def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeyp
 
 
 def test_inversion_start_walks_where_det_g_is_not_positive(monkeypatch):
-    # With the sign of det G flipped in the shortcut's solve, no iterate has
-    # det G > 0: every target declines at its first hook call and walks.
+    # With the sign of det G flipped in the shortcut's factorization, no
+    # iterate has det G > 0: every target declines at its first hook call
+    # and walks.
     walked = []
 
-    def spying(target):
+    def spying(kernel, target):
         walked.append(True)
-        return _preimages(target)
+        return _preimages(kernel, target)
 
-    def flipped(*args):
-        det, *step = solve_det(*args)
-        return (-det, *step)
+    def flipped(*parts):
+        det, *adjugate = _rank_one(*parts)
+        return (-det, *adjugate)
 
-    monkeypatch.setattr(betaflow.stirling, "solve_det", flipped)
+    monkeypatch.setattr(betaflow.stirling, "_rank_one", flipped)
     monkeypatch.setattr(betaflow.stirling, "_preimages", spying)
     for theta in ((2.5, 3.0, 2.0), (100.0, 100.0, 100.0), (2.62, 4.89, 2.85)):
         target = STIRLING_MODEL.eta(theta)
@@ -923,3 +922,30 @@ def test_inversion_start_walks_where_det_g_is_not_positive(monkeypatch):
         start = STIRLING_MODEL.inversion_start(target)
         assert walked
         assert np.array_equal(start, walk_start(target))
+
+
+@pytest.mark.parametrize("theta", [(2.5, 3.0, 2.0), (1.01, 1.02, 40.0), NEAR_BOUNDARY_THETA],
+                         ids=["first-sheet", "mixed-sheet", "near-boundary"])
+def test_every_hook_call_of_an_inversion_is_the_models_own(monkeypatch, theta):
+    # A subclass counts the calls of its own hook; the class hook, which the
+    # subclass's calls pass through too, counts every Stirling hook call.
+    # invert_eta on the subclass must make them all on the subclass.
+    target = STIRLING_MODEL.eta(theta)
+    want = invert_eta(STIRLING_MODEL, target)
+    calls = {"own": 0, "all": 0}
+    hook = betaflow.stirling.StirlingModel.eta_metric_kernel
+
+    def counting_all(self, a, b, c):
+        calls["all"] += 1
+        return hook(self, a, b, c)
+
+    class Counting(betaflow.stirling.StirlingModel):
+        def eta_metric_kernel(self, a, b, c):
+            calls["own"] += 1
+            return super().eta_metric_kernel(a, b, c)
+
+    monkeypatch.setattr(betaflow.stirling.StirlingModel, "eta_metric_kernel", counting_all)
+    back = invert_eta(Counting(), target)
+    assert calls["all"] > 1
+    assert calls["own"] == calls["all"], calls
+    assert np.array_equal(back, want)
