@@ -1,10 +1,15 @@
 """Grid sweep locating the degeneracy set of the approximated metric.
 
-The closed-form determinant is a rational function whose numerator is
+The closed-form determinant is -den over a positive divisor, with the
+cubic in its one form about (2, 2, 2) (``stirling._den``):
+
+    den = 4ABC - (A + B + C) - 1,    A = a - 2, B = b - 2, C = c - 2,
+
 affine in each parameter separately, so on any axis-aligned cell its sign
 pattern at the eight corners is decisive: a sign change brackets the zero
 surface.  Node and midpoint threshold tests catch cells that merely touch
-the surface.
+the surface, such as those on the three lines where two alpha_i = 3/2,
+where den is exactly 0.
 """
 
 from __future__ import annotations

@@ -8,12 +8,19 @@ Everything gamma-related is replaced by logarithms and rational terms:
     eta_i        = ln(s-1) - ln(alpha_i - 1) - 1/(2(alpha_i - 1)).
 
 eta is taken as the defining dual map; the metric below is exactly its
-Jacobian.  The metric is pseudo-Riemannian: it degenerates on the line
-D = {b = c = 3/2} and on the surface V where the cubic polynomial
+Jacobian.  The metric is pseudo-Riemannian: it degenerates where the
+cubic den vanishes, det G = -den / (8 prod_i u_i^2 (s - 1)) with
+u_i = alpha_i - 1.  About (2, 2, 2), with A = a - 2, B = b - 2, C = c - 2,
 
-    den(a, b, c) = 4abc - 8(ab + bc + ca) + 15(a + b + c) - 27
+    den = 4ABC - (A + B + C) - 1 = A (4BC - 1) - (B + C + 1),
 
-vanishes: det G = -den / (8 prod_i u_i^2 (s - 1)), with u_i = alpha_i - 1.
+the one form ``_den``, ``det_kernel`` and ``classify_domain`` use.  den
+vanishes identically on the three lines where two alpha_i = 3/2.  Its
+zero set is the surface V, the graph a = 2 + (B + C + 1) / (4BC - 1),
+and the line D = {b = c = 3/2}, the one (b, c) over which it is not a
+graph, which ``classify_domain`` labels apart; the other two lines lie
+in V.
+
 G is diagonal plus rank one, diag(D) + 11^T/(s-1) with
 D_i = -(u_i - 1/2)/u_i^2, the parts ``eta_metric_kernel`` returns and the
 one adjugate formula of ``manifold`` inverts, so by interlacing it has
@@ -47,13 +54,11 @@ _LN_2 = math.log(2.0)
 _PHI_MIN = 1.0 - _LN_2
 
 
-def _den(a: float, b: float, c: float) -> float:
-    return (
-        4.0 * a * b * c
-        - 8.0 * (a * b + b * c + c * a)
-        + 15.0 * (a + b + c)
-        - 27.0
-    )
+def _den(a, b, c):
+    # Where two alpha_i = 3/2 both terms round to the same float (for
+    # coordinates below 2^52), so den is exactly 0 on those three lines.
+    A, B, C = a - 2.0, b - 2.0, c - 2.0
+    return A * (4.0 * B * C - 1.0) - (B + C + 1.0)
 
 
 def det_kernel(a, b, c):
@@ -111,7 +116,19 @@ class StirlingModel(Model):
         return check_finite(value, "dual potential", theta)
 
     def classify_domain(self, theta, tol: float = 1e-9) -> DomainClass:
-        # inf is valid: the scan's half cell diagonal overflows on a huge box
+        """Label theta, testing in order: OutsideDomain, at distance
+        ``lower - min(theta)``; OnD, where the Chebyshev distance in (b, c)
+        to D = {b = c = 3/2} is <= tol; OnV, where the distance along the
+        a axis to V, the graph a = 2 + (B + C + 1) / (4BC - 1), is <= tol;
+        else Regular, at the smaller of the two.  Where 4BC overflows the
+        graph is taken at its asymptote 2 + 1/(4B) + 1/(4C); where
+        4BC = 1 it has no point, and the distance to V is inf.
+
+        Of the three lines where two alpha_i = 3/2, all in V, D is the one
+        over which V is not a graph in (b, c): it is OnD, and the other two
+        are OnV at distance 0.  tol is >= 0, inf included (the scan's half
+        cell diagonal overflows on a huge box); a NaN or negative tol
+        raises DomainError."""
         if not tol >= 0.0:
             raise DomainError(f"tol must be >= 0, got {tol!r}")
         a, b, c = (float(x) for x in as_point(theta, "theta"))
@@ -120,15 +137,12 @@ class StirlingModel(Model):
         dist_d = max(abs(b - 1.5), abs(c - 1.5))
         if dist_d <= tol:
             return DomainClass(DomainLabel.ON_D, dist_d)
-        den_v = 4.0 * b * c - 8.0 * b - 8.0 * c + 15.0
-        num_v = 27.0 - 15.0 * b - 15.0 * c + 8.0 * b * c
-        if not (math.isfinite(den_v) and math.isfinite(num_v)):
-            # b or c > 1e153 overflowed a product.  The root is 2 + (B + C + 1) / (4BC - 1)
-            # (B = b - 2, C = c - 2): 2 - (B + C + 1) at BC = 0, else 1/(4B) + 1/(4C) past 2.
-            bb, cc = b - 2.0, c - 2.0
-            dist_v = abs(a - 2.0 - (0.25 / bb + 0.25 / cc if bb and cc else -(bb + cc + 1.0)))
-        elif den_v != 0.0:
-            dist_v = abs(a - num_v / den_v)
+        B, C = b - 2.0, c - 2.0
+        coef = 4.0 * B * C - 1.0
+        if coef == math.inf:
+            dist_v = abs(a - 2.0 - (0.25 / B + 0.25 / C))
+        elif coef:
+            dist_v = abs(a - 2.0 - (B + C + 1.0) / coef)
         else:
             dist_v = math.inf
         if dist_v <= tol:

@@ -84,7 +84,8 @@ def test_rhs_and_det_match_mpmath(model, exponents):
     # that the flow's solve returns and det_closed gives, each within 1e-11
     # of its 50-digit value at the same float point.  Worst measured: the
     # velocity 7.1e-13 exact and 3.9e-14 Stirling, the solve's det 4.3e-13
-    # and 3.9e-14, Stirling's den-form det_closed 1.8e-13.
+    # and 3.9e-14, Stirling's den-form det_closed 3.1e-15 (1.8e-13 with the
+    # expanded cubic).
     rng = np.random.Generator(np.random.Philox(11))
     with mpmath.workdps(50):
         for theta in model.lower + 10.0 ** rng.uniform(*exponents, (400, 3)):

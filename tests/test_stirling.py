@@ -335,6 +335,49 @@ def test_classify_domain_is_held_to_exact_arithmetic_at_huge_b_and_c(theta, slac
     assert abs(Fraction(cls.distance) - distance) <= slack + 1e-14 * distance
 
 
+def test_the_three_lines_where_two_alphas_are_three_halves_are_exactly_degenerate():
+    # den = 4ABC - (A + B + C) - 1 (A = a - 2, B = b - 2, C = c - 2) is 0 on
+    # each line; the expanded cubic left det_closed nonzero at 4182 of these
+    # 9000 points, and the V distance at 4184.  D = {b = c = 3/2} is OnD:
+    # over it V is not a graph in (b, c).
+    rng = np.random.Generator(np.random.Philox(21))
+    for c in (1.0 + 10.0 ** rng.uniform(-6.0, 12.0, 3000)).tolist():
+        for theta in ((1.5, 1.5, c), (1.5, c, 1.5), (c, 1.5, 1.5)):
+            assert STIRLING_MODEL.det_closed(theta) == 0.0, theta
+        for theta in ((1.5, 1.5, c), (1.5, c, 1.5)):
+            cls = STIRLING_MODEL.classify_domain(theta)
+            assert cls.label is DomainLabel.ON_V and cls.distance == 0.0, theta
+        assert STIRLING_MODEL.classify_domain((c, 1.5, 1.5)).label is DomainLabel.ON_D
+
+
+def test_det_closed_next_to_v_is_held_to_mpmath_within_the_centred_forms_rounding():
+    # On V, a = 2 + (B + C + 1) / (4BC - 1); the band is 1e-6 along a from
+    # it, b and c up to 1e4.  To first order den carries at most 2 eps M,
+    # M = 4|ABC| + |A| + |B| + |C| + 1, and the divisor 5 eps relative, so
+    # det G = -den / (8 prod_i u_i^2 (s - 1)) is off by at most 7 eps M over
+    # that divisor; the bound is 8.  Worst measured 0.59; the expanded cubic
+    # 4abc - 8(ab + bc + ca) + 15s - 27 read 8395.
+    rng = np.random.Generator(np.random.Philox(5))
+    n = 2000
+    draws = zip((1.0 + 10.0 ** rng.uniform(-1.0, 4.0, (2, n))).T.tolist(),
+                rng.uniform(-1e-6, 1e-6, n).tolist())
+    checked = 0
+    with mpmath.workdps(50):
+        for (b, c), offset in draws:
+            B, C = mpmath.mpf(b) - 2, mpmath.mpf(c) - 2
+            a = float(2 + (B + C + 1) / (4 * B * C - 1)) + offset
+            if not a > 1.0:
+                continue
+            A = mpmath.mpf(a) - 2
+            divisor = 8 * ((A + 1) * (B + 1) * (C + 1)) ** 2 * (A + B + C + 5)
+            want = -(A * (4 * B * C - 1) - (B + C + 1)) / divisor
+            M = 4 * abs(A * B * C) + abs(A) + abs(B) + abs(C) + 1
+            bound = 8 * np.finfo(float).eps * M / divisor
+            assert abs(STIRLING_MODEL.det_closed((a, b, c)) - want) <= bound, (a, b, c)
+            checked += 1
+    assert checked > 0.9 * n
+
+
 def test_opposes_exact_potential_at_large_parameters():
     gap10 = abs(STIRLING_MODEL.potential((10.0,) * 3) + EXACT_MODEL.potential((10.0,) * 3))
     gap50 = abs(STIRLING_MODEL.potential((50.0,) * 3) + EXACT_MODEL.potential((50.0,) * 3))
@@ -837,19 +880,33 @@ def test_invert_eta_far_targets_roundtrip_or_raise(target):
     assert rounding_floor_ratio(STIRLING_MODEL, back, target) <= 1.0
 
 
+def fourth_order_gradient(f, p):
+    """Central differences of f at p, of fourth order, with steps 1e-3 (p_i - 1)."""
+    grad = []
+    for e, u in zip(np.eye(3), p - 1.0):
+        h = 1e-3 * u * e
+        grad.append((8.0 * (f(p + h) - f(p - h)) - f(p + 2 * h) + f(p - 2 * h)) / (12e-3 * u))
+    return np.array(grad)
+
+
 @pytest.mark.parametrize("theta", [(2.5, 3.0, 2.0), (1.2, 7.0, 40.0), (300.0, 1.05, 2.5)])
 def test_eta_is_the_potential_gradient_less_one_over_two_s_minus_one(theta):
     # d Phi_S / d alpha_i = eta_i + 1/(2(s-1)) in every component, so eta is
     # the gradient of Phi_S - (1/2) ln(s-1), not of Phi_S itself
     p = np.array(theta)
-    phi = STIRLING_MODEL.potential
-    grad = []
-    for e, u in zip(np.eye(3), p - 1.0):
-        h = 1e-3 * u * e  # fourth-order central difference
-        grad.append((8.0 * (phi(p + h) - phi(p - h)) - phi(p + 2 * h) + phi(p - 2 * h))
-                    / (12e-3 * u))
-    gap = grad - STIRLING_MODEL.eta(p)
+    gap = fourth_order_gradient(STIRLING_MODEL.potential, p) - STIRLING_MODEL.eta(p)
     assert np.max(np.abs(gap - 0.5 / (p.sum() - 1.0))) <= 1e-7
+
+
+@pytest.mark.parametrize("theta", [(2.5, 3.0, 2.0), (1.2, 7.0, 40.0), (300.0, 1.05, 2.5)])
+def test_dual_potential_gradient_is_g_theta_less_one_over_two_s_minus_one(theta):
+    # Legendre duality would give d Phi* / d alpha = G theta; the
+    # 1/(2(s-1)) by which eta falls short of grad Phi_S leaves a gap of
+    # -1/(2(s-1)) in every component (-0.0769231, -0.0105932, -0.0016526)
+    p = np.array(theta)
+    gap = (fourth_order_gradient(STIRLING_MODEL.dual_potential, p)
+           - STIRLING_MODEL.metric(p).as_array() @ p)
+    assert np.max(np.abs(gap + 0.5 / (p.sum() - 1.0))) <= 1e-7
 
 
 def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeypatch):
