@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import BetaflowError, EmptyTrajectoryError
+from .errors import BetaflowError, EmptyTrajectoryError, SingularMatrixError
 from .exact import EXACT_MODEL
 from .flow import Trajectory, integrate
 from .integrability import hamiltonian
@@ -67,33 +67,28 @@ def _merge_point_flags(argv: list[str]) -> list[str]:
     return merged
 
 
-def _point(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected a,b,c - got {text!r}")
+def _numbers(text: str, sep: str, count: int, form: str, convert=float) -> tuple:
+    """`text` split at `sep` into `count` fields, each converted; an
+    ArgumentTypeError naming `form`, or the conversion's own message."""
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise argparse.ArgumentTypeError(f"expected {form} - got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(convert(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _point(text: str) -> tuple[float, float, float]:
+    return _numbers(text, ",", 3, "a,b,c")
 
 
 def _interval(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo:hi - got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _numbers(text, ":", 2, "lo:hi")
 
 
 def _region(text: str) -> tuple[tuple[float, float], ...]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected a0:a1,b0:b1,c0:c1 - got {text!r}"
-        )
-    return tuple(_interval(p) for p in parts)
+    return _numbers(text, ",", 3, "a0:a1,b0:b1,c0:c1", _interval)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,7 +135,10 @@ def _cmd_info(args) -> int:
     model = _MODELS[args.model]
     point = model.check_domain(args.point)
     metric = model.metric(point)
-    inverse = model.metric_inverse_closed(point)
+    try:
+        inverse = [float(x) for x in model.metric_inverse_closed(point).as_array().ravel()]
+    except SingularMatrixError:  # det G is exactly 0: G has no inverse to report
+        inverse = None
     eta = model.eta(point)
     domain_class = model.classify_domain(point)
     report = {
@@ -149,7 +147,7 @@ def _cmd_info(args) -> int:
         "phi": float(model.potential(point)),
         "eta": [float(x) for x in eta],
         "metric": [float(x) for x in metric.as_array().ravel()],
-        "metric_inverse": [float(x) for x in inverse.as_array().ravel()],
+        "metric_inverse": inverse,
         "detG": float(model.det_closed(point)),
         "eigenvalues": [float(x) for x in np.linalg.eigvalsh(metric.as_array())],
         "hamiltonian": float(hamiltonian(eta)),
@@ -166,9 +164,11 @@ def _cmd_info(args) -> int:
         print(f"phi = {report['phi']!r}")
         print(f"eta = ({', '.join(repr(x) for x in report['eta'])})")
         for name in ("metric", "metric_inverse"):
-            rows = np.asarray(report[name]).reshape(3, 3)
+            if report[name] is None:
+                print(f"{name}: none (det G = 0)")
+                continue
             print(f"{name}:")
-            for row in rows:
+            for row in np.reshape(report[name], (3, 3)):
                 print(f"  [{', '.join(repr(float(x)) for x in row)}]")
         print(f"detG = {report['detG']!r}")
         print(f"eigenvalues = ({', '.join(repr(x) for x in report['eigenvalues'])})")
@@ -235,16 +235,14 @@ def _cmd_scan(args) -> int:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """One row per sample, 17 significant digits (lossless round-trip)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for i in range(trajectory.n_samples):
-        values = (
-            trajectory.t[i], *trajectory.theta[i], *trajectory.eta[i],
-            trajectory.hamiltonian[i], trajectory.det_g[i], trajectory.lax_dev[i],
-        )
-        lines.append(",".join("%.17g" % v for v in values))
+    """The header `CSV_COLUMNS`, then one row per sample of `%.17g` cells
+    (a lossless round-trip; non-finite cells read `nan`, `inf` and `-inf`,
+    and a negative zero `-0`), each line ended by a single newline."""
+    columns = (trajectory.t, *trajectory.theta.T, *trajectory.eta.T,
+               trajectory.hamiltonian, trajectory.det_g, trajectory.lax_dev)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(CSV_COLUMNS), comments="")
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
@@ -267,13 +265,8 @@ def emit_svg(trajectory: Trajectory, path) -> None:
             f"need at least 2 samples to plot, got {trajectory.n_samples}"
         )
     t = trajectory.t
-    series = [
-        ("eta1", trajectory.eta[:, 0]),
-        ("eta2", trajectory.eta[:, 1]),
-        ("eta3", trajectory.eta[:, 2]),
-        ("H", trajectory.hamiltonian),
-    ]
-    stacked = np.concatenate([v[np.isfinite(v)] for _, v in series])
+    series = (*trajectory.eta.T, trajectory.hamiltonian)  # in _SERIES_COLORS order
+    stacked = np.concatenate([v[np.isfinite(v)] for v in series])
     if stacked.size == 0:
         y_lo, y_hi = -1.0, 1.0
     else:
@@ -316,7 +309,7 @@ def emit_svg(trajectory: Trajectory, path) -> None:
                      f' text-anchor="end">{yv:.6g}</text>')
     parts.append(f'<text x="{(left + right) / 2:.1f}" y="{bottom + 40:.1f}"'
                  ' font-size="13" text-anchor="middle">t</text>')
-    for (name, color), (_, values) in zip(_SERIES_COLORS, series):
+    for (_, color), values in zip(_SERIES_COLORS, series):
         pts = " ".join(
             f"{sx(float(ti)):.3f},{sy(float(vi)):.3f}"
             for ti, vi in zip(t, values)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from betaflow import EXACT_MODEL, Region, integrate, scan_degeneracy
-from betaflow.cli import CSV_COLUMNS, emit_svg, main, read_trajectory_csv
+from betaflow.cli import (CSV_COLUMNS, emit_svg, main, read_trajectory_csv,
+                          write_trajectory_csv)
 
 INFO_FIELDS = {
     "model", "point", "phi", "eta", "metric", "metric_inverse",
@@ -56,31 +57,69 @@ def test_info_overflowing_point_is_domain_error(capsys):
 
 def test_info_huge_entry_is_singular_not_overflow(capsys):
     # trigamma(1e200) = 1e-200, so every product of two of the small parts
-    # underflows, and det G with it: metric_inverse_closed finds det G = 0
-    assert main(["info", "--model", "exact", "--point", "1e-100,1e200,1e200"]) == 3
-    err = capsys.readouterr().err
-    assert "error: matrix is singular" in err and "Traceback" not in err
+    # underflows, and det G with it: metric_inverse_closed finds det G = 0,
+    # and the report has no inverse
+    assert main(["info", "--model", "exact", "--point", "1e-100,1e200,1e200", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["metric_inverse"] is None
+    assert "Traceback" not in captured.err
 
 
 def test_info_singular_point(capsys):
-    # the inverse metric is part of the report, so V points cannot be shown
-    assert main(["info", "--model", "stirling", "--point", "3,3,3"]) == 3
+    # (3, 3, 3) lies on the Stirling V: G has no inverse, the rest is reported
+    assert main(["info", "--model", "stirling", "--point", "3,3,3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["detG"] == 0.0
+    assert report["domain_class"]["label"] == "OnV"
+    assert report["metric_inverse"] is None
 
 
-@pytest.mark.parametrize("argv", [
-    ["info", "--model", "exact", "--point", "1,2"],
-    ["info", "--model", "nope", "--point", "2,2,2"],
-    ["info", "--model", "exact", "--point", "2,2,2", "--bogus"],
-    ["check", "--suite", "definitely-not-a-suite"],
-    ["scan", "--region", "2:3,2:3"],
-    [],
-    ["info", "--model", "exact", "--point", "2,x,4"],
-    ["scan", "--region", "1.2:5:6,1.2:5,1.2:5"],
-    ["scan", "--region", "1.2:y,1.2:5,1.2:5"],
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, point, label", [
+    ("stirling", "3,3,3", "OnV"),
+    ("stirling", "1.5,7.77,1.5", "OnV"),
+    ("stirling", "7.77,1.5,1.5", "OnD"),
+    ("exact", "1e-100,1e200,1e200", "Regular"),
 ])
-def test_usage_errors_exit_2(argv, capsys):
+def test_info_reports_points_where_det_g_is_zero(model, point, label, capsys):
+    assert main(["info", "--model", model, "--point", point, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == INFO_FIELDS
+    assert (report["detG"], report["domain_class"]["label"]) == (0.0, label)
+    assert report["metric_inverse"] is None
+    assert main(["info", "--model", model, "--point", point]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert "metric_inverse: none (det G = 0)" in text
+    assert "detG = 0.0" in text
+
+
+USAGE_ERRORS = [
+    (["info", "--model", "exact", "--point", "1,2"], "expected a,b,c - got '1,2'"),
+    (["info", "--model", "nope", "--point", "2,2,2"], "invalid choice: 'nope'"),
+    (["info", "--model", "exact", "--point", "2,2,2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["check", "--suite", "definitely-not-a-suite"],
+     "invalid choice: 'definitely-not-a-suite'"),
+    (["scan", "--region", "2:3,2:3"], "expected a0:a1,b0:b1,c0:c1 - got '2:3,2:3'"),
+    ([], "the following arguments are required: command"),
+    (["info", "--model", "exact", "--point", "2,x,4"], "could not convert string to float: 'x'"),
+    (["scan", "--region", "1.2:5:6,1.2:5,1.2:5"], "expected lo:hi - got '1.2:5:6'"),
+    (["scan", "--region", "1.2:y,1.2:5,1.2:5"], "could not convert string to float: 'y'"),
+    (["flow", "--model", "exact", "--start", "1,2,3,4", "--t-end", "1", "--out", "t.csv"],
+     "expected a,b,c - got '1,2,3,4'"),
+    (["flow", "--model", "exact", "--start", "2,3,z", "--t-end", "1", "--out", "t.csv"],
+     "could not convert string to float: 'z'"),
+]
+
+
+# the ids keep each case's name from before it named its message
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("eta, ham, ticks", [
@@ -127,6 +166,31 @@ def test_flow_csv_round_trip(tmp_path, capsys):
     }
     for name in CSV_COLUMNS:
         assert np.array_equal(parsed[name], columns[name], equal_nan=True), name
+    # the file is the row-by-row %.17g join it was written as before np.savetxt
+    rows = [",".join("%.17g" % columns[name][i] for name in CSV_COLUMNS)
+            for i in range(traj.n_samples)]
+    assert out.read_bytes() == ("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n").encode()
+
+
+def test_csv_cells_that_are_not_finite_round_trip(tmp_path):
+    # one sample holds nan, inf, -inf, -0.0 and the least subnormal
+    cells = [0.0, -0.0, 5e-324, 1.5, math.nan, math.inf, -math.inf, -0.0, math.nan, 5e-324]
+    row = np.array([cells])
+    traj = SimpleNamespace(n_samples=1, t=row[:, 0], theta=row[:, 1:4], eta=row[:, 4:7],
+                           hamiltonian=row[:, 7], det_g=row[:, 8], lax_dev=row[:, 9])
+    out = tmp_path / "cells.csv"
+    write_trajectory_csv(traj, out)
+    assert out.read_bytes() == (
+        b"t,a,b,c,eta1,eta2,eta3,H,det_G,lax_dev\n"
+        b"0,-0,4.9406564584124654e-324,1.5,nan,inf,-inf,-0,nan,4.9406564584124654e-324\n"
+    )
+    parsed = read_trajectory_csv(out)
+    for name, want in zip(CSV_COLUMNS, cells):
+        (got,) = parsed[name]
+        if math.isnan(want):
+            assert math.isnan(got), name
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
 
 
 def test_flow_csv_header_is_validated(tmp_path):
