@@ -111,10 +111,18 @@ class ExactModel(Model):
             total = check_finite(g.sum(axis=1, keepdims=True), "a gamma sum", p)
             return check_finite(g / total, "a draw", p)
 
-    def inversion_start(self, target: np.ndarray) -> np.ndarray:
+    def inversion_start(self, target) -> np.ndarray:
         """alpha_i = 1/2 + e^{eta_i} / (1 - sum_j e^{eta_j}), from psi(x) ~
         ln(x - 1/2).  The dual image is {sum_i e^{eta_i} < 1} (Amari and
-        Nagaoka, Methods of Information Geometry)."""
+        Nagaoka, Methods of Information Geometry).  DomainError where the
+        target is not three finite floats or is outside the dual image, and
+        where the start is not in the domain."""
+        return self.check_domain(self._inversion_root(as_point(target, "target"))[0])
+
+    def _inversion_root(self, target: np.ndarray) -> tuple:
+        """``inversion_start``'s point at a checked target, unchecked, since
+        ``invert_eta`` checks its start; never met: ``invert_eta`` polishes
+        it."""
         t = target.tolist()
         lo, mid, hi = sorted(t)
         # 1 - sum_j e^{eta_j}, with no cancellation in 1 - e^{eta_max}
@@ -122,7 +130,7 @@ class ExactModel(Model):
         if not room > 0.0:
             raise DomainError(f"eta target {t} is outside the exact dual image")
         # a preimage past the float range fails the domain check
-        return self.check_domain([0.5 + math.exp(x) / room for x in t])
+        return [0.5 + math.exp(x) / room for x in t], False
 
 
 def _potential(a, b, c) -> float:

@@ -291,13 +291,19 @@ def integrate(model, theta0, t_end: float, rtol: float = 1e-9,
 
 def invert_eta(model, target, guess=None) -> np.ndarray:
     """Newton inversion of the dual map (``manifold._newton``) from
-    ``guess`` or else ``model.inversion_start(target)``, with the metric as
-    the exact Jacobian and the domain as its box: a step that would leave
-    it is halved.  Returns once max|eta(theta) - target| <= 1e-12, or at
-    the rounding floor; NoConvergenceError after 100 steps."""
+    ``guess`` or else the model's start (``model._inversion_root``), with
+    the metric as the exact Jacobian and the domain as its box: a step that
+    would leave it is halved.  Returns once max|eta(theta) - target| <=
+    1e-12, or at the rounding floor; NoConvergenceError after 100 steps.
+    A start that the model reports as already meeting 1e-12 in every
+    component under its own hook, as a Stirling start usually does, is
+    returned as it stands: Newton's first hook call would return it."""
     target = as_point(target, "target")
-    start = model.inversion_start(target) if guess is None else guess
-    theta = model.check_domain(start).tolist()  # its DomainError names the domain
+    if guess is None:
+        guess, met = model._inversion_root(target)
+        if met:
+            return np.array(guess)
+    theta = model.check_domain(guess).tolist()  # its DomainError names the domain
     # the box: the floats above lower and below inf
     bounds = (math.nextafter(model.lower, math.inf), math.nextafter(math.inf, 0.0))
     return np.array(_newton(model.eta_metric_kernel, model.lower, theta, target.tolist(),

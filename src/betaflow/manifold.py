@@ -37,8 +37,9 @@ def as_point(x, name: str = "point") -> np.ndarray:
 
 
 def check_count(value, what: str, least: int) -> int:
-    """``value`` as an int; DomainError unless it is an integer >= ``least``."""
-    if isinstance(value, (int, np.integer)) and value >= least:
+    """``value`` as an int; DomainError unless it is an integer >= ``least``.
+    A bool is not a count here, though Python's bool is an int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise DomainError(f"{what} must be >= {least} and an integer, got {value!r}")
 
@@ -62,7 +63,9 @@ class Model:
     callers, the methods here, ``rhs`` and ``invert_eta``, raise
     ``DomainError`` where a value they use is not finite.  The exact G
     overflows at tiny coordinates where eta is still finite, so there
-    ``eta`` returns and ``metric`` raises.
+    ``eta`` returns and ``metric`` raises.  A model also gives
+    ``invert_eta`` its start: ``inversion_start(target)``, which checks
+    the target, and ``_inversion_root`` on a target already checked.
     """
 
     def check_domain(self, theta) -> np.ndarray:
@@ -98,6 +101,13 @@ class Model:
         G^-1 is not finite."""
         inverse = _inverse(*_rank_one(*self._metric_parts(theta)))
         return Metric3(*check_finite(inverse, "metric inverse", theta))
+
+    def _inversion_root(self, target: np.ndarray) -> tuple:
+        """``invert_eta``'s start at a target it has checked, and whether that
+        start already meets _RESIDUAL_GOAL in every component under this
+        model's own hook, so that Newton would return it unchanged.  Here
+        ``inversion_start``'s point, never met: ``invert_eta`` polishes it."""
+        return self.inversion_start(target), False
 
     def _metric_parts(self, theta) -> tuple[float, float, float, float]:
         """(D1, D2, D3, o) at a point of the domain; DomainError where one is
@@ -179,12 +189,17 @@ def invert3(m: Metric3) -> Metric3:
 
 def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
     """G^{-1} v for G = diag(d1, d2, d3) + o 11^T, both models' metric, on
-    three floats of v, with det G first: (det, x0, x1, x2).  The rank-one
-    adjugate (``_rank_one``) over det (``_inverse``), and then the products
-    (``_times``): singular only where det is exactly 0."""
-    factors = _rank_one(d1, d2, d3, o)
-    x0, x1, x2 = _times(_inverse(*factors), v0, v1, v2)
-    return factors[0], x0, x1, x2
+    three floats of v, with det G first: (det, x0, x1, x2).  One
+    ``_rank_one`` call, then the divisions of ``_inverse`` and the products
+    of ``_times`` written out, in their operations and order, so the bits
+    are theirs: singular only where det is exactly 0, with their message."""
+    det, c11, c22, c33, c12, c13, c23 = _rank_one(d1, d2, d3, o)
+    if det == 0.0:
+        raise SingularMatrixError(f"matrix is singular (det={det!r})")
+    i11, i22, i33, i12, i13, i23 = c11 / det, c22 / det, c33 / det, c12 / det, c13 / det, c23 / det
+    return (det, i11 * v0 + i12 * v1 + i13 * v2,
+            i12 * v0 + i22 * v1 + i23 * v2,
+            i13 * v0 + i23 * v1 + i33 * v2)
 
 
 def _inverse(det, c11, c22, c33, c12, c13, c23) -> tuple[float, ...]:

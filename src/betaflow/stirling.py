@@ -33,7 +33,8 @@ The dual map folds across V, so an eta can have several preimages.
 ``inversion_start`` takes the first that ``_preimages`` yields, sheet by
 sheet, and skips that walk where a short Newton run on the sheet of
 every u_i > 1/2 ends at a point with det G > 0, which proves it is that
-first preimage (``_first_sheet_root``).
+first preimage (``_first_sheet_root``).  A start that meets the residual
+goal is ``invert_eta``'s answer as it stands (``_inversion_root``).
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ import sys
 
 import numpy as np
 
-from .errors import BetaflowError, DomainError
-from .manifold import (_RESIDUAL_GOAL, DomainClass, DomainLabel, Model, _inverse, _newton,
-                       _rank_one, _times, as_point, check_finite, inside)
+from .errors import BetaflowError, DomainError, SingularMatrixError
+from .manifold import (_RESIDUAL_GOAL, DomainClass, DomainLabel, Model, _newton, as_point,
+                       check_finite, inside, solve_det)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -149,36 +150,44 @@ class StirlingModel(Model):
             return DomainClass(DomainLabel.ON_V, dist_v)
         return DomainClass(DomainLabel.REGULAR, min(dist_d, dist_v))
 
-    def inversion_start(self, target: np.ndarray) -> np.ndarray:
-        """Start point for Newton inversion of eta: the first preimage of
-        ``_preimages`` with max|eta - target| <= _RESIDUAL_GOAL, else the
-        one of smallest residual.  Near the boundary the first preimage can
-        lie across the fold, where one ulp of a coordinate moves eta by more
-        than 1e-10, while a later one meets the goal.
+    def inversion_start(self, target) -> np.ndarray:
+        """Start point for Newton inversion of eta: ``_inversion_root``'s
+        point.  DomainError where the target is not three finite floats."""
+        return np.array(self._inversion_root(as_point(target, "target"))[0])
+
+    def _inversion_root(self, target: np.ndarray) -> tuple:
+        """The first preimage of ``_preimages`` with max|eta - target| <=
+        _RESIDUAL_GOAL, else the one of smallest residual, and whether it
+        meets that goal in every component (a NaN can hide in the max).
+        Near the boundary the first preimage can lie across the fold, where
+        one ulp of a coordinate moves eta by more than 1e-10, while a later
+        one meets the goal.
 
         Most targets skip that walk: ``_first_sheet_root`` returns the
         first preimage itself where a short Newton run on the sheet
         (0, 0, 0) certifies it by det G > 0, and None, for the walk, where
         it does not.  Every hook call, of the shortcut and of the walk, is
-        one of ``self.eta_metric_kernel``."""
+        one of ``self.eta_metric_kernel``, so a met point is one that
+        ``invert_eta``'s Newton would return unchanged."""
         t0, t1, t2 = t = target.tolist()
         kernel = self.eta_metric_kernel
         theta = _first_sheet_root(kernel, t, _sigma_lo(t))
         if theta is not None:
-            return np.array(theta)
+            return theta, True
         best, least = None, math.inf
         for theta in _preimages(kernel, t):
             a, b, c = theta.tolist()
             # A cell end that stands in for a root can be outside the domain.
             e = kernel(a, b, c) if inside(1.0, a, b, c) else (math.inf,) * 3
-            residual = max(abs(e[0] - t0), abs(e[1] - t1), abs(e[2] - t2))
+            r0, r1, r2 = abs(e[0] - t0), abs(e[1] - t1), abs(e[2] - t2)
+            residual = max(r0, r1, r2)
             if residual <= _RESIDUAL_GOAL:
-                return theta
+                return theta, r0 <= _RESIDUAL_GOAL and r1 <= _RESIDUAL_GOAL and r2 <= _RESIDUAL_GOAL
             if best is None or residual < least:
                 best, least = theta, residual
         if best is None:
             raise DomainError(f"no stirling preimage found for eta={t}")
-        return best
+        return best, False
 
 
 # Branch patterns of (u_1, u_2, u_3): 0 for u >= 1/2, -1 for u <= 1/2, with
@@ -215,20 +224,20 @@ def _first_sheet_root(kernel, t, lo):
     F' = sum_i g_i - 1 = -kappa, and det G = D_1 D_2 D_3 kappa with every
     D_i < 0 on (3/2, inf)^3: there F' > 0 if and only if det G > 0 (den <
     0).  (0, 0, 0) is the first of ``_PATTERNS``, whose roots ``_roots``
-    yields in increasing sigma, and the walk of ``inversion_start`` returns
+    yields in increasing sigma, and the walk of ``_inversion_root`` returns
     its first preimage that meets _RESIDUAL_GOAL.  So a point of
     (3/2, inf)^3 with max|eta - t| <= _RESIDUAL_GOAL and det G > 0 is the
     walk's answer, to the rounding floor of eta.
 
     Newton starts on the branch-0 curve at sigma = 1.05 lo, theta_i =
-    1 + u_i(sigma), with lo = ``_sigma_lo(t)``, and takes full steps.
-    None, at once, where the pattern has no root past lo (``_sigma_hi``);
-    then at the first iterate where det G is not > 0 (NaN, or 0: the gate
-    comes before G is inverted), at the first step that leaves
-    (3/2, inf)^3, or after 12 steps.  A step is never halved, so a target
-    with no root on the sheet mostly gives up after one hook call, where
-    halving would spend the 12 steps.  Raises nothing, so every error
-    stays the walk's.
+    1 + u_i(sigma), with lo = ``_sigma_lo(t)``, and takes full steps, each
+    from one ``solve_det``, whose det G is the gate.  None, at once, where
+    the pattern has no root past lo (``_sigma_hi``); then at the first
+    iterate where det G is not > 0 (NaN, or 0, where the solve is
+    singular), at the first step that leaves (3/2, inf)^3, or after 12
+    steps.  A step is never halved, so a target with no root on the sheet
+    mostly gives up after one hook call, where halving would spend the 12
+    steps.  Raises nothing, so every error stays the walk's.
     """
     if not _sigma_hi(t, (0, 0, 0)) > lo:
         return None
@@ -238,13 +247,15 @@ def _first_sheet_root(kernel, t, lo):
     t0, t1, t2 = t
     for _ in range(12):
         e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
-        factors = _rank_one(d1, d2, d3, o)
-        if not factors[0] > 0.0:
-            return None
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
+        try:
+            det, s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)
+        except SingularMatrixError:
+            return None
+        if not det > 0.0:
+            return None
         if abs(r0) <= _RESIDUAL_GOAL and abs(r1) <= _RESIDUAL_GOAL and abs(r2) <= _RESIDUAL_GOAL:
             return [a, b, c]
-        s0, s1, s2 = _times(_inverse(*factors), -r0, -r1, -r2)
         a, b, c = a + s0, b + s1, c + s2
         if not (1.5 < a < math.inf and 1.5 < b < math.inf and 1.5 < c < math.inf):
             return None
@@ -383,9 +394,9 @@ def _refine(kernel, t, pattern, p, q):
     where Newton raises (its start is outside the box, say) or 32 hook calls
     do not converge: a root costs at most 32 hook calls per split of its
     cell.  Newton stops at an exact root or at the rounding floor, as
-    ``invert_eta`` does, which so usually returns the point after one hook
-    call; a residual of 1e-12 would leave theta 1e-8 off the root where G
-    is near singular.
+    ``invert_eta`` does, which so usually returns the point as it stands,
+    met, with no hook call of its own; a residual of 1e-12 would leave
+    theta 1e-8 off the root where G is near singular.
     """
     x = p if abs(p[1]) < abs(q[1]) else q
     slope = x[2] + x[3]

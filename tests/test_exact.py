@@ -209,6 +209,21 @@ def test_a_count_or_seed_that_is_no_integer_in_range_is_a_domain_error(call, arg
         call(*args)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("call, argument", [
+    (lambda v: EXACT_MODEL.sample((2.0, 3.0, 4.0), v, 0), "n"),
+    (lambda v: EXACT_MODEL.sample((2.0, 3.0, 4.0), 3, v), "seed"),
+    (lambda v: EXACT_MODEL.fisher_mc((2.0, 3.0, 4.0), v, 0), "n"),
+    (lambda v: EXACT_MODEL.fisher_mc((2.0, 3.0, 4.0), 2000, v), "seed"),
+    (lambda v: run_suite("lax", v), "seed"),
+], ids=["sample-n", "sample-seed", "fisher_mc-n", "fisher_mc-seed", "run_suite-seed"])
+def test_a_bool_is_no_count_or_seed(call, argument, flag):
+    # Python's bool is an int: sample(theta, True, 0) drew one point and
+    # run_suite("lax", True) ran seed 1, where np.True_ raised
+    with pytest.raises(DomainError, match=f"^{argument} must be >= [0-9]+ and an integer, got "):
+        call(flag)
+
+
 def test_sample_takes_numpy_integers():
     theta = (2.0, 3.0, 4.0)
     got = EXACT_MODEL.sample(theta, np.int64(5), np.uint32(7))

@@ -408,6 +408,19 @@ def test_invert_eta_roundtrips_to_the_rounding_floor(model, seed, exponents, n):
         assert rounding_floor_ratio(model, back, target) <= 1.0, theta.tolist()
 
 
+@pytest.mark.parametrize("model", [EXACT_MODEL, STIRLING_MODEL], ids=lambda m: m.name)
+def test_inversion_start_checks_its_target(model):
+    # a list raised AttributeError and a 2-vector ValueError; a NaN target
+    # gave Stirling the point (1.5, 1.181, 1.181)
+    target = model.eta((2.5, 3.0, 2.0))
+    assert np.array_equal(model.inversion_start(target.tolist()), model.inversion_start(target))
+    with pytest.raises(DomainError, match=r"^target must have exactly 3 components, got shape \(2,\)$"):
+        model.inversion_start(target[:2])
+    for bad in ((math.nan, -1.0, -2.0), (-1.0, math.inf, -2.0), (-1.0, -2.0, -math.inf)):
+        with pytest.raises(DomainError, match=r"^target must be finite, got "):
+            model.inversion_start(np.array(bad))
+
+
 def test_exact_inversion_start_lands_in_domain():
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(200):

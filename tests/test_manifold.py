@@ -225,3 +225,28 @@ def test_check_domain_messages(model, point, message):
         with pytest.raises(DomainError) as exc:
             model.check_domain(theta)
         assert str(exc.value) == want
+
+
+def test_solve_det_is_inverse_then_times_bit_for_bit():
+    # one _rank_one call with _inverse's divisions and _times' products
+    # written out: the same operations in the same order
+    rng = np.random.Generator(np.random.Philox(29))
+    signs = rng.choice([-1.0, 1.0], (2000, 7))
+    parts = signs * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 7))
+    inner = betaflow.manifold
+    for d1, d2, d3, o, v0, v1, v2 in parts.tolist():
+        factors = inner._rank_one(d1, d2, d3, o)
+        want = (factors[0], *inner._times(inner._inverse(*factors), v0, v1, v2))
+        got = inner.solve_det(d1, d2, d3, o, v0, v1, v2)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("parts", [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, -0.0, 0.0),
+                                   STIRLING_MODEL.eta_metric_kernel(7.77, 1.5, 1.5)[3:]])
+def test_solve_det_at_det_zero_raises_inverses_error(parts):
+    inner = betaflow.manifold
+    with pytest.raises(SingularMatrixError) as want:
+        inner._inverse(*inner._rank_one(*parts))
+    with pytest.raises(SingularMatrixError) as got:
+        inner.solve_det(*parts, 1.0, 2.0, 3.0)
+    assert str(got.value) == str(want.value)

@@ -53,6 +53,15 @@ def test_region_rejects_a_node_count_that_is_no_integer(counts):
         Region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), *counts)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("axis", range(3))
+def test_region_rejects_a_bool_node_count(axis, flag):
+    counts = [3, 3, 3]
+    counts[axis] = flag
+    with pytest.raises(DomainError, match="region resolution must be >= 2 and an integer"):
+        Region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), *counts)
+
+
 def test_region_takes_numpy_integer_node_counts():
     box = Region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), np.int64(4), np.int32(4), 4)
     assert scan_degeneracy(box) == scan_degeneracy(region((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), n=4))

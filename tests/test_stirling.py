@@ -15,6 +15,7 @@ from betaflow import (
     det3,
     invert3,
 )
+import betaflow.exact
 import betaflow.manifold
 import betaflow.stirling
 from betaflow.manifold import _SMALL_STEP, _rank_one, inside, solve_det
@@ -958,20 +959,20 @@ def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeyp
 
 
 def test_inversion_start_walks_where_det_g_is_not_positive(monkeypatch):
-    # With the sign of det G flipped in the shortcut's factorization, no
-    # iterate has det G > 0: every target declines at its first hook call
-    # and walks.
+    # With the sign of det G flipped in the shortcut's solve, no iterate has
+    # det G > 0: every target declines at its first hook call and walks.
+    # The walk's Newton solves through manifold's solve_det, unflipped.
     walked = []
 
     def spying(kernel, target):
         walked.append(True)
         return _preimages(kernel, target)
 
-    def flipped(*parts):
-        det, *adjugate = _rank_one(*parts)
-        return (-det, *adjugate)
+    def flipped(*args):
+        det, *step = solve_det(*args)
+        return (-det, *step)
 
-    monkeypatch.setattr(betaflow.stirling, "_rank_one", flipped)
+    monkeypatch.setattr(betaflow.stirling, "solve_det", flipped)
     monkeypatch.setattr(betaflow.stirling, "_preimages", spying)
     for theta in ((2.5, 3.0, 2.0), (100.0, 100.0, 100.0), (2.62, 4.89, 2.85)):
         target = STIRLING_MODEL.eta(theta)
@@ -1006,3 +1007,77 @@ def test_every_hook_call_of_an_inversion_is_the_models_own(monkeypatch, theta):
     assert calls["all"] > 1
     assert calls["own"] == calls["all"], calls
     assert np.array_equal(back, want)
+
+
+def _inversion_pins():
+    """(model, theta) pairs: a seeded draw for each model, plus the Stirling
+    pins of the shortcut (2.5, 3, 2) and (100, 100, 100), the close pair
+    (2.62, 4.89, 2.85), the mixed sheet (1.01, 1.02, 40) and the
+    near-boundary source, and exact pins at three scales."""
+    rng = np.random.Generator(np.random.Philox(211))
+    stirling = [*rng.uniform(1.0, 6.0, (100, 3)), *(1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (100, 3))),
+                (2.5, 3.0, 2.0), (100.0, 100.0, 100.0), (2.62, 4.89, 2.85), (1.01, 1.02, 40.0),
+                NEAR_BOUNDARY_THETA]
+    exact = [*rng.uniform(0.05, 6.0, (100, 3)), *(10.0 ** rng.uniform(-3.0, 3.0, (100, 3))),
+             (2.0, 3.0, 4.0), (0.01, 0.02, 5.0), (300.0, 1e-3, 2.5)]
+    return [(STIRLING_MODEL, p) for p in stirling] + [(EXACT_MODEL, p) for p in exact]
+
+
+def test_invert_eta_of_its_own_start_is_the_same_bits():
+    # A start that met the residual goal is returned as it stands; Newton
+    # from that start, as a guess, returns it at its first hook call, and
+    # polishes any other start as invert_eta does.
+    for model, theta in _inversion_pins():
+        target = model.eta(theta)
+        outcomes = []
+        for guess in (None, model.inversion_start(target)):
+            try:
+                outcomes.append(invert_eta(model, target, guess=guess).tobytes())
+            except betaflow.BetaflowError as exc:  # both must raise alike
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1], (model.name, list(theta))
+
+
+@pytest.mark.parametrize("theta", [(2.5, 3.0, 2.0), (1.01, 1.02, 40.0), NEAR_BOUNDARY_THETA],
+                         ids=["first-sheet", "mixed-sheet", "near-boundary"])
+def test_invert_eta_makes_no_hook_call_after_a_met_start(theta):
+    calls = []
+
+    class Counting(betaflow.stirling.StirlingModel):
+        def eta_metric_kernel(self, a, b, c):
+            calls.append((a, b, c))
+            return super().eta_metric_kernel(a, b, c)
+
+    model = Counting()
+    target = model.eta(theta)
+    calls.clear()
+    start, met = model._inversion_root(target)
+    searched = len(calls)
+    assert met and searched > 0
+    calls.clear()
+    back = invert_eta(model, target)
+    assert len(calls) == searched
+    assert back.tolist() == list(start)
+    # a guess is polished: one hook call finds it already met
+    calls.clear()
+    assert invert_eta(model, target, guess=back).tobytes() == back.tobytes()
+    assert calls == [tuple(back.tolist())]
+
+
+def test_exact_inversions_still_polish_their_start():
+    calls = []
+
+    class Counting(betaflow.exact.ExactModel):
+        def eta_metric_kernel(self, a, b, c):
+            calls.append((a, b, c))
+            return super().eta_metric_kernel(a, b, c)
+
+    model = Counting()
+    target = model.eta((2.0, 3.0, 4.0))
+    start, met = model._inversion_root(target)
+    assert not met
+    calls.clear()
+    back = invert_eta(model, target)
+    # the start's closed form calls no hook; Newton begins there
+    assert calls[0] == tuple(start) and len(calls) > 1
+    assert np.max(np.abs(model.eta(back) - target)) <= 1e-12
