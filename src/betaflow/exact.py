@@ -111,18 +111,11 @@ class ExactModel(Model):
             total = check_finite(g.sum(axis=1, keepdims=True), "a gamma sum", p)
             return check_finite(g / total, "a draw", p)
 
-    def inversion_start(self, target) -> np.ndarray:
-        """alpha_i = 1/2 + e^{eta_i} / (1 - sum_j e^{eta_j}), from psi(x) ~
-        ln(x - 1/2).  The dual image is {sum_i e^{eta_i} < 1} (Amari and
-        Nagaoka, Methods of Information Geometry).  DomainError where the
-        target is not three finite floats or is outside the dual image, and
-        where the start is not in the domain."""
-        return self.check_domain(self._inversion_root(as_point(target, "target"))[0])
-
     def _inversion_root(self, target: np.ndarray) -> tuple:
-        """``inversion_start``'s point at a checked target, unchecked, since
-        ``invert_eta`` checks its start; never met: ``invert_eta`` polishes
-        it."""
+        """alpha_i = 1/2 + e^{eta_i} / (1 - sum_j e^{eta_j}), from psi(x) ~
+        ln(x - 1/2), never met: ``invert_eta`` polishes it.  The dual image
+        is {sum_i e^{eta_i} < 1} (Amari and Nagaoka, Methods of Information
+        Geometry); DomainError where the target is outside it."""
         t = target.tolist()
         lo, mid, hi = sorted(t)
         # 1 - sum_j e^{eta_j}, with no cancellation in 1 - e^{eta_max}

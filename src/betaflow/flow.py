@@ -73,8 +73,20 @@ def rhs(model, theta) -> np.ndarray:
 
 
 def eta_closed(eta0, t: float) -> np.ndarray:
-    """Dual-space solution eta0 * e^{-t}."""
-    return np.asarray(eta0, dtype=float) * math.exp(-t)
+    """Dual-space solution eta0 * e^{-t}.  DomainError where eta0 is not
+    three finite floats, t is not finite, or e^{-t} or the product
+    overflows."""
+    eta0 = as_point(eta0, "eta0")
+    try:
+        scale = math.exp(-t) if math.isfinite(t) else math.nan
+    except OverflowError:
+        scale = math.inf
+    # a scale of inf or NaN makes the product inf or NaN, 0 * inf included
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = eta0 * scale
+    if not np.isfinite(eta).all():
+        raise DomainError(f"eta0 e^-t is not finite at eta0 = {eta0.tolist()}, t = {t!r}")
+    return eta
 
 
 def _correct(kernel, lower, w, target, tol, positive):

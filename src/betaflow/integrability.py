@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEtaError, EmptyTrajectoryError, NegativeRatioError
+from .errors import DegenerateEtaError, DomainError, EmptyTrajectoryError, NegativeRatioError
 
 # Bracket {f, g} = grad(f)^T . POISSON4 . grad(g) in (P1, Q1, P1', Q1').
 POISSON4 = np.array(
@@ -30,12 +30,18 @@ POISSON4 = np.array(
 
 @dataclass(frozen=True)
 class CanonicalState:
-    """Canonical variables (P1, Q1, P1', Q1')."""
+    """Canonical variables (P1, Q1, P1', Q1'), each finite: DomainError
+    otherwise."""
 
     P1: float
     Q1: float
     P1p: float
     Q1p: float
+
+    def __post_init__(self):
+        values = (self.P1, self.Q1, self.P1p, self.Q1p)
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"canonical state must be finite, got {values}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.P1, self.Q1, self.P1p, self.Q1p])
@@ -111,7 +117,10 @@ def _gradient(func, x: np.ndarray) -> np.ndarray:
 
 def lax_pair(eta, ell: float = 1.0) -> LaxPair:
     """L with the invariant ratios on the diagonal and sqrt(eta3/eta1) in
-    the corners; trace L equals the Hamiltonian by construction."""
+    the corners; trace L equals the Hamiltonian by construction.
+    DomainError where ``ell`` is not finite."""
+    if not math.isfinite(ell):
+        raise DomainError(f"ell must be finite, got {ell!r}")
     e1, e2, e3 = _checked_eta(eta)
     ratio = _ratio(e3, e1)
     if ratio < 0.0:

@@ -64,8 +64,11 @@ class Model:
     ``DomainError`` where a value they use is not finite.  The exact G
     overflows at tiny coordinates where eta is still finite, so there
     ``eta`` returns and ``metric`` raises.  A model also gives
-    ``invert_eta`` its start: ``inversion_start(target)``, which checks
-    the target, and ``_inversion_root`` on a target already checked.
+    ``invert_eta`` its start, ``_inversion_root(target) -> (start, met)``
+    on a target already checked: the start, unchecked, and whether it
+    already meets _RESIDUAL_GOAL in every component under the model's own
+    hook, so that Newton would return it unchanged.  ``inversion_start``
+    checks the target and the start around it.
     """
 
     def check_domain(self, theta) -> np.ndarray:
@@ -102,12 +105,12 @@ class Model:
         inverse = _inverse(*_rank_one(*self._metric_parts(theta)))
         return Metric3(*check_finite(inverse, "metric inverse", theta))
 
-    def _inversion_root(self, target: np.ndarray) -> tuple:
-        """``invert_eta``'s start at a target it has checked, and whether that
-        start already meets _RESIDUAL_GOAL in every component under this
-        model's own hook, so that Newton would return it unchanged.  Here
-        ``inversion_start``'s point, never met: ``invert_eta`` polishes it."""
-        return self.inversion_start(target), False
+    def inversion_start(self, target) -> np.ndarray:
+        """``invert_eta``'s start at ``target``: ``_inversion_root``'s point.
+        DomainError where the target is not three finite floats, where the
+        model finds no start for it, and where the start is not in the
+        domain."""
+        return self.check_domain(self._inversion_root(as_point(target, "target"))[0])
 
     def _metric_parts(self, theta) -> tuple[float, float, float, float]:
         """(D1, D2, D3, o) at a point of the domain; DomainError where one is

@@ -30,11 +30,13 @@ kappa = den / (8 (s-1) prod_i (u_i - 1/2)): it is positive definite on
 (5, 6, 7), and indefinite at the other regular points.
 
 The dual map folds across V, so an eta can have several preimages.
-``inversion_start`` takes the first that ``_preimages`` yields, sheet by
-sheet, and skips that walk where a short Newton run on the sheet of
-every u_i > 1/2 ends at a point with det G > 0, which proves it is that
-first preimage (``_first_sheet_root``).  A start that meets the residual
-goal is ``invert_eta``'s answer as it stands (``_inversion_root``).
+The inversion start, ``_inversion_root``, takes the first that
+``_preimages`` yields, sheet by sheet, and skips that walk where a short
+Newton run on the sheet of every u_i > 1/2 ends at a point with det G >
+0, which proves it is that first preimage (``_first_sheet_root``).  A
+start that meets the residual goal is ``invert_eta``'s answer as it
+stands.  Any other start can be a cell end outside the domain, which
+``Model.inversion_start`` and ``invert_eta`` reject.
 """
 
 from __future__ import annotations
@@ -149,11 +151,6 @@ class StirlingModel(Model):
         if dist_v <= tol:
             return DomainClass(DomainLabel.ON_V, dist_v)
         return DomainClass(DomainLabel.REGULAR, min(dist_d, dist_v))
-
-    def inversion_start(self, target) -> np.ndarray:
-        """Start point for Newton inversion of eta: ``_inversion_root``'s
-        point.  DomainError where the target is not three finite floats."""
-        return np.array(self._inversion_root(as_point(target, "target"))[0])
 
     def _inversion_root(self, target: np.ndarray) -> tuple:
         """The first preimage of ``_preimages`` with max|eta - target| <=

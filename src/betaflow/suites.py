@@ -76,21 +76,21 @@ def _record(name: str, residual: float, tolerance: float) -> CheckRecord:
     return CheckRecord(name, bool(residual <= tolerance), float(residual), tolerance)
 
 
-def _flow_records(tag: str, measures) -> list[CheckRecord]:
-    """A record f"{tag}-{name}" per (name, tolerance, measure) of
-    ``measures``, with residual measure(model, trajectory) on the acceptance
-    flow ``tag``.  Where that flow or the measure raised a BetaflowError,
-    the record fails with residual inf, so ``check`` still reports the whole
-    suite."""
-    model = _ACCEPTANCE_STARTS[tag][0]
-    traj = _acceptance_trajectory(tag)
+def _flow_records(measures) -> list[CheckRecord]:
+    """A record f"{tag}-{name}" per acceptance flow ``tag`` and, within it,
+    per (name, tolerance, measure) of ``measures``, with residual
+    measure(model, trajectory) on that flow.  Where the flow or the measure
+    raised a BetaflowError, the record fails with residual inf, so ``check``
+    still reports the whole suite."""
     out = []
-    for name, tolerance, measure in measures:
-        try:
-            residual = math.inf if traj is None else measure(model, traj)
-        except BetaflowError:
-            residual = math.inf
-        out.append(_record(f"{tag}-{name}", residual, tolerance))
+    for tag, (model, _) in _ACCEPTANCE_STARTS.items():
+        traj = _acceptance_trajectory(tag)
+        for name, tolerance, measure in measures:
+            try:
+                residual = math.inf if traj is None else measure(model, traj)
+            except BetaflowError:
+                residual = math.inf
+            out.append(_record(f"{tag}-{name}", residual, tolerance))
     return out
 
 
@@ -125,13 +125,10 @@ def _suite_linearization(seed: int) -> list[CheckRecord]:
     """eta against eta0 e^-t along each acceptance flow, which fails where
     the corrector's target is off, and G against central differences of eta
     at the same samples, which fails where G is not the Jacobian of eta."""
-    out = []
-    for tag in _ACCEPTANCE_STARTS:
-        out += _flow_records(tag, (
-            ("linearization", 1e-7, _linearization_residual),
-            ("jacobian", 100.0 * _JACOBIAN_STEP ** 2, _jacobian_residual),
-        ))
-    return out
+    return _flow_records((
+        ("linearization", 1e-7, _linearization_residual),
+        ("jacobian", 100.0 * _JACOBIAN_STEP ** 2, _jacobian_residual),
+    ))
 
 
 def _conservation_residual(model, trajectory) -> float:
@@ -140,9 +137,7 @@ def _conservation_residual(model, trajectory) -> float:
 
 
 def _suite_hamiltonian(seed: int) -> list[CheckRecord]:
-    out = []
-    for tag in _ACCEPTANCE_STARTS:
-        out += _flow_records(tag, (("conservation", 1e-7, _conservation_residual),))
+    out = _flow_records((("conservation", 1e-7, _conservation_residual),))
     for tag, model, points in (
         ("exact", EXACT_MODEL, ((2.0, 2.0, 2.0), (7.0, 7.0, 7.0))),
         ("stirling", STIRLING_MODEL, ((2.0, 2.0, 2.0), (4.0, 4.0, 4.0))),
@@ -153,8 +148,7 @@ def _suite_hamiltonian(seed: int) -> list[CheckRecord]:
 
 
 def _suite_lax(seed: int) -> list[CheckRecord]:
-    return [record for tag in _ACCEPTANCE_STARTS for record in
-            _flow_records(tag, (("drift", 1e-7, lambda model, traj: lax_residual(traj)),))]
+    return _flow_records((("drift", 1e-7, lambda model, traj: lax_residual(traj)),))
 
 
 def _suite_inverse(seed: int) -> list[CheckRecord]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -115,6 +116,27 @@ def test_eta_closed():
     assert np.array_equal(eta_closed(eta0, 0.0), eta0)
     value = eta_closed([-77.0 / 60.0] * 3, 1.0)
     assert np.max(np.abs(value + 0.47211194950335098)) <= 1e-15
+
+
+def test_eta_closed_returns_finite_or_raises_domain_error():
+    # e^800 raised OverflowError, a NaN t gave NaNs, a 2-vector a 2-vector and
+    # an inf coordinate an inf
+    for eta0, t, message in (
+        ((1.0, 2.0, 3.0), -1e6, r"^eta0 e\^-t is not finite at eta0 = \[1\.0, 2\.0, 3\.0\], t = -1000000\.0$"),
+        ((1.0, 2.0, 3.0), math.nan, r"t = nan$"),
+        ((1.0, 2.0, 3.0), math.inf, r"t = inf$"),
+        ((0.0, 2.0, 3.0), -math.inf, r"t = -inf$"),
+        ((1e300, 2.0, 3.0), -700.0, r"t = -700\.0$"),
+        ((1.0, 2.0), 0.5, r"^eta0 must have exactly 3 components"),
+        ((math.inf, 2.0, 3.0), 0.5, r"^eta0 must be finite"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                eta_closed(eta0, t)
+    # the last finite scale and an underflow to 0 still return
+    assert np.isfinite(eta_closed((1.0, 2.0, 3.0), -700.0)).all()
+    assert np.array_equal(eta_closed((1.0, -2.0, 3.0), 1e6), [0.0, -0.0, 0.0])
 
 
 def test_integrate_t_end_zero():

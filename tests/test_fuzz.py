@@ -118,6 +118,9 @@ TARGET_CALLS = {
     "inversion_start": lambda m, t: m.inversion_start(t),
     "invert_eta": lambda m, t: bf.invert_eta(m, t),
     "eta_closed": lambda m, t: bf.eta_closed(t, 0.5),
+    # e^800 overflows; a NaN time is no time
+    "eta_closed_t-800": lambda m, t: bf.eta_closed(t, -800.0),
+    "eta_closed_t-nan": lambda m, t: bf.eta_closed(t, math.nan),
     "hamiltonian": lambda m, t: bf.hamiltonian(t),
     "to_canonical": lambda m, t: bf.to_canonical(t),
     "hamilton_rhs": lambda m, t: bf.hamilton_rhs(bf.to_canonical(t)),
@@ -130,6 +133,23 @@ TARGET_CALLS = {
 def test_target_functions_return_finite_or_raise(name, call):
     model = MODELS[name]
     _assert_contract(lambda t: TARGET_CALLS[call](model, t), _targets(name))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_inversion_start_is_in_the_domain_or_raises(name):
+    # a Stirling start can be the walk's cell end outside the domain
+    model = MODELS[name]
+    bad = []
+    for target in _targets(name):
+        try:
+            start = model.inversion_start(target)
+        except bf.DomainError:
+            continue
+        try:
+            model.check_domain(start)
+        except bf.DomainError:
+            bad.append((target.tolist(), start.tolist()))
+    assert not bad, f"{len(bad)} starts outside the domain, first {bad[0]}"
 
 
 def _assert_inversions_end_at_the_floor(model, targets, guesses):

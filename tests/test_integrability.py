@@ -9,6 +9,7 @@ from betaflow import (
     EXACT_MODEL,
     CanonicalState,
     DegenerateEtaError,
+    DomainError,
     EmptyTrajectoryError,
     NegativeRatioError,
     POISSON4,
@@ -67,6 +68,18 @@ def test_canonical_state_array_round_trip():
     assert CanonicalState.from_array(s.as_array()) == s
     with pytest.raises(ValueError):
         CanonicalState.from_array([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_state_rejects_non_finite_fields(bad):
+    # hamilton_rhs returned [nan, -1, 1, -1] and poisson_bracket nan here
+    for at in range(4):
+        values = [1.0] * 4
+        values[at] = bad
+        with pytest.raises(DomainError, match=r"^canonical state must be finite, got "):
+            CanonicalState(*values)
+        with pytest.raises(DomainError, match=r"^canonical state must be finite, got "):
+            CanonicalState.from_array(values)
 
 
 def test_hamiltonian_symmetric_points():
@@ -176,6 +189,13 @@ def test_lax_pair_ell_parameter():
     pair = lax_pair((1.0, 2.0, 3.0), ell=-2.5)
     assert pair.ell == -2.5
     assert np.array_equal(pair.N, np.diag([-2.5, 0.0, -2.5]))
+
+
+@pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf])
+def test_lax_pair_rejects_a_non_finite_ell(ell):
+    # a NaN ell gave a NaN N and commutator; an inf one warned in matmul
+    with pytest.raises(DomainError, match=rf"^ell must be finite, got {ell!r}$"):
+        lax_pair((1.0, 2.0, 3.0), ell=ell)
 
 
 def test_lax_pair_spot_exact_234():

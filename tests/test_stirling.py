@@ -947,9 +947,17 @@ def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeyp
     assert (1.01, 1.02, 40.0) in declined
     assert (100.0, 100.0, 100.0) not in declined
     # the shortcut raises nothing: a target the walk answers with a cell end
-    # outside the domain, or raises on, gets the walk's answer or error
+    # outside the domain, or raises on, gets the walk's answer or error.  The
+    # start is that cell end, which inversion_start rejects as invert_eta does.
     target = np.array((0.013525557757431085, 1.7487266173162688e-121, -2.049652008915231e209))
-    assert np.array_equal(STIRLING_MODEL.inversion_start(target), walk_start(target))
+    start = np.asarray(STIRLING_MODEL._inversion_root(target)[0], dtype=float)
+    assert start.tobytes() == walk_start(target).tobytes()
+    messages = []
+    for find in (STIRLING_MODEL.inversion_start, lambda t: invert_eta(STIRLING_MODEL, t)):
+        with pytest.raises(DomainError, match=r"^stirling model needs a, b, c > 1, got ") as exc:
+            find(target)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
     errors = []
     for find in (STIRLING_MODEL.inversion_start, walk_start):
         with pytest.raises(DomainError, match="overflows") as exc:
