@@ -50,7 +50,7 @@ class CanonicalState:
     def from_array(cls, values) -> "CanonicalState":
         v = np.asarray(values, dtype=float)
         if v.shape != (4,):
-            raise ValueError(f"expected 4 canonical values, got shape {v.shape}")
+            raise DomainError(f"expected 4 canonical values, got shape {v.shape}")
         return cls(*(float(x) for x in v))
 
 

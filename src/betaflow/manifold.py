@@ -135,10 +135,10 @@ class Metric3:
     def from_array(cls, m) -> "Metric3":
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 array, got shape {m.shape}")
+            raise DomainError(f"expected a 3x3 array, got shape {m.shape}")
         scale = np.max(np.abs(m))
         if np.max(np.abs(m - m.T)) > 1e-12 * max(scale, 1.0):
-            raise ValueError("matrix is not symmetric within tolerance")
+            raise DomainError("matrix is not symmetric within tolerance")
         (d1, o12, o13), (_, d2, o23), (_, _, d3) = m.tolist()
         return cls(d1, d2, d3, o12, o13, o23)
 
@@ -195,7 +195,11 @@ def solve_det(d1, d2, d3, o, v0, v1, v2) -> tuple[float, ...]:
     three floats of v, with det G first: (det, x0, x1, x2).  One
     ``_rank_one`` call, then the divisions of ``_inverse`` and the products
     of ``_times`` written out, in their operations and order, so the bits
-    are theirs: singular only where det is exactly 0, with their message."""
+    are theirs: singular only where det is exactly 0, with their message.
+    Its callers: ``_newton``, for each step of ``invert_eta`` and of the
+    Stirling walk's ``_refine``, and ``flow.rhs``.
+    ``stirling._first_sheet_root`` writes the same operations out in
+    place."""
     det, c11, c22, c33, c12, c13, c23 = _rank_one(d1, d2, d3, o)
     if det == 0.0:
         raise SingularMatrixError(f"matrix is singular (det={det!r})")

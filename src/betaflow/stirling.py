@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import math
 import sys
+from math import expm1, log, sqrt  # bare names: no attribute lookup in _solve_u
 
 import numpy as np
 
-from .errors import BetaflowError, DomainError, SingularMatrixError
+from .errors import BetaflowError, DomainError
 from .manifold import (_RESIDUAL_GOAL, DomainClass, DomainLabel, Model, _newton, as_point,
-                       check_finite, inside, solve_det)
+                       check_finite, inside)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
@@ -204,8 +205,9 @@ def _sigma_lo(t) -> float:
     """``_preimages``' lower bound on sigma: sigma = sum(u) + 2 > 2, and
     each u_i exists from e^{t_i + _PHI_MIN} on.  DomainError where that
     overflows."""
+    t0, t1, t2 = t
     try:
-        return max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
+        return max(2.0, math.exp(t0 + _PHI_MIN), math.exp(t1 + _PHI_MIN), math.exp(t2 + _PHI_MIN))
     except OverflowError:
         raise DomainError(f"stirling preimage of {t} overflows") from None
 
@@ -227,33 +229,43 @@ def _first_sheet_root(kernel, t, lo):
     walk's answer, to the rounding floor of eta.
 
     Newton starts on the branch-0 curve at sigma = 1.05 lo, theta_i =
-    1 + u_i(sigma), with lo = ``_sigma_lo(t)``, and takes full steps, each
-    from one ``solve_det``, whose det G is the gate.  None, at once, where
-    the pattern has no root past lo (``_sigma_hi``); then at the first
-    iterate where det G is not > 0 (NaN, or 0, where the solve is
-    singular), at the first step that leaves (3/2, inf)^3, or after 12
-    steps.  A step is never halved, so a target with no root on the sheet
-    mostly gives up after one hook call, where halving would spend the 12
-    steps.  Raises nothing, so every error stays the walk's.
+    1 + u_i(sigma), with lo = ``_sigma_lo(t)``, and takes full steps.
+    None, at once, where the pattern has no root past lo (``_sigma_hi``).
+    Each iterate then gates in this order: det G, from the hook's rank-one
+    parts grouped as ``manifold._rank_one`` groups them, must be > 0, else
+    None (NaN, or 0, where ``solve_det`` would call G singular); an iterate
+    with max|eta - t| <= _RESIDUAL_GOAL is the answer; only a step taken
+    divides, with ``solve_det``'s divisions and products in their order on
+    (-r0, -r1, -r2), so it has that solve's bits.  None too at the first
+    step that leaves (3/2, inf)^3, or after 12 steps.  A step is never
+    halved, so a target with no root on the sheet mostly gives up after
+    one hook call, where halving would spend the 12 steps.  Raises
+    nothing, so every error stays the walk's.
     """
     if not _sigma_hi(t, (0, 0, 0)) > lo:
         return None
     ls = math.log(1.05 * lo)
-    # Raises nothing: a finite ls - t_i > 709.78 puts _sigma_hi <= lo; exp(inf) is inf.
-    a, b, c = (_solve_u(ls - x) + 1.0 for x in t)
     t0, t1, t2 = t
+    # Raises nothing: a finite ls - t_i > 709.78 puts _sigma_hi <= lo; exp(inf) is inf.
+    a, b, c = _solve_u(ls - t0) + 1.0, _solve_u(ls - t1) + 1.0, _solve_u(ls - t2) + 1.0
     for _ in range(12):
         e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
         r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
-        try:
-            det, s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)
-        except SingularMatrixError:
-            return None
+        # solve_det on (-r0, -r1, -r2), in its operations and order: det G
+        # as _rank_one groups it, and the divisions only for a step taken.
+        g1, g2, g3, oo = d1 + o, d2 + o, d3 + o, o * o
+        c11, c12, c13 = g2 * g3 - oo, -o * d3, -o * d2
+        det = g1 * c11 + o * (c12 + c13)
         if not det > 0.0:
             return None
         if abs(r0) <= _RESIDUAL_GOAL and abs(r1) <= _RESIDUAL_GOAL and abs(r2) <= _RESIDUAL_GOAL:
             return [a, b, c]
-        a, b, c = a + s0, b + s1, c + s2
+        i11, i22, i33 = c11 / det, (g1 * g3 - oo) / det, (g1 * g2 - oo) / det
+        i12, i13, i23 = c12 / det, c13 / det, -o * d1 / det
+        v0, v1, v2 = -r0, -r1, -r2
+        a += i11 * v0 + i12 * v1 + i13 * v2
+        b += i12 * v0 + i22 * v1 + i23 * v2
+        c += i13 * v0 + i23 * v1 + i33 * v2
         if not (1.5 < a < math.inf and 1.5 < b < math.inf and 1.5 < c < math.inf):
             return None
     return None
@@ -291,12 +303,20 @@ def _sigma_hi(t, pattern) -> float:
     On branch 0, u = sigma e^{-t} - 1/2 - eps with eps in [0, e/2 - 1], and
     eps <= e^{1/(2u)} / (8u); on branch -1, u is in (0, 1/2).  So F is
     sigma (sum_{branch 0} e^{-t_i} - 1) plus a term in [-0.578, 3.5].
+
+    The e^{-t_i} add left to right from 0.0, as ``sum()`` of floats did
+    before Python 3.12, whose ``sum()`` compensates: so the bound is the
+    same float on every Python version.
     """
     n0 = pattern.count(0)
+    slope = 0.0
     try:
-        slope = sum(math.exp(-x) for x, k in zip(t, pattern) if k == 0) - 1.0
+        for x, k in zip(t, pattern):
+            if k == 0:
+                slope += math.exp(-x)
     except OverflowError:
         return 0.0  # a branch-0 root leaves the float range for every sigma
+    slope -= 1.0
     if slope < 0.0:
         return (3.5 - n0) / -slope
     if n0 < 3:
@@ -427,7 +447,8 @@ def _solve_u(r: float, branch: int = 0) -> float:
     from the branch -1 asymptote 1 to 3 steps in 7%.
     """
     r = float(r)  # a numpy scalar would slow every operation below
-    p = math.sqrt(max(0.0, -2.0 * math.expm1(_PHI_MIN - r)))
+    p2 = -2.0 * expm1(_PHI_MIN - r)
+    p = sqrt(p2) if p2 > 0.0 else 0.0
     if p < 1.0:
         q = p if branch == 0 else -p
         u = 0.5 / (1.0 - q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0 - q * 43.0 / 540.0))))
@@ -438,7 +459,7 @@ def _solve_u(r: float, branch: int = 0) -> float:
             raise DomainError(f"root of ln(u) + 1/(2u) = {r!r} overflows") from None
     else:
         l1 = r + _LN_2
-        l2 = math.log(l1)
+        l2 = log(l1)
         u = 0.5 / (l1 + l2 + l2 / l1)
     for _ in range(6):
         w = u - 0.5
@@ -446,7 +467,7 @@ def _solve_u(r: float, branch: int = 0) -> float:
             break
         # Newton's step f / f' and Halley's correction, with
         # f = ln(u) + 1/(2u) - r, f' = w / u^2, f'' = (1 - u) / u^3.
-        newton = (math.log(u) + 0.5 / u - r) * u / (w / u)
+        newton = (log(u) + 0.5 / u - r) * u / (w / u)
         step = newton / (1.0 - newton * (1.0 - u) / (2.0 * u * w))
         u -= step
         if abs(step) <= 1e-6 * u:

@@ -66,7 +66,7 @@ def test_to_canonical_rejects_degenerate_eta(eta):
 def test_canonical_state_array_round_trip():
     s = CanonicalState(1.0, -2.0, 3.0, -4.0)
     assert CanonicalState.from_array(s.as_array()) == s
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^expected 4 canonical values, got shape \(3,\)$"):
         CanonicalState.from_array([1.0, 2.0, 3.0])
 
 

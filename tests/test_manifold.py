@@ -59,12 +59,12 @@ def test_metric3_as_array_stacks_array_entries():
 def test_metric3_from_array_rejects_asymmetry():
     a = np.eye(3)
     a[0, 1] = 1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^matrix is not symmetric within tolerance$"):
         Metric3.from_array(a)
 
 
 def test_metric3_from_array_rejects_a_shape_that_is_not_3x3():
-    with pytest.raises(ValueError, match="expected a 3x3 array"):
+    with pytest.raises(DomainError, match=r"^expected a 3x3 array, got shape \(2, 2\)$"):
         Metric3.from_array(np.eye(2))
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +22,7 @@ import betaflow.manifold
 import betaflow.stirling
 from betaflow.manifold import _SMALL_STEP, _rank_one, inside, solve_det
 from betaflow.stirling import (_BRANCH_THETA, _PATTERNS, _PHI_MIN, _preimages, _root_free,
-                               _solve_u)
+                               _sigma_hi, _solve_u)
 from conftest import rounding_floor_ratio
 
 K = -math.log(2.0 * math.pi) - 2.0
@@ -966,28 +968,224 @@ def test_inversion_start_returns_the_walks_start_where_it_skips_the_walk(monkeyp
     assert errors[0] == errors[1]
 
 
+def negated(kernel, calls=None):
+    """``kernel`` with (D1, D2, D3, o) negated: G becomes -G, whose det is
+    -det G."""
+    def hook(a, b, c):
+        if calls is not None:
+            calls.append(True)
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        return e0, e1, e2, -d1, -d2, -d3, -o
+    return hook
+
+
 def test_inversion_start_walks_where_det_g_is_not_positive(monkeypatch):
-    # With the sign of det G flipped in the shortcut's solve, no iterate has
+    # With the sign of det G flipped in the shortcut's hook, no iterate has
     # det G > 0: every target declines at its first hook call and walks.
-    # The walk's Newton solves through manifold's solve_det, unflipped.
-    walked = []
+    # The walk's hook is the model's own, unflipped.
+    walked, calls = [], []
+    first_sheet_root = betaflow.stirling._first_sheet_root
 
     def spying(kernel, target):
         walked.append(True)
         return _preimages(kernel, target)
 
-    def flipped(*args):
-        det, *step = solve_det(*args)
-        return (-det, *step)
+    def flipped(kernel, t, lo):
+        return first_sheet_root(negated(kernel, calls), t, lo)
 
-    monkeypatch.setattr(betaflow.stirling, "solve_det", flipped)
+    monkeypatch.setattr(betaflow.stirling, "_first_sheet_root", flipped)
     monkeypatch.setattr(betaflow.stirling, "_preimages", spying)
     for theta in ((2.5, 3.0, 2.0), (100.0, 100.0, 100.0), (2.62, 4.89, 2.85)):
         target = STIRLING_MODEL.eta(theta)
         walked.clear()
+        calls.clear()
         start = STIRLING_MODEL.inversion_start(target)
         assert walked
+        assert len(calls) == 1
         assert np.array_equal(start, walk_start(target))
+
+
+def outcome(f, *args):
+    """f's result as bytes, or the type and message of what it raised."""
+    try:
+        result = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None if result is None else np.asarray(result, dtype=float).tobytes()
+
+
+def reference_first_sheet_root(kernel, t, lo):
+    """``_first_sheet_root`` as it took each step from one ``solve_det``
+    call, with why it stopped ("no root", "det", "met", "box" or "steps")
+    and after how many hook calls."""
+    if not _sigma_hi(t, (0, 0, 0)) > lo:
+        return None, "no root", 0
+    ls = math.log(1.05 * lo)
+    a, b, c = (_solve_u(ls - x) + 1.0 for x in t)
+    t0, t1, t2 = t
+    for calls in range(1, 13):
+        e0, e1, e2, d1, d2, d3, o = kernel(a, b, c)
+        r0, r1, r2 = e0 - t0, e1 - t1, e2 - t2
+        try:
+            det, s0, s1, s2 = solve_det(d1, d2, d3, o, -r0, -r1, -r2)
+        except SingularMatrixError:
+            return None, "det", calls
+        if not det > 0.0:
+            return None, "det", calls
+        if abs(r0) <= 1e-12 and abs(r1) <= 1e-12 and abs(r2) <= 1e-12:
+            return [a, b, c], "met", calls
+        a, b, c = a + s0, b + s1, c + s2
+        if not (1.5 < a < math.inf and 1.5 < b < math.inf and 1.5 < c < math.inf):
+            return None, "box", calls
+    return None, "steps", 12
+
+
+def first_sheet_targets():
+    """Stirling images of 2000 Philox points; raw eta triples, among them
+    targets declined at a later iterate's det G; and targets next to V."""
+    rng = np.random.Generator(np.random.Philox(211))
+    points = np.concatenate([rng.uniform(1.0, 6.0, (1000, 3)),
+                             1.0 + 10.0 ** rng.uniform(-3.0, 3.0, (1000, 3))])
+    yield "image", [STIRLING_MODEL.eta(p).tolist() for p in points]
+    yield "raw", rng.uniform(-1.0, 4.0, (4000, 3)).tolist()
+    near_v = []
+    for b in np.linspace(1.6, 5.0, 8):
+        for c in np.linspace(1.6, 5.0, 8):
+            B, C = b - 2.0, c - 2.0
+            a = 2.0 + (B + C + 1.0) / (4.0 * B * C - 1.0)
+            if 1.5 < a < 50.0:
+                near_v += [STIRLING_MODEL.eta((a + d, b, c)).tolist()
+                           for d in (1e-3, 1e-4, -1e-4, -1e-3)]
+    yield "near V", near_v
+
+
+def test_first_sheet_root_matches_the_solve_det_loop_bit_for_bit():
+    # The in-place step must return the bytes of the loop that called
+    # solve_det, or None at the same targets, on every way the loop ends.
+    kernel = STIRLING_MODEL.eta_metric_kernel
+    seen = Counter()
+    for kind, targets in first_sheet_targets():
+        for t in targets:
+            lo = betaflow.stirling._sigma_lo(t)
+            for name, hook in (("model", kernel), ("negated", negated(kernel))):
+                want, why, calls = reference_first_sheet_root(hook, t, lo)
+                got = outcome(betaflow.stirling._first_sheet_root, hook, t, lo)
+                assert got == (None if want is None else np.array(want).tobytes()), (kind, name, t)
+                seen[kind, name, why, min(calls, 2) if why == "det" else None] += 1
+    # every way the loop ends occurs: no root past lo, a det G that is not
+    # positive at the start (negated hook) and at a later iterate, a step
+    # out of (3/2, inf)^3, 12 steps next to V, and a certified root
+    assert seen["image", "model", "no root", None] > 100
+    assert seen["image", "model", "met", None] > 100
+    assert seen["image", "model", "box", None] > 100
+    assert seen["raw", "model", "det", 2] > 10
+    assert seen["image", "negated", "det", 1] > 100
+    assert seen["near V", "model", "steps", None] == 144
+
+
+def test_first_sheet_root_declines_a_singular_or_nan_det_g():
+    # det G exactly 0 (the solve_det loop's SingularMatrixError) and NaN
+    t = STIRLING_MODEL.eta((2.5, 3.0, 2.0)).tolist()
+    lo = betaflow.stirling._sigma_lo(t)
+    for d1, o in ((0.0, 0.0), (math.nan, 1.0)):
+        def hook(a, b, c):
+            e0, e1, e2, _, d2, d3, _ = STIRLING_MODEL.eta_metric_kernel(a, b, c)
+            return e0, e1, e2, d1, d2, d3, o
+        assert reference_first_sheet_root(hook, t, lo)[1:] == ("det", 1)
+        assert betaflow.stirling._first_sheet_root(hook, t, lo) is None
+
+
+def reference_sigma_lo(t):
+    """``_sigma_lo`` with its exponentials in a generator: the reference."""
+    try:
+        return max(2.0, *(math.exp(x + _PHI_MIN) for x in t))
+    except OverflowError:
+        raise DomainError(f"stirling preimage of {t} overflows") from None
+
+
+def reference_sigma_hi(t, pattern):
+    """``_sigma_hi`` with its slope as sum() of a generator: the reference."""
+    n0 = pattern.count(0)
+    try:
+        slope = sum(math.exp(-x) for x, k in zip(t, pattern) if k == 0) - 1.0
+    except OverflowError:
+        return 0.0
+    if slope < 0.0:
+        return (3.5 - n0) / -slope
+    if n0 < 3:
+        return 0.0
+    hi = 2.5 * math.exp(max(t))
+    return min(hi, 0.578 / slope) if slope > 0.0 else hi
+
+
+def reference_solve_u(r, branch=0):
+    """``_solve_u`` with max(0.0, x) and math's functions: the reference."""
+    r = float(r)
+    p = math.sqrt(max(0.0, -2.0 * math.expm1(_PHI_MIN - r)))
+    if p < 1.0:
+        q = p if branch == 0 else -p
+        u = 0.5 / (1.0 - q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0 - q * 43.0 / 540.0))))
+    elif branch == 0:
+        try:
+            u = math.exp(r) - 0.5
+        except OverflowError:
+            raise DomainError(f"root of ln(u) + 1/(2u) = {r!r} overflows") from None
+    else:
+        l1 = r + math.log(2.0)
+        l2 = math.log(l1)
+        u = 0.5 / (l1 + l2 + l2 / l1)
+    for _ in range(6):
+        w = u - 0.5
+        if w == 0.0:
+            break
+        newton = (math.log(u) + 0.5 / u - r) * u / (w / u)
+        step = newton / (1.0 - newton * (1.0 - u) / (2.0 * u * w))
+        u -= step
+        if abs(step) <= 1e-6 * u:
+            break
+    return u
+
+
+# eta triples past each overflow and at the non-finite values, on top of
+# the targets of first_sheet_targets
+EDGE_TARGETS = [[800.0, 0.0, 0.0], [0.0, 0.0, 709.5], [-800.0, 1.0, 2.0], [1.0, -800.0, 2.0],
+                [705.0, -1.0, -1.0], [math.nan, 1.0, 2.0], [1.0, 2.0, math.nan],
+                [math.inf, 1.0, 2.0], [-math.inf, 1.0, 2.0], [0.0, 0.0, 0.0], [-0.0, 0.5, 3.0]]
+
+
+def test_sigma_lo_matches_its_generator_form_bit_for_bit():
+    raised = 0
+    for t in [*(t for _, ts in first_sheet_targets() for t in ts), *EDGE_TARGETS]:
+        want = outcome(reference_sigma_lo, t)
+        assert outcome(betaflow.stirling._sigma_lo, t) == want, t
+        raised += isinstance(want, tuple)
+    assert raised >= 2
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() of floats is compensated from Python 3.12 on")
+def test_sigma_hi_matches_its_generator_form_bit_for_bit():
+    # sum() adds left to right from 0.0 before Python 3.12, as _sigma_hi does
+    raised = 0
+    for t in [*(t for _, ts in first_sheet_targets() for t in ts), *EDGE_TARGETS]:
+        for pattern in _PATTERNS:
+            want = outcome(reference_sigma_hi, t, pattern)
+            assert outcome(betaflow.stirling._sigma_hi, t, pattern) == want, (t, pattern)
+            raised += isinstance(want, tuple)
+    assert raised >= 1
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_solve_u_matches_its_max_form_bit_for_bit(branch):
+    # both starts of each branch, from below the branch point up to where
+    # branch 0 overflows, and at the inputs where max(0.0, x) picks 0.0
+    rs = [*np.linspace(_PHI_MIN - 1.0, 3.0, 4001), *np.linspace(3.0, 709.79, 4001),
+          *(_PHI_MIN + np.logspace(-20, 0, 400)), _PHI_MIN, math.nextafter(_PHI_MIN, 0.0),
+          709.78, 709.79, 1e6, math.nan, -0.0, -math.inf]
+    for r in rs:
+        r = float(r)
+        assert outcome(_solve_u, r, branch) == outcome(reference_solve_u, r, branch), r
+    assert isinstance(outcome(reference_solve_u, 709.79, 0), tuple)
 
 
 @pytest.mark.parametrize("theta", [(2.5, 3.0, 2.0), (1.01, 1.02, 40.0), NEAR_BOUNDARY_THETA],
